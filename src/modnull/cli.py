@@ -5,9 +5,10 @@ slln-study, generate, enumerate-check.  Every run echoes its resolved
 statistical configuration (defaults and master seed included) into its
 output; execution-only knobs (--threads, --out) are deliberately left
 out of the echo so that runs which must produce identical results also
-produce identical bytes.  Exit codes: 0 success, 2 invalid input, 3
-domain error; failed runs print a single-line JSON object
-{"code", "message", "context"} on stderr.
+produce identical bytes.  Exit codes: 0 success, 2 invalid input
+(including a file that cannot be read or written), 3 domain error;
+failed runs print a single-line JSON object {"code", "message",
+"context"} on stderr.
 """
 
 from __future__ import annotations
@@ -463,7 +464,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         _print_error(2, exc, args)
         return 2
     except DomainError as exc:

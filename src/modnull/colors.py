@@ -127,23 +127,6 @@ class ColorDistribution:
         return self.r1, self.r2
 
     @cached_property
-    def _csm_table(self) -> np.ndarray:
-        t = np.array([self.cond_second_moment(a) for a in range(1, self.K + 1)])
-        t.setflags(write=False)
-        return t
-
-    @cached_property
-    def _ccm_table(self) -> np.ndarray:
-        t = np.array(
-            [
-                [self.cond_cross_moment(a, b) for b in range(1, self.K + 1)]
-                for a in range(1, self.K + 1)
-            ]
-        )
-        t.setflags(write=False)
-        return t
-
-    @cached_property
     def _cum(self) -> np.ndarray:
         # Inverse-CDF table; +inf in the last slot absorbs the float
         # rounding of the cumulative sum so every draw maps to a color.

@@ -93,26 +93,19 @@ class Graph:
         return self.adjacency[v]
 
     @cached_property
-    def _lower_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All pairs (i, l), i < l, that share a neighbor j above both.
+    def _lower_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges ordered by (edge_hi, edge_lo): the lower-neighbour lists in CSR order.
 
-        One entry per wedge i-j-l with i < l < j, with multiplicity over j.
-        Drives the cross-moment part of the martingale variance.
+        The first array holds, for j = 0, 1, ..., the neighbours of j below
+        j in ascending order; the second repeats j along each such run.
+        Drives the martingale variance, which reveals vertices in id order.
         """
-        first, second = [], []
-        for j in range(self.n):
-            nb = self.adjacency[j]
-            nb = nb[nb < j]
-            for a in range(len(nb) - 1):
-                i = nb[a]
-                for b in range(a + 1, len(nb)):
-                    first.append(i)
-                    second.append(nb[b])
-        pi = np.asarray(first, dtype=np.int64)
-        pl = np.asarray(second, dtype=np.int64)
-        pi.setflags(write=False)
-        pl.setflags(write=False)
-        return pi, pl
+        order = np.argsort(self.edge_hi, kind="stable")
+        lo = self.edge_lo[order]
+        hi = self.edge_hi[order]
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return lo, hi
 
     @cached_property
     def _edge_degree_product_sum(self) -> int:

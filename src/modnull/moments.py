@@ -18,6 +18,30 @@ Accumulations over vertices and edges use exactly rounded summation
 (math.fsum); integer quantities stay exact all the way to the final
 division, which keeps the closed forms within 1e-11 of the enumeration
 oracle on every test instance.
+
+Martingale variance
+-------------------
+Reveal vertices in id order.  Vertex j, with L = |L_j| lower neighbours
+and cnt_c of them colored c, adds the variance over its own color c ~ p
+of S(c) = sum_{i in L_j} h(c_i, c), h the centered kernel.  With
+P = sum_{i in L_j} p_{c_i}, R = sum_{i in L_j} p_{c_i}^2 and
+T = sum_c p_c cnt_c^2 this is
+
+    V_j = T - 2 L R + L^2 p_(3) - (L p_(2) - P)^2,
+
+so no pair of lower neighbours (no wedge) is ever visited.  The kernel
+evaluates the same quantity in centered form,
+
+    V_j = sum_{c seen} p_c (cnt_c - L p_c)^2 + L^2 (p_(3) - sum_{c seen} p_c^3)
+          - D_j^2,   D_j = sum_{i in L_j} (p_(2) - p_{c_i}),
+
+whose terms are of the size of V_j rather than L^2, so the result does not
+lose digits on high-degree vertices.  Per row, the keys j*K + c_i of the
+edges ordered by j are sorted; each run of equal keys is one (j, c) pair
+with cnt_c its length.  The cost is O(rows * m * log m) time whatever K
+is, and rows go through in blocks of about 2**17 keys, so the working
+memory stays O(m + n).  The row value is sum_j V_j / (m r1), whose
+expectation is 1.
 """
 
 from __future__ import annotations
@@ -32,6 +56,10 @@ from .errors import DomainError
 from .graph import Graph
 
 ENUMERATION_GUARD = 10 ** 7
+# Edge keys per block of rows in the martingale kernel: its temporaries stay
+# near 1 MB, cache-sized and reused, instead of large fresh arrays that
+# page-fault on every chunk.
+_V2_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -172,20 +200,45 @@ def center_decompose(g: Graph, colors, dist: ColorDistribution) -> Decomposition
 
 
 def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.ndarray:
-    """Conditional martingale variance per coloring row (vectorized)."""
-    csm = dist._csm_table
-    ccm = dist._ccm_table
-    lo = g.edge_lo
-    pi, pl = g._lower_pairs
-    part1 = csm[np.take(colors_2d, lo, axis=1) - 1].sum(axis=1)
-    if pi.size:
-        part2 = ccm[np.take(colors_2d, pi, axis=1) - 1,
-                    np.take(colors_2d, pl, axis=1) - 1].sum(axis=1)
-    else:
-        part2 = np.zeros_like(part1)
-    m = g.m
-    delta2 = dist.r1 / m
-    return (part1 + 2.0 * part2) / (m * m * delta2)
+    """Conditional martingale variance per coloring row; see the module docstring.
+
+    Every row goes through the same operations whatever block it lands
+    in, so a row's value is bit-identical for any batch size, chunking or
+    thread count.
+    """
+    n, m, K = g.n, g.m, dist.K
+    lo, hi = g._lower_edges
+    lower_deg = np.bincount(hi, minlength=n).astype(np.float64)
+    base = hi * K - 1
+    p = dist.p
+    cube = p * p * p
+    # Summed in color order, the order in which a vertex's runs accumulate,
+    # so a vertex that sees every color gets an absent mass of exactly 0.
+    p3 = float(np.cumsum(cube)[-1])
+    step = max(1, _V2_BLOCK // max(m, n))
+    out = []
+    for start in range(0, colors_2d.shape[0], step):
+        block = colors_2d[start:start + step]
+        rows = block.shape[0]
+        keys = np.take(block, lo, axis=1).astype(np.int64)
+        keys += base
+        keys.sort(axis=1)
+        first = np.empty(keys.shape, dtype=bool)
+        first[:, 0] = True
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        cnt = np.diff(starts, append=keys.size)
+        j, c = np.divmod(keys.ravel()[starts], K)
+        row = starts // m
+        pc = p[c]
+        e = cnt - lower_deg[j] * pc
+        seen = np.bincount(row, weights=pc * e * e, minlength=rows)
+        cell = row * n + j
+        s3 = np.bincount(cell, weights=cube[c], minlength=rows * n).reshape(rows, n)
+        d = np.bincount(cell, weights=cnt * (dist.p2 - pc), minlength=rows * n)
+        d = d.reshape(rows, n)
+        out.append(seen + (lower_deg * lower_deg * (p3 - s3) - d * d).sum(axis=1))
+    return np.concatenate(out) / (m * dist.r1)
 
 
 def martingale_variance(g: Graph, colors, dist: ColorDistribution) -> float:

@@ -105,7 +105,9 @@ def _run_chunks(fn, total: int, threads: int) -> list[np.ndarray]:
 def _null_colorings(dist: ColorDistribution, n: int, master_seed: int, start: int, stop: int):
     seeds = stream_seed_array(master_seed, np.arange(start, stop, dtype=np.uint64))
     u = uniform_matrix(seeds, n)
-    return np.searchsorted(dist._cum, u, side="right").astype(np.int16) + 1
+    # The narrowest of these that holds color K: int16 for every K < 2**15.
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if dist.K <= np.iinfo(t).max)
+    return np.searchsorted(dist._cum, u, side="right").astype(dtype) + 1
 
 
 def null_q_samples(
@@ -353,18 +355,15 @@ def slln_study(
     paths: int,
     master_seed: int,
     distribution: ColorDistribution | None = None,
-    bn_mode: str = "default",
 ) -> SllnResult:
     """Path-wise decay of b_n (Q - mu) along a size ladder.
 
-    The default scaling b_n = sqrt(m) / (log n)^2 keeps b_n log n /
+    The scaling b_n = sqrt(m) / (log n)^2 keeps b_n log n /
     sqrt(m) = 1 / log n vanishing, the regime in which the centered
     modularity is driven to zero almost surely.  Each path draws a fresh
     coloring at every size; decay is summarized as second-half max
     |value| not exceeding the first-half max.
     """
-    if bn_mode != "default":
-        raise InputError(f"unknown bn_mode {bn_mode!r}; only 'default' is defined")
     if isinstance(generator_spec, str):
         generator_spec = parse_generator_spec(generator_spec)
     sizes = tuple(int(s) for s in sizes)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,23 @@ def dense_b_matrix(g):
     a = dense_adjacency(g)
     k = a.sum(axis=1)
     return a - np.outer(k, k) / (2.0 * g.m)
+
+
+def martingale_variance_by_wedges(g, colors, dist):
+    """Reference for the martingale variance, one term per edge and per wedge.
+
+    Revealing vertices in id order, vertex j with lower neighbours L_j adds
+    sum_{i in L_j} E[h(c_i, c)^2] + 2 sum_{i < l in L_j} E[h(c_i, c) h(c_l, c)],
+    one cross moment per wedge i-j-l, built from the edge arrays and the
+    conditional moments of the distribution, then summed exactly.
+    """
+    colors_range = range(1, dist.K + 1)
+    second = np.array([dist.cond_second_moment(a) for a in colors_range])
+    cross = np.array([[dist.cond_cross_moment(a, b) for b in colors_range] for a in colors_range])
+    c = np.asarray(colors) - 1
+    terms = [second[c[g.edge_lo]]]
+    for j in range(g.n):
+        lower = c[g.edge_lo[g.edge_hi == j]]
+        i, l = np.triu_indices(lower.size, 1)
+        terms.append(2.0 * cross[lower[i], lower[l]])
+    return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)

@@ -178,6 +178,16 @@ def test_input_errors_exit_2_with_json(tmp_path, capsys):
     assert json.loads(err)["code"] == 2
 
 
+def test_unwritable_out_exits_2_with_json(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "g.txt")
+    code, _, err = run_cli(capsys, "generate", "--model", "er:p=0.5", "--n", "5", "--out", out)
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["code"] == 2 and out in doc["message"]
+    assert doc["context"]["command"] == "generate"
+    assert err.count("\n") == 1
+
+
 def test_domain_errors_exit_3(tmp_path, capsys):
     g = write(tmp_path, "tri.txt", TRIANGLE)
     ones = write(tmp_path, "ones.txt", "1\n1\n1\n")

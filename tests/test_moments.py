@@ -5,7 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import dense_b_matrix, random_distribution, standard_distributions
+from conftest import (
+    dense_b_matrix,
+    martingale_variance_by_wedges,
+    random_distribution,
+    standard_distributions,
+)
 from modnull import (
     ColorDistribution,
     DomainError,
@@ -20,6 +25,7 @@ from modnull import (
     null_moments,
     null_q_samples,
 )
+from modnull.moments import _v2_rows
 
 
 def modularity_bruteforce(g, colors):
@@ -204,6 +210,41 @@ def test_martingale_variance_matches_direct_formula(cycle5):
                 total += 2.0 * d.cond_cross_moment(colors[lower[x]], colors[lower[y]])
     expected = total / (cycle5.m ** 2 * (d.r1 / cycle5.m))
     assert martingale_variance(cycle5, colors, d) == pytest.approx(expected, abs=1e-13)
+
+
+def heavy_tailed_graph(n=400, mean_degree=6.0, tail=1.3, seed=5):
+    """Chung-Lu graph with Pareto expected degrees, hubs at random ids."""
+    rng = np.random.default_rng(seed)
+    w = rng.pareto(tail, n) + 1.0
+    w = np.minimum(w * mean_degree / w.mean(), n / 3)
+    link = np.triu(rng.random((n, n)) < np.minimum(np.outer(w, w) / w.sum(), 1.0), 1)
+    lo, hi = np.nonzero(link)
+    return Graph(n, np.stack([lo, hi], axis=1))
+
+
+MARTINGALE_GRAPHS = {
+    "heavy_tailed": heavy_tailed_graph,
+    "complete_40": lambda: Graph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)]),
+    "er_40_half": lambda: gen_er(40, 0.5, seed=17),
+}
+MARTINGALE_DISTRIBUTIONS = {
+    "uniform_2": lambda: ColorDistribution.uniform(2),
+    "skewed_3": lambda: ColorDistribution([0.05, 0.15, 0.8]),
+    "uniform_100": lambda: ColorDistribution.uniform(100),
+}
+
+
+@pytest.mark.parametrize("dist_name", MARTINGALE_DISTRIBUTIONS)
+@pytest.mark.parametrize("graph_name", MARTINGALE_GRAPHS)
+def test_martingale_variance_matches_wedge_oracle(graph_name, dist_name):
+    g = MARTINGALE_GRAPHS[graph_name]()
+    d = MARTINGALE_DISTRIBUTIONS[dist_name]()
+    if graph_name == "heavy_tailed":
+        assert g.summary.kmax >= 40
+    colors = np.stack([d.sample_coloring(g.n, seed) for seed in range(6)])
+    v2 = _v2_rows(colors, g, d)
+    for row, value in zip(colors, v2):
+        assert rel_err(value, martingale_variance_by_wedges(g, row, d)) < 1e-12
 
 
 def test_martingale_variance_errors(triangle):

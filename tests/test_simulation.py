@@ -23,6 +23,7 @@ from modnull import (
     slln_study,
     std_normal_cdf,
 )
+from modnull.moments import _V2_BLOCK
 from modnull.rng import stream_seed
 from modnull.simulation import _size_seeds, upper_p_value
 
@@ -153,6 +154,29 @@ def test_martingale_variance_hook_matches_simulation_colorings():
     assert abs(big.mean() - 1.0) <= 4 * se
 
 
+def test_martingale_variance_samples_independent_of_chunks_and_threads():
+    # 1100 rows span two 1024-row chunks, and the kernel splits a chunk
+    # into blocks of `step` rows.
+    g = gen_regular(80, 4, 5)
+    step = _V2_BLOCK // g.m
+    assert 0 < step < 1024
+    d = ColorDistribution([0.25, 0.3, 0.45])
+    v2 = martingale_variance_samples(g, d, 1100, 31)
+    assert np.array_equal(v2, martingale_variance_samples(g, d, 1100, 31, threads=2))
+    for r in (0, step - 1, step, 1023, 1024, 1099):
+        colors = d.sample_coloring(g.n, stream_seed(31, r))
+        assert martingale_variance(g, colors, d) == v2[r]
+
+
+@pytest.mark.parametrize("K", [40000, 70000])
+def test_null_q_samples_beyond_int16_colors(K):
+    g = gen_regular(60, 4, 6)
+    d = ColorDistribution.uniform(K)
+    q = null_q_samples(g, d, 4, 77)
+    for r in range(4):
+        assert q[r] == modularity(g, d.sample_coloring(g.n, stream_seed(77, r)))
+
+
 def test_significance_pinned_triangle(triangle):
     rep = significance_test(triangle, [1, 2, 2])  # empirical p = (1/3, 2/3)
     assert rep.z_sigma == pytest.approx(-2 / math.sqrt(8), abs=1e-5)
@@ -266,6 +290,6 @@ def test_slln_validation():
     with pytest.raises(InputError):
         slln_study("reg:d=6", (50, 100), 0, 0)
     with pytest.raises(InputError):
-        slln_study("reg:d=6", (50, 100), 5, 0, bn_mode="custom")
+        slln_study("reg:d=6", (1, 100), 5, 0)
     with pytest.raises(DomainError):
         slln_study("reg:d=6", (50, 100), 5, 0, distribution=ColorDistribution.uniform(1))
