@@ -6,9 +6,10 @@ statistical configuration (defaults and master seed included) into its
 output; execution-only knobs (--threads, --out) are deliberately left
 out of the echo so that runs which must produce identical results also
 produce identical bytes.  Exit codes: 0 success, 2 invalid input
-(including a file that cannot be read or written), 3 domain error;
-failed runs print a single-line JSON object {"code", "message",
-"context"} on stderr.
+(including a file that cannot be read or written), 3 domain error, 4 any
+other failure (an internal error, or e.g. a MemoryError on an extreme
+input); failed runs print a single-line JSON object {"code", "message",
+"context"} on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .colors import ColorDistribution, parse_probability_text, validate_coloring
 from .conditions import condition_statistics
 from .errors import DomainError, InputError
 from .generators import parse_generator_spec
-from .graph import parse_edge_list, write_edge_list
+from .graph import int_rows, parse_edge_list, write_edge_list
 from .moments import exact_moments_by_enumeration, modularity, null_moments
 from .serialize import csv_text, dumps
 from .simulation import (
@@ -64,18 +65,13 @@ def _load_graph(args):
 
 
 def _load_partition(path: str) -> np.ndarray:
-    values = []
-    for ln, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise InputError(f"{path} line {ln}: colors must be integers") from None
-    if not values:
+    rows = int_rows(_read(path), 1)
+    malformed = np.flatnonzero(~rows.well_formed)
+    if malformed.size:
+        raise InputError(f"{path} line {rows.line[malformed[0]]}: colors must be integers")
+    if rows.line.size == 0:
         raise InputError(f"{path}: partition file is empty")
-    return validate_coloring(values)
+    return validate_coloring(rows.values[:, 0])
 
 
 def _resolve_seed(args) -> int:
@@ -465,16 +461,19 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (InputError, OSError) as exc:
-        _print_error(2, exc, args)
+        _print_error(2, str(exc), args)
         return 2
     except DomainError as exc:
-        _print_error(3, exc, args)
+        _print_error(3, str(exc), args)
         return 3
+    except Exception as exc:  # the documented catch-all: exit 4, no traceback
+        _print_error(4, f"{type(exc).__name__}: {exc}", args)
+        return 4
 
 
-def _print_error(code: int, exc: Exception, args) -> None:
+def _print_error(code: int, message: str, args) -> None:
     sys.stderr.write(
-        dumps({"code": code, "message": str(exc), "context": {"command": args.command}})
+        dumps({"code": code, "message": message, "context": {"command": args.command}})
         + "\n"
     )
 

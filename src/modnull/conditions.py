@@ -15,6 +15,10 @@ The one inequality with an explicit constant 1 does yield a boolean:
 
 and holds_c1 is sufficient for the second condition above.  ``log`` is
 the natural logarithm throughout.
+
+Cost: the degree statistics are O(n + m); the common-neighbor Frobenius
+sum is O(m * arboricity) time and bounded memory, from a count of
+4-cycles (see :func:`modnull.graph.four_cycles`); A^2 is never formed.
 """
 
 from __future__ import annotations

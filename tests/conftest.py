@@ -1,9 +1,24 @@
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from modnull import ColorDistribution, Graph, gen_er
+import modnull
+from modnull import ColorDistribution, Graph, InputError, gen_er
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_interpreters_import_this_tree():
+    """Let the ``python -m modnull.cli`` children of the CLI tests import the
+    package under test, also when only pytest's ``pythonpath`` provides it."""
+    src = str(Path(modnull.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture
@@ -60,8 +75,6 @@ def standard_distributions():
 def random_distribution(rng, max_k=6, min_k=2):
     k = int(rng.integers(min_k, max_k + 1))
     raw = rng.random(k) + 1e-3
-    import math
-
     return ColorDistribution(raw / math.fsum(raw.tolist()))
 
 
@@ -96,3 +109,81 @@ def martingale_variance_by_wedges(g, colors, dist):
         i, l = np.triu_indices(lower.size, 1)
         terms.append(2.0 * cross[lower[i], lower[l]])
     return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)
+
+
+def frobenius_by_matrix_product(g):
+    """Reference for common_neighbor_frobenius: form A^2 as a sparse product."""
+    rows = np.concatenate([g.edge_lo, g.edge_hi])
+    cols = np.concatenate([g.edge_hi, g.edge_lo])
+    a = sparse.csr_matrix(
+        (np.ones(rows.shape[0], dtype=np.int64), (rows, cols)), shape=(g.n, g.n)
+    )
+    two_hop = a @ a
+    return int(np.sum(two_hop.data.astype(np.int64) ** 2))
+
+
+_DIRECTIVE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+
+
+def parse_edge_list_by_lines(text):
+    """Reference edge-list parser: one Python pass over the lines, a set of
+    seen edges, and the first ``# n=`` directive bounding later lines."""
+    declared_n = None
+    edges = []
+    seen = set()
+    max_id = -1
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            match = _DIRECTIVE.match(line)
+            if match and declared_n is None:
+                declared_n = int(match.group(1))
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InputError(f"line {ln}: expected two vertex ids, got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputError(f"line {ln}: vertex ids must be integers") from None
+        if u < 0 or v < 0:
+            raise InputError(f"line {ln}: vertex ids must be nonnegative")
+        if u == v:
+            raise InputError(f"line {ln}: self-loop at vertex {u}")
+        if declared_n is not None and max(u, v) >= declared_n:
+            raise InputError(f"line {ln}: vertex id {max(u, v)} >= declared n={declared_n}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InputError(f"line {ln}: duplicate edge {key[0]} {key[1]}")
+        seen.add(key)
+        edges.append(key)
+        max_id = max(max_id, u, v)
+    if not edges:
+        raise InputError("edge list contains no edges")
+    n = declared_n if declared_n is not None else max_id + 1
+    return Graph(n, edges)
+
+
+def chung_lu(n, mean_degree, tail, seed):
+    """Heavy-tailed simple graph: endpoints drawn in proportion to Pareto(tail)
+    weights, self-loops and repeats dropped."""
+    rng = np.random.default_rng(seed)
+    w = ((np.arange(n) + 0.5) / n) ** (-1.0 / tail)
+    p = w / w.sum()
+    draws = int(n * mean_degree / 2)
+    a = rng.choice(n, size=draws, p=p)
+    b = rng.choice(n, size=draws, p=p)
+    keep = a != b
+    pairs = np.unique(np.column_stack([np.minimum(a, b), np.maximum(a, b)])[keep], axis=0)
+    return Graph(n, pairs)
+
+
+def complete_graph(n):
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
+
+
+def complete_bipartite(a, b):
+    left, right = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
+    return Graph(a + b, np.column_stack([left.ravel(), right.ravel()]))

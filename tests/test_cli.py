@@ -188,6 +188,47 @@ def test_unwritable_out_exits_2_with_json(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [("1\n2\nx\n", 3), ("# c\n\n1\n2 3\n", 4), ("1\r\n\r\n1.5\r\n", 3), ("1\n1 # c\n", 2)],
+)
+def test_partition_errors_name_their_line(tmp_path, capsys, text, line):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    part = write(tmp_path, "part.txt", text)
+    code, _, err = run_cli(capsys, "compute", "--graph", g, "--partition", part)
+    assert code == 2
+    assert json.loads(err)["message"] == f"{part} line {line}: colors must be integers"
+
+
+def test_partition_reader_accepts_comments_blanks_and_signs(tmp_path, capsys):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    part = write(tmp_path, "part.txt", "# colors\n+1\n\n 2 \r\n\t2\n")
+    code, out, _ = run_cli(capsys, "compute", "--graph", g, "--partition", part)
+    assert code == 0 and json.loads(out)["Q"] == pytest.approx(-2 / 9, abs=1e-12)
+    empty = write(tmp_path, "empty.txt", "# nothing\n\n")
+    code, _, err = run_cli(capsys, "compute", "--graph", g, "--partition", empty)
+    assert code == 2 and json.loads(err)["message"] == f"{empty}: partition file is empty"
+
+
+def test_uncaught_errors_exit_4_with_json(tmp_path, capsys, monkeypatch):
+    import modnull.cli as cli
+
+    def fail(_):
+        raise MemoryError("Unable to allocate 8.00 PiB")
+
+    monkeypatch.setattr(cli, "condition_statistics", fail)
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run_cli(capsys, "conditions", "--graph", g)
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    doc = json.loads(err)
+    assert doc == {
+        "code": 4,
+        "message": "MemoryError: Unable to allocate 8.00 PiB",
+        "context": {"command": "conditions"},
+    }
+
+
 def test_domain_errors_exit_3(tmp_path, capsys):
     g = write(tmp_path, "tri.txt", TRIANGLE)
     ones = write(tmp_path, "ones.txt", "1\n1\n1\n")

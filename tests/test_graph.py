@@ -1,7 +1,21 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_adjacency, er_corpus
+import modnull.graph as graph_module
+from conftest import (
+    chung_lu,
+    complete_bipartite,
+    complete_graph,
+    dense_adjacency,
+    er_corpus,
+    frobenius_by_matrix_product,
+    parse_edge_list_by_lines,
+)
 from modnull import (
     DomainError,
     Graph,
@@ -115,8 +129,12 @@ def test_frobenius_matches_dense_bruteforce(small_graphs):
 
 def test_adjacency_sorted_and_symmetric(small_graphs):
     for g in small_graphs:
+        indptr, indices = g.adjacency
+        assert np.array_equal(np.diff(indptr), g.degrees)
+        assert indices.size == 2 * g.m
         for v in range(g.n):
             nb = g.neighbors(v)
+            assert not nb.flags.writeable
             assert np.all(np.diff(nb) > 0)
             for w in nb:
                 assert v in g.neighbors(int(w))
@@ -154,3 +172,199 @@ def test_corpus_has_twenty_er_graphs():
     graphs = er_corpus()
     assert len(graphs) == 20
     assert all(g.m >= 1 for g in graphs)
+
+
+def random_tree(n, seed):
+    rng = np.random.default_rng(seed)
+    parent = [int(rng.integers(0, v)) for v in range(1, n)]
+    return Graph(n, list(zip(parent, range(1, n))))
+
+
+def frobenius_cases():
+    star = Graph(41, [(0, v) for v in range(1, 41)])
+    return [
+        ("tree", random_tree(300, 5), 0),
+        ("star", star, 0),
+        ("K_30", complete_graph(30), 3 * math.comb(30, 4)),
+        ("K_12_17", complete_bipartite(12, 17), math.comb(12, 2) * math.comb(17, 2)),
+        ("chung_lu", chung_lu(3000, 8, 2.2, seed=11), None),
+    ]
+
+
+@pytest.mark.parametrize("name,g,cycles", frobenius_cases(), ids=lambda x: x if isinstance(x, str) else "")
+def test_frobenius_matches_matrix_product_oracle(name, g, cycles):
+    expected = frobenius_by_matrix_product(g)
+    assert common_neighbor_frobenius(g) == expected
+    if cycles is not None:
+        assert graph_module.four_cycles(g) == cycles
+    s = degree_summary(g)
+    assert graph_module.four_cycles(g) == (expected - 2 * s.S2 + 2 * g.m) // 8
+
+
+def test_frobenius_corpus_matches_matrix_product_oracle(small_graphs):
+    for g in small_graphs:
+        assert common_neighbor_frobenius(g) == frobenius_by_matrix_product(g)
+
+
+def test_four_cycles_independent_of_block_size(monkeypatch):
+    g = chung_lu(800, 10, 2.0, seed=3)
+    assert g.summary.kmax >= 40
+    expected = graph_module.four_cycles(g)
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", block)
+        assert graph_module.four_cycles(g) == expected
+
+
+def test_degree_sums_fall_back_to_python_ints(monkeypatch):
+    # K_{1,60000}: sum k^4 exceeds 2**63, so int64 would wrap.
+    hub = 60000
+    s = degree_summary(Graph(hub + 1, [(0, v) for v in range(1, hub + 1)]))
+    assert (s.S2, s.S4, s.kmax) == (hub ** 2 + hub, hub ** 4 + hub, hub)
+    g = chung_lu(500, 6, 2.0, seed=4)
+    fast = (g.summary, g._edge_degree_product_sum)
+    monkeypatch.setattr(graph_module, "_fits_int64", lambda count, bound: False)
+    slow = Graph(g.n, np.column_stack([g.edge_lo, g.edge_hi]))
+    assert (slow.summary, slow._edge_degree_product_sum) == fast
+    deg = g.degrees.tolist()
+    assert fast[1] == sum(deg[u] * deg[v] for u, v in g.edges())
+
+
+def outcome(parse, text):
+    try:
+        g = parse(text)
+    except InputError as exc:
+        return "error", str(exc)
+    return "graph", g.n, g.edges()
+
+
+def assert_parsers_agree(text):
+    assert outcome(parse_edge_list, text) == outcome(parse_edge_list_by_lines, text)
+
+
+PARSER_CASES = [
+    "0 1\n0 2\n1 2\n",
+    "0 5\n1 2\n",
+    "0 1\r\n1 2\r\n",
+    "0 1\r1 2\r",
+    "0 1\r\n1 1\r\n",
+    "0\t1\n\t2 \t 3\t\n",
+    "\n# comment\n0 1\n\n   # indented comment 5 6\n1 2\n\n",
+    "0 1\n1 2\n# n=5\n",
+    "0 5\n# n=3\n",
+    "0 5\n# n=3\n1 1\n",
+    "0 5\n# n=3\n5 0\n",
+    "0 1\n0 1 2\n",
+    "0 1\nx y\n",
+    "0 1\n# n=2\n1 2\n",
+    "# n=3\n# n=10\n0 5\n",
+    "#n = 4 \n0 3\n",
+    "# n=0\n0 1\n",
+    "0 1\n# n=0\n",
+    "# n=x\n0 1\n",
+    "0 1 2\n",
+    "0\n",
+    "0 1 # trailing comment\n",
+    "0 1#x\n",
+    "a b\n",
+    "0 1.5\n",
+    "1_0 2\n",
+    "+1 2\n",
+    "-0 1\n",
+    "007 8\n",
+    "-1 2\n",
+    "0 -2\n",
+    "3 3\n",
+    "# n=2\n0 2\n",
+    "0 1\n1 2\n1 0\n",
+    "0 1\n0 1\n0 1\n",
+    "0 1\n2 3\n3 2\n1 0\n",
+    "0 1\n1 0\n2 2\n",
+    "2 2\n0 1\n1 0\n",
+    "0 1\n1 1\n0 1\n",
+    "-1 0\n0 -1\n",
+    "0\u00a01\n1\u30002\n",
+    "0 1\u20282 3\n",
+    "0 1\u2028\r2 3\n",
+    "0 1\u2028\r1 1\n",
+    "0 1\x85 2 2\n",
+    "0 1\x0c2 3\x1c4 5\x855 6\n",
+    "0 1\x1f\n",
+    "\u0663 4\n",
+    "0 1\n\u00e9 2\n",
+    "0 1\x002\n",
+    "",
+    "\n\n",
+    "# n=4\n# just comments\n",
+    "0 1",
+]
+
+
+@pytest.mark.parametrize("text", PARSER_CASES)
+def test_parser_matches_line_loop_oracle(text):
+    assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize(
+    "bad,repeat",
+    [("5 x", False), ("5 6 7", False), ("9 9", False), ("-5 6", False), ("# n=3", True), (None, True)],
+)
+def test_parser_reports_deep_lines_like_oracle(bad, repeat):
+    rng = np.random.default_rng(7)
+    lines = [f"{u} {u + 1 + int(d)}" for u, d in zip(range(100_000), rng.integers(0, 50, 100_000))]
+    if bad is not None:
+        lines[87_653] = bad
+    if repeat:
+        u, v = lines[1_234].split()
+        lines[99_000] = f"{v}\t{u}"
+    assert_parsers_agree("\n".join(lines) + "\n")
+
+
+def test_parser_rejects_ids_beyond_int64():
+    # The line-loop reader accepted these and failed later (a traceback, or
+    # "vertex id ... >= declared n" under a directive).
+    for text in ("0 99999999999999999999\n", "# n=5\n0 99999999999999999999\n"):
+        with pytest.raises(InputError, match="vertex ids must be integers"):
+            parse_edge_list(text)
+    assert parse_edge_list("0 000000000000000000000001\n") == Graph(2, [(0, 1)])
+
+
+def test_unicode_space_table_matches_str():
+    ascii_space = {c for c in range(128) if chr(c).isspace()}
+    mapped = set(graph_module._UNICODE_SPACE)
+    assert {c for c in range(sys.maxunicode + 1) if chr(c).isspace()} == ascii_space | mapped
+    for c, to in graph_module._UNICODE_SPACE.items():
+        breaks = len(f"a{chr(c)}b".splitlines()) == 2
+        assert (to == "\x0b") == breaks
+
+
+edge_sets = st.integers(2, 25).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            min_size=1,
+            max_size=60,
+        ),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edge_sets, st.randoms(use_true_random=False))
+def test_roundtrip_and_free_form_text_property(case, rnd):
+    n, pairs = case
+    try:
+        g = Graph(n, sorted(pairs))
+    except InputError:  # the same edge drawn in both orientations
+        return
+    assert parse_edge_list(write_edge_list(g)) == g
+    # Free-form text of the same edges: shuffled, either orientation, mixed
+    # separators and line ends, comments, blank lines, maybe a directive.
+    lines = [rnd.choice([" ", "\t", "  "]).join((str(u), str(v))) for u, v in pairs]
+    rnd.shuffle(lines)
+    if rnd.random() < 0.5:
+        lines.insert(rnd.randrange(len(lines) + 1), f"# n={n}")
+    lines.insert(rnd.randrange(len(lines) + 1), "  # note")
+    lines.insert(rnd.randrange(len(lines) + 1), "")
+    text = "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in lines)
+    assert_parsers_agree(text)
