@@ -12,6 +12,7 @@ Under independent random colors with power sums p_(2), p_(3):
 Both B sums reduce to degree statistics, so the moments cost O(n + m):
 
     sum_{i != j} B_ij^2 = 2m - (2/m) sum_{edges uv} k_u k_v + (S2^2 - S4)/(4m^2)
+                        = (8m^3 - 8m sum_{edges uv} k_u k_v + S2^2 - S4) / (4m^2)
     sum_i B_ii^2        = S4 / (4 m^2)
 
 Accumulations over vertices and edges use exactly rounded summation
@@ -139,8 +140,10 @@ def null_moments(g: Graph, dist: ColorDistribution) -> NullMoments:
     """Exact mean, variance and asymptotic scale of Q under random labeling."""
     s = g.summary
     m = g.m
+    # One exact integer numerator and one correctly rounded division: on
+    # dense graphs the three terms nearly cancel.
     skk = g._edge_degree_product_sum
-    sum_offdiag_b2 = 2.0 * m - (2 * skk) / m + (s.S2 * s.S2 - s.S4) / (4 * m * m)
+    sum_offdiag_b2 = (8 * m ** 3 - 8 * m * skk + s.S2 * s.S2 - s.S4) / (4 * m * m)
     sum_diag_b2 = s.S4 / (4 * m * m)
     mu = -((1.0 - dist.p2) * s.S2) / (4 * m * m)
     sigma2 = dist.r1 / (2 * m * m) * sum_offdiag_b2 + dist.r2 / (m * m) * sum_diag_b2

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    complete_bipartite,
+    complete_graph,
     dense_b_matrix,
     martingale_variance_by_wedges,
     random_distribution,
@@ -91,6 +93,34 @@ def test_b_sums_match_dense(small_graphs):
         off = float((b ** 2).sum() - (np.diag(b) ** 2).sum())
         assert rel_err(mom.sum_offdiag_B2, off) < 1e-12
         assert rel_err(mom.sum_diag_B2, float((np.diag(b) ** 2).sum())) < 1e-12
+
+
+def dense_closed_forms():
+    """K_n and K_{a,b} with their B sums as exact rationals."""
+    n = 1500
+    yield "K_1500", complete_graph(n), Fraction(n - 1, n), Fraction((n - 1) ** 2, n)
+    a, b = 700, 800
+    off = (
+        Fraction(a * b, 2)
+        + a * (a - 1) * Fraction(b, 2 * a) ** 2
+        + b * (b - 1) * Fraction(a, 2 * b) ** 2
+    )
+    yield "K_700_800", complete_bipartite(a, b), off, a * Fraction(b, 2 * a) ** 2 + b * Fraction(
+        a, 2 * b
+    ) ** 2
+
+
+@pytest.mark.parametrize("name,g,off,diag", dense_closed_forms(), ids=lambda x: x if isinstance(x, str) else "")
+def test_dense_moments_match_exact_closed_forms(name, g, off, diag):
+    # The off-diagonal sum is about 1 while its terms are about m: computed
+    # term by term in floats it kept only ~1e-10 relative accuracy on K_1500.
+    d = ColorDistribution([0.1, 0.2, 0.7])
+    mom = null_moments(g, d)
+    m = g.m
+    assert rel_err(mom.sum_offdiag_B2, float(off)) < 1e-12
+    assert rel_err(mom.sum_diag_B2, float(diag)) < 1e-12
+    sigma2 = Fraction(d.r1) / (2 * m * m) * off + Fraction(d.r2) / (m * m) * diag
+    assert rel_err(mom.sigma2, float(sigma2)) < 1e-12
 
 
 def test_null_moments_triangle_pinned(triangle):
