@@ -60,32 +60,10 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 1:
             raise InputError(f"vertex count must be positive, got {n}")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64)
-        if pairs.size == 0:
-            raise DomainError("graph has no edges (every statistic divides by m)")
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InputError("edges must be pairs of vertex ids")
-        lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n)
-        if fault is not None:
-            row, kind = fault
-            u, v = sorted(int(x) for x in pairs[row])
-            if kind == "loop":
-                raise InputError(f"self-loop at vertex {u}")
-            if kind == "repeat":
-                raise InputError(f"duplicate edge {u} {v}")
-            raise InputError(f"edge endpoint outside 0..{n - 1}")
-        self._adopt(n, lo, hi)
-
-    @classmethod
-    def _from_canonical(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """Wrap edges that :func:`_canonical_edges` already checked and sorted."""
-        g = cls.__new__(cls)
-        g._adopt(n, lo, hi)
-        return g
-
-    def _adopt(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        if isinstance(edges, _CheckedEdges):
+            lo, hi = edges
+        else:
+            lo, hi = _checked_edges(n, edges)
         for arr in (lo, hi):
             arr.setflags(write=False)
         self.n = int(n)
@@ -192,6 +170,32 @@ class DegreeSummary:
     S2: int
     S4: int
     kmax: int
+
+
+class _CheckedEdges(tuple):
+    """``(lo, hi)`` arrays that :func:`_canonical_edges` returned without a
+    fault: the constructor takes them as they are."""
+
+
+def _checked_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Validate constructor input and return it in canonical order."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64)
+    if pairs.size == 0:
+        raise DomainError("graph has no edges (every statistic divides by m)")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError("edges must be pairs of vertex ids")
+    lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n)
+    if fault is not None:
+        row, kind = fault
+        u, v = sorted(int(x) for x in pairs[row])
+        if kind == "loop":
+            raise InputError(f"self-loop at vertex {u}")
+        if kind == "repeat":
+            raise InputError(f"duplicate edge {u} {v}")
+        raise InputError(f"edge endpoint outside 0..{n - 1}")
+    return lo, hi
 
 
 def _fits_int64(count: int, bound: int) -> bool:
@@ -369,11 +373,11 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError(f"line {rows.line[row]}: {message}")
     top = int(hi.max())
     n = declared_n if declared_n is not None else top + 1
-    if n < 1 or top >= n:
+    if top >= n:
         # A directive after the edges it should bound: the constructor
         # reports the bad vertex count or endpoint.
         return Graph(n, np.column_stack([lo, hi]))
-    return Graph._from_canonical(n, lo, hi)
+    return Graph(n, _CheckedEdges((lo, hi)))
 
 
 def write_edge_list(g: Graph) -> str:
