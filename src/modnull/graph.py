@@ -116,14 +116,10 @@ class Graph:
         return lo, hi
 
     @cached_property
-    def _kmax(self) -> int:
-        return int(self.degrees.max())
-
-    @cached_property
     def _edge_degree_product_sum(self) -> int:
         """Exact sum of k_u * k_v over edges (int64 when m * kmax^2 < 2**63)."""
         deg = self.degrees
-        if _fits_int64(self.m, self._kmax ** 2):
+        if _fits_int64(self.m, self.summary.kmax ** 2):
             return int(np.dot(deg[self.edge_lo], deg[self.edge_hi]))
         ks = deg.tolist()
         return sum(ks[u] * ks[v] for u, v in zip(self.edge_lo.tolist(), self.edge_hi.tolist()))
@@ -133,7 +129,7 @@ class Graph:
         deg = self.degrees
         if int(deg.sum()) != 2 * self.m:
             raise AssertionError("degree sum does not equal twice the edge count")
-        kmax = self._kmax
+        kmax = int(deg.max())
         if _fits_int64(self.n, kmax ** 4):
             sq = deg * deg
             s2, s4 = int(sq.sum()), int(np.dot(sq, sq))
