@@ -29,7 +29,6 @@ from .graph import (
     DegreeSummary,
     Graph,
     common_neighbor_frobenius,
-    degree_summary,
     parse_edge_list,
     write_edge_list,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "center_decompose",
     "common_neighbor_frobenius",
     "condition_statistics",
-    "degree_summary",
     "exact_moments_by_enumeration",
     "gen_er",
     "gen_hub",

@@ -5,10 +5,11 @@ slln-study, generate, enumerate-check.  Every run echoes its resolved
 statistical configuration (defaults and master seed included) into its
 output; execution-only knobs (--threads, --out) are deliberately left
 out of the echo so that runs which must produce identical results also
-produce identical bytes.  Exit codes: 0 success, 2 invalid input
-(including a file that cannot be read or written), 3 domain error, 4 any
-other failure (an internal error, or e.g. a MemoryError on an extreme
-input); failed runs print a single-line JSON object {"code", "message",
+produce identical bytes.  Exit codes: 0 success (also -h), 2 invalid
+input (a malformed, missing or unknown argument, --threads below 1, or
+a file that cannot be read or written), 3 domain error, 4 any other
+failure (an internal error, or e.g. a MemoryError on an extreme input);
+failed runs print a single-line JSON object {"code", "message",
 "context"} on stderr and no traceback.
 """
 
@@ -37,6 +38,13 @@ from .simulation import (
 )
 
 SEED_ENV = "MODNULL_SEED"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors as InputError, so they follow the JSON stderr contract."""
+
+    def error(self, message: str):
+        raise InputError(message)
 
 
 def _u64(text: str) -> int:
@@ -94,7 +102,9 @@ def _study_distribution(args) -> ColorDistribution:
 
 def _partition_distribution(args, colors) -> ColorDistribution:
     if getattr(args, "probs", None):
-        return parse_probability_text(_read(args.probs))
+        dist = parse_probability_text(_read(args.probs))
+        validate_coloring(colors, K=dist.K)
+        return dist
     return ColorDistribution.from_coloring(colors, K=args.K)
 
 
@@ -379,7 +389,7 @@ def _add_common_dist_flags(sp, with_partition: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modnull",
         description="Modularity under a random-labeling null: exact moments, "
         "significance tests, and seeded Monte Carlo studies.",
@@ -434,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, required=True, help="number of independent paths")
     _add_common_dist_flags(sp, with_partition=False)
     sp.add_argument("--seed", type=_u64)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_slln_study)
 
@@ -457,8 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Parsing fills this namespace in place, so an argument error after the
+    # subcommand still names it in the error context.
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.fn(args)
     except (InputError, OSError) as exc:
         _print_error(2, str(exc), args)

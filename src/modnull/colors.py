@@ -122,10 +122,6 @@ class ColorDistribution:
             - self.p2 * self.p2
         )
 
-    def moment_constants(self) -> tuple[float, float]:
-        """(r1, r2) as defined in the module docstring."""
-        return self.r1, self.r2
-
     @cached_property
     def _cum(self) -> np.ndarray:
         # Inverse-CDF table; +inf in the last slot absorbs the float
@@ -135,18 +131,26 @@ class ColorDistribution:
         c.setflags(write=False)
         return c
 
-    def sample_coloring(self, n: int, seed: int, allow_degenerate: bool = False) -> np.ndarray:
-        """n i.i.d. colors via inverse-CDF lookup on the stream ``seed``.
+    def _colors_of(self, u: np.ndarray) -> np.ndarray:
+        """Colors 1..K for uniforms ``u`` in [0, 1), by inverse-CDF lookup.
+
+        The result has the shape of ``u`` and the narrowest signed dtype
+        that holds K: int16 for every K < 2**15.
+        """
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if self.K <= np.iinfo(t).max)
+        return np.searchsorted(self._cum, u, side="right").astype(dtype) + 1
+
+    def sample_coloring(self, n: int, seed: int) -> np.ndarray:
+        """n i.i.d. int64 colors via inverse-CDF lookup on the stream ``seed``.
 
         Identical (distribution, n, seed) always yields the identical
         coloring.
         """
         if n < 1:
             raise InputError("need at least one vertex to color")
-        if self.is_degenerate and not allow_degenerate:
+        if self.is_degenerate:
             raise DomainError("degenerate color distribution (single color has mass 1)")
-        u = uniform_block(seed, n)
-        return np.searchsorted(self._cum, u, side="right").astype(np.int64) + 1
+        return self._colors_of(uniform_block(seed, n)).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"ColorDistribution({self.p.tolist()})"

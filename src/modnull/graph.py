@@ -87,20 +87,6 @@ class Graph:
         return d
 
     @cached_property
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR form ``(indptr, indices)``: the neighbours of v, ascending,
-        are ``indices[indptr[v]:indptr[v + 1]]``."""
-        indptr, indices = _csr(self.n, self.edge_lo, self.edge_hi)
-        for arr in (indptr, indices):
-            arr.setflags(write=False)
-        return indptr, indices
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbours of ``v`` in ascending order, as a read-only view."""
-        indptr, indices = self.adjacency
-        return indices[indptr[v]:indptr[v + 1]]
-
-    @cached_property
     def _lower_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges ordered by (edge_hi, edge_lo): the lower-neighbour lists in CSR order.
 
@@ -126,6 +112,7 @@ class Graph:
 
     @cached_property
     def summary(self) -> "DegreeSummary":
+        """Exact integer summary (n, m, S2, S4, kmax) of the degree sequence."""
         deg = self.degrees
         if int(deg.sum()) != 2 * self.m:
             raise AssertionError("degree sum does not equal twice the edge count")
@@ -381,11 +368,6 @@ def write_edge_list(g: Graph) -> str:
     lines = [f"# n={g.n}"]
     lines.extend(f"{int(u)} {int(v)}" for u, v in zip(g.edge_lo, g.edge_hi))
     return "\n".join(lines) + "\n"
-
-
-def degree_summary(g: Graph) -> DegreeSummary:
-    """Exact integer summary (n, m, S2, S4, kmax) of the degree sequence."""
-    return g.summary
 
 
 def common_neighbor_frobenius(g: Graph) -> int:

@@ -6,9 +6,12 @@ Replicate ``r`` of a run with master seed ``s`` colors the graph with the
 stream ``stream_seed(s, r)``; nothing else consumes randomness.  Studies
 derive one sub-master per size via ``stream_seed(s, n)`` and split it
 into a graph seed (index 0) and a simulation master (index 1), so every
-row of a study is reproducible in isolation.  Replicates are evaluated
-in fixed-size chunks; a worker pool over chunks returns results in chunk
-order, which makes the output identical for any worker count.
+row of a study is reproducible in isolation.  In the SLLN study, path
+``p`` at size ``n`` is replicate ``p`` of that size's simulation master.
+Every sampling command draws its replicates through one chunked kernel:
+replicates are evaluated in fixed-size chunks, and a worker pool over
+chunks returns results in chunk order, which makes the output identical
+for any worker count.
 
 Standardization
 ---------------
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .colors import ColorDistribution
+from .colors import ColorDistribution, validate_coloring
 from .errors import DomainError, InputError
 from .generators import GeneratorSpec, parse_generator_spec
 from .graph import Graph
@@ -89,55 +92,46 @@ def _ks_against(cdf_at_sorted: np.ndarray) -> float:
     return max(upper, lower)
 
 
-def _chunk_ranges(total: int, chunk: int = _CHUNK) -> list[tuple[int, int]]:
-    return [(a, min(a + chunk, total)) for a in range(0, total, chunk)]
-
-
-def _run_chunks(fn, total: int, threads: int) -> list[np.ndarray]:
-    """Evaluate ``fn(start, stop)`` per chunk, in chunk order regardless of workers."""
-    ranges = _chunk_ranges(total)
-    if threads <= 1 or len(ranges) <= 1:
-        return [fn(a, b) for a, b in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
-
-
 def _null_colorings(dist: ColorDistribution, n: int, master_seed: int, start: int, stop: int):
     seeds = stream_seed_array(master_seed, np.arange(start, stop, dtype=np.uint64))
-    u = uniform_matrix(seeds, n)
-    # The narrowest of these that holds color K: int16 for every K < 2**15.
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if dist.K <= np.iinfo(t).max)
-    return np.searchsorted(dist._cum, u, side="right").astype(dtype) + 1
+    return dist._colors_of(uniform_matrix(seeds, n))
+
+
+def _sample_rows(kernel, n: int, dist, reps: int, master_seed: int, threads: int):
+    """``kernel(colorings)`` for replicates 0..reps-1, in chunks of ``_CHUNK`` rows.
+
+    A worker pool returns the chunks in order, so the result does not
+    depend on ``threads``.
+    """
+    if reps < 1:
+        raise InputError("reps must be >= 1")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
+    if dist.is_degenerate:
+        raise DomainError("degenerate color distribution: null sampling is pointless")
+
+    def chunk(a: int) -> np.ndarray:
+        return kernel(_null_colorings(dist, n, master_seed, a, min(a + _CHUNK, reps)))
+
+    starts = range(0, reps, _CHUNK)
+    if threads == 1 or len(starts) == 1:
+        return np.concatenate([chunk(a) for a in starts])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(chunk, starts)))
 
 
 def null_q_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Raw modularity values for ``reps`` independent null colorings."""
-    if reps < 1:
-        raise InputError("reps must be >= 1")
-    if dist.is_degenerate:
-        raise DomainError("degenerate color distribution: null sampling is pointless")
-
-    def chunk(a: int, b: int) -> np.ndarray:
-        return _q_rows(_null_colorings(dist, g.n, master_seed, a, b), g)
-
-    return np.concatenate(_run_chunks(chunk, reps, threads))
+    return _sample_rows(lambda c: _q_rows(c, g), g.n, dist, reps, master_seed, threads)
 
 
 def martingale_variance_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Martingale conditional variance for the same colorings as null_q_samples."""
-    if reps < 1:
-        raise InputError("reps must be >= 1")
-    if dist.is_degenerate:
-        raise DomainError("degenerate color distribution: martingale variance undefined")
-
-    def chunk(a: int, b: int) -> np.ndarray:
-        return _v2_rows(_null_colorings(dist, g.n, master_seed, a, b), g, dist)
-
-    return np.concatenate(_run_chunks(chunk, reps, threads))
+    return _sample_rows(lambda c: _v2_rows(c, g, dist), g.n, dist, reps, master_seed, threads)
 
 
 @dataclass(frozen=True)
@@ -209,8 +203,9 @@ def significance_test(
     """Normal-approximation significance of a partition.
 
     With no explicit distribution the observed color frequencies are
-    used.  ``upper`` answers "is Q larger than random labeling would
-    produce"; ``two_sided`` doubles the symmetric tail.
+    used; an explicit one must give every observed color a probability.
+    ``upper`` answers "is Q larger than random labeling would produce";
+    ``two_sided`` doubles the symmetric tail.
     """
     standardization = _check_standardization(standardization)
     if sided == "two":
@@ -219,6 +214,8 @@ def significance_test(
         raise InputError(f"sidedness must be 'upper' or 'two_sided', got {sided!r}")
     if dist is None:
         dist = ColorDistribution.from_coloring(colors)
+    else:
+        validate_coloring(colors, K=dist.K)
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: z-score undefined")
     q = modularity(g, colors)
@@ -361,8 +358,10 @@ def slln_study(
     The scaling b_n = sqrt(m) / (log n)^2 keeps b_n log n /
     sqrt(m) = 1 / log n vanishing, the regime in which the centered
     modularity is driven to zero almost surely.  Each path draws a fresh
-    coloring at every size; decay is summarized as second-half max
-    |value| not exceeding the first-half max.
+    coloring at every size: path p at size n is replicate p of that
+    size's simulation master, so one batched :func:`null_q_samples` call
+    gives every path's value at a size.  Decay is summarized as
+    second-half max |value| not exceeding the first-half max.
     """
     if isinstance(generator_spec, str):
         generator_spec = parse_generator_spec(generator_spec)
@@ -377,33 +376,26 @@ def slln_study(
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution in slln study")
 
-    per_size = []
-    for n in sizes:
+    half = len(sizes) // 2
+    values = np.empty((paths, len(sizes)))
+    for col, n in enumerate(sizes):
         _, graph_seed, sim_master = _size_seeds(master_seed, n)
         g = generator_spec.build(n, graph_seed)
-        mom = null_moments(g, dist)
         b_n = math.sqrt(g.m) / math.log(n) ** 2
-        per_size.append((n, g, mom.mu, b_n, sim_master))
+        q = null_q_samples(g, dist, paths, sim_master)
+        values[:, col] = b_n * (q - null_moments(g, dist).mu)
 
-    rows: list[SllnRow] = []
-    summaries: list[SllnPathSummary] = []
-    half = len(sizes) // 2
-    for path in range(paths):
-        values = []
-        for n, g, mu, b_n, sim_master in per_size:
-            colors = dist.sample_coloring(g.n, stream_seed(sim_master, path))
-            values.append(b_n * (modularity(g, colors) - mu))
-            rows.append(SllnRow(path=path, n=n, value=values[-1]))
-        first = max(abs(v) for v in values[:half])
-        second = max(abs(v) for v in values[half:])
-        summaries.append(
-            SllnPathSummary(
-                path=path,
-                first_half_max=first,
-                second_half_max=second,
-                decayed=second <= first,
-            )
-        )
+    rows = [
+        SllnRow(path=path, n=n, value=v)
+        for path, path_values in enumerate(values.tolist())
+        for n, v in zip(sizes, path_values)
+    ]
+    first = np.abs(values[:, :half]).max(axis=1).tolist()
+    second = np.abs(values[:, half:]).max(axis=1).tolist()
+    summaries = [
+        SllnPathSummary(path=path, first_half_max=f, second_half_max=s, decayed=s <= f)
+        for path, (f, s) in enumerate(zip(first, second))
+    ]
     return SllnResult(
         rows=rows,
         path_summaries=summaries,

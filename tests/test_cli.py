@@ -246,11 +246,74 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     assert "guard" in json.loads(err)["message"]
 
 
-def test_unknown_flag_exits_2_with_usage(capsys):
+def test_unknown_flag_exits_2_with_json(tmp_path, capsys):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    code, out, err = run_cli(capsys, "conditions", "--graph", g, "--bogus", "x")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "code": 2,
+        "message": "unrecognized arguments: --bogus x",
+        "context": {"command": "conditions"},
+    }
+    assert err.count("\n") == 1 and "usage" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["null-sample", "--graph", "g.txt", "--K", "2", "--reps", "abc", "--out", "s.csv"],
+         "argument --reps: invalid int value: 'abc'"),
+        (["be-study", "--model", "reg:d=6", "--sizes", "10,x", "--reps", "100", "--out", "b.csv"],
+         "argument --sizes: bad size list '10,x'"),
+        (["slln-study", "--model", "reg:d=6", "--sizes", "50,100", "--reps", "2",
+          "--threads", "2", "--out", "s.csv"],
+         "unrecognized arguments: --threads 2"),
+        (["conditions"], "the following arguments are required: --graph"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "bad-sizes", "slln-threads", "missing-option", "missing-command"],
+)
+def test_argument_errors_exit_2_with_json(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    command = argv[0] if argv else None
+    assert json.loads(err) == {"code": 2, "message": message, "context": {"command": command}}
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["conditions", "--bogus", "x"])
-    assert excinfo.value.code == 2
-    assert "usage" in capsys.readouterr().err
+        main(["slln-study", "-h"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: modnull slln-study") and "--threads" not in out
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["null-sample", "be-study"])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, threads):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    args = {
+        "null-sample": ["--graph", g, "--K", "2", "--reps", "10"],
+        "be-study": ["--model", "reg:d=6", "--sizes", "50,100", "--reps", "100"],
+    }[command]
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(capsys, command, *args, "--threads", threads, "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert json.loads(err)["message"] == f"threads must be >= 1, got {threads}"
+
+
+@pytest.mark.parametrize("command", ["compute", "test"])
+def test_partition_color_beyond_probs_exits_2(tmp_path, capsys, command):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    part = write(tmp_path, "part.txt", "1\n5\n2\n")
+    probs = write(tmp_path, "p.txt", "0.2\n0.3\n0.5\n")
+    code, out, err = run_cli(capsys, command, "--graph", g, "--partition", part,
+                             "--probs", probs)
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == "coloring uses color 5 but K=3"
 
 
 def test_installed_entry_point(tmp_path):

