@@ -46,7 +46,6 @@ from .simulation import (
     NullSample,
     RateRow,
     SllnResult,
-    StudyConfig,
     TestReport,
     be_rate_study,
     ks_distance,
@@ -76,7 +75,6 @@ __all__ = [
     "RateRow",
     "SllnResult",
     "SplitMix64",
-    "StudyConfig",
     "TestReport",
     "be_rate_study",
     "center_decompose",

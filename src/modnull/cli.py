@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,7 @@ from .generators import parse_generator_spec
 from .graph import int_rows, parse_edge_list, write_edge_list
 from .moments import exact_moments_by_enumeration, modularity, null_moments
 from .serialize import csv_text, dumps
-from .simulation import (
-    StudyConfig,
-    be_rate_study,
-    significance_test,
-    simulate_null,
-    slln_study,
-)
+from .simulation import RateRow, be_rate_study, significance_test, simulate_null, slln_study
 
 SEED_ENV = "MODNULL_SEED"
 
@@ -48,7 +43,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _u64(text: str) -> int:
-    value = int(text, 0)
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError("seed must be an integer") from None
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
     return value
@@ -79,7 +77,7 @@ def _load_partition(path: str) -> np.ndarray:
         raise InputError(f"{path} line {rows.line[malformed[0]]}: colors must be integers")
     if rows.line.size == 0:
         raise InputError(f"{path}: partition file is empty")
-    return validate_coloring(rows.values[:, 0])
+    return rows.values[:, 0]
 
 
 def _resolve_seed(args) -> int:
@@ -172,18 +170,10 @@ def cmd_test(args) -> int:
                 "standardize": args.standardize,
                 "sided": args.sided,
             },
-            "Q": report.Q,
-            "mu": report.mu,
-            "sigma": report.sigma,
-            "delta": report.delta,
-            "z_sigma": report.z_sigma,
-            "z_delta": report.z_delta,
-            "p_value": report.p_value,
-            "sidedness": report.sidedness,
-            "standardization": report.standardization,
+            **asdict(report),
             # The normal approximation is never gated; the degree-sequence
             # diagnostics ride along so the reader can judge it.
-            "conditions": condition_statistics(g).to_dict(),
+            "conditions": asdict(condition_statistics(g)),
         },
     )
     return 0
@@ -192,9 +182,7 @@ def cmd_test(args) -> int:
 def cmd_conditions(args) -> int:
     g = _load_graph(args)
     report = condition_statistics(g)
-    payload = {"config": {"command": "conditions", "graph": args.graph}}
-    payload.update(report.to_dict())
-    _emit(args, payload)
+    _emit(args, {"config": {"command": "conditions", "graph": args.graph}, **asdict(report)})
     return 0
 
 
@@ -236,48 +224,24 @@ def cmd_null_sample(args) -> int:
 def cmd_be_study(args) -> int:
     seed = _resolve_seed(args)
     dist = _study_distribution(args)
-    cfg = StudyConfig(
-        generator_spec=args.model,
-        sizes=args.sizes,
-        reps=args.reps,
-        master_seed=seed,
-        standardization=args.standardize,
+    spec = parse_generator_spec(args.model)
+    rows = be_rate_study(
+        spec,
+        args.sizes,
+        args.reps,
+        seed,
         distribution=dist,
+        standardization=args.standardize,
+        threads=args.threads,
     )
-    rows = be_rate_study(cfg, threads=args.threads)
-    header = [
-        "n",
-        "m",
-        "ks",
-        "bound_shape",
-        "fitted_C",
-        "seed_used",
-        "ks_sigma",
-        "ks_delta",
-        "sigma2_over_delta2",
-    ]
-    table = [
-        [
-            r.n,
-            r.m,
-            r.ks,
-            r.bound_shape,
-            r.fitted_C,
-            r.seed_used,
-            r.ks_sigma,
-            r.ks_delta,
-            r.sigma2_over_delta2,
-        ]
-        for r in rows
-    ]
     summary = {
         "config": {
             "command": "be-study",
-            "model": str(cfg.generator_spec),
-            "sizes": list(cfg.sizes),
-            "reps": cfg.reps,
+            "model": str(spec),
+            "sizes": list(args.sizes),
+            "reps": args.reps,
             "master_seed": seed,
-            "standardize": cfg.standardization,
+            "standardize": args.standardize,
             "probs": list(dist.p),
         },
         "per_size": [
@@ -285,7 +249,8 @@ def cmd_be_study(args) -> int:
             for r in rows
         ],
     }
-    _write_csv_with_summary(args.out, header, table, summary)
+    header = [f.name for f in fields(RateRow)]
+    _write_csv_with_summary(args.out, header, [astuple(r) for r in rows], summary)
     return 0
 
 
@@ -305,15 +270,7 @@ def cmd_slln_study(args) -> int:
         },
         "paths": result.paths,
         "decayed_paths": result.decayed_paths,
-        "per_path": [
-            {
-                "path": s.path,
-                "first_half_max": s.first_half_max,
-                "second_half_max": s.second_half_max,
-                "decayed": s.decayed,
-            }
-            for s in result.path_summaries
-        ],
+        "per_path": [asdict(s) for s in result.path_summaries],
     }
     _write_csv_with_summary(args.out, ["path", "n", "value"], table, summary)
     return 0
@@ -384,8 +341,9 @@ def _rel_err(a: float, b: float) -> float:
 def _add_common_dist_flags(sp, with_partition: bool) -> None:
     if with_partition:
         sp.add_argument("--partition", help="partition file, one color (>=1) per vertex line")
-    sp.add_argument("--probs", help="probability file, one value per line")
-    sp.add_argument("--K", type=int, help="number of colors")
+    dist_flags = sp.add_mutually_exclusive_group()
+    dist_flags.add_argument("--probs", help="probability file, one value per line")
+    dist_flags.add_argument("--K", type=int, help="number of colors")
 
 
 def build_parser() -> argparse.ArgumentParser:

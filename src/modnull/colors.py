@@ -27,7 +27,7 @@ _SUM_TOL = 1e-12
 
 
 class ColorDistribution:
-    """Probabilities p_1..p_K with cached power sums p_(2), p_(3), p_(4)."""
+    """Probabilities p_1..p_K with their power sums p_(2), p_(3) and the constants r1, r2."""
 
     def __init__(self, probabilities):
         p = np.asarray(probabilities, dtype=np.float64)
@@ -44,7 +44,6 @@ class ColorDistribution:
         self.K = int(p.size)
         self.p2 = math.fsum((p * p).tolist())
         self.p3 = math.fsum((p * p * p).tolist())
-        self.p4 = math.fsum((p * p * p * p).tolist())
         # Both constants are variances; clamp the last-ulp negatives away.
         self.r1 = max(0.0, self.p2 + self.p2 * self.p2 - 2.0 * self.p3)
         self.r2 = max(0.0, self.p3 - self.p2 * self.p2)
@@ -58,30 +57,13 @@ class ColorDistribution:
     @classmethod
     def from_coloring(cls, colors, K: int | None = None) -> "ColorDistribution":
         """Empirical frequencies of an observed coloring (colors in 1..K)."""
-        c = np.asarray(colors, dtype=np.int64)
-        if c.size == 0:
-            raise InputError("coloring is empty")
-        if c.min() < 1:
-            raise InputError("colors must be integers >= 1")
-        used = int(c.max())
-        if K is None:
-            K = used
-        elif K < used:
-            raise InputError(f"K={K} but coloring uses color {used}")
-        counts = np.bincount(c, minlength=K + 1)[1:]
+        c = validate_coloring(colors, K=K)
+        counts = np.bincount(c, minlength=0 if K is None else K + 1)[1:]
         return cls(counts / c.size)
 
     @property
     def is_degenerate(self) -> bool:
         return self.r1 <= 0.0
-
-    def power_sum(self, l: int) -> float:
-        """p_(l) = sum_k p_k^l for l >= 1."""
-        if l < 1:
-            raise InputError("power-sum order must be >= 1")
-        if l == 1:
-            return math.fsum(self.p.tolist())
-        return math.fsum((self.p ** l).tolist())
 
     def _check_color(self, a: int) -> int:
         if not 1 <= a <= self.K:

@@ -40,17 +40,6 @@ class ConditionReport:
     m: int
     kmax: int
 
-    def to_dict(self) -> dict:
-        return {
-            "stat_31": self.stat_31,
-            "stat_311": self.stat_311,
-            "stat_c1": self.stat_c1,
-            "holds_c1": self.holds_c1,
-            "n": self.n,
-            "m": self.m,
-            "kmax": self.kmax,
-        }
-
 
 def condition_statistics(g: Graph) -> ConditionReport:
     """Evaluate the three statistics above for one graph (needs n >= 2)."""

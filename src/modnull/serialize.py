@@ -53,10 +53,4 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    return str(value)
+    return value if isinstance(value, str) else _atom(value)

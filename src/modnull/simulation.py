@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -42,24 +42,26 @@ _CHUNK = 1024
 STANDARDIZATIONS = ("sigma", "delta")
 
 
-def std_normal_cdf(x: float) -> float:
+def _phi_array(x) -> np.ndarray:
     """Standard normal CDF via the complementary error function.
 
     Phi(x) = erfc(-x / sqrt(2)) / 2, with erfc evaluated by the Cephes
     rational approximations behind scipy.special (relative error a few
-    ulp, far below the 1e-12 contract).  The scalar and array paths call
-    the same routine, so they agree bit for bit.
+    ulp, far below the 1e-12 contract).  Every normal tail in the package
+    goes through this one routine, so scalar and array paths agree bit
+    for bit.
     """
-    return float(0.5 * special.erfc(-float(x) / _SQRT2))
-
-
-def _phi_array(x: np.ndarray) -> np.ndarray:
     return 0.5 * special.erfc(-np.asarray(x, dtype=np.float64) / _SQRT2)
 
 
+def std_normal_cdf(x: float) -> float:
+    """Phi(x) for one value."""
+    return float(_phi_array(x))
+
+
 def upper_p_value(z: float) -> float:
-    """P(N(0,1) > z), evaluated in the complementary form to keep tail accuracy."""
-    return float(0.5 * special.erfc(float(z) / _SQRT2))
+    """P(N(0,1) > z) = Phi(-z), evaluated in the complementary form to keep tail accuracy."""
+    return float(_phi_array(-z))
 
 
 def ks_distance(samples) -> float:
@@ -238,32 +240,6 @@ def significance_test(
 
 
 @dataclass(frozen=True)
-class StudyConfig:
-    """Configuration of a rate study; a pure function of this produces the rows."""
-
-    generator_spec: GeneratorSpec
-    sizes: tuple[int, ...]
-    reps: int
-    master_seed: int
-    standardization: str = "delta"
-    distribution: ColorDistribution = field(default_factory=lambda: ColorDistribution.uniform(2))
-
-    def __post_init__(self):
-        if isinstance(self.generator_spec, str):
-            object.__setattr__(self, "generator_spec", parse_generator_spec(self.generator_spec))
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        _check_standardization(self.standardization)
-        if self.reps < 100:
-            raise InputError(f"a study needs reps >= 100, got {self.reps}")
-        if len(self.sizes) == 0 or any(s < 2 for s in self.sizes):
-            raise InputError("sizes must all be >= 2")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise InputError("sizes must be strictly increasing")
-        if self.distribution.is_degenerate:
-            raise DomainError("degenerate color distribution in study config")
-
-
-@dataclass(frozen=True)
 class RateRow:
     """Per-size outcome of a rate study.
 
@@ -288,24 +264,67 @@ def _size_seeds(master_seed: int, n: int) -> tuple[int, int, int]:
     return size_master, stream_seed(size_master, 0), stream_seed(size_master, 1)
 
 
-def be_rate_study(cfg: StudyConfig, threads: int = 1) -> list[RateRow]:
-    """Kolmogorov distance to the normal across sizes, against the rate shape.
+def _ladder(
+    generator_spec: GeneratorSpec | str,
+    sizes,
+    reps: int,
+    master_seed: int,
+    distribution: ColorDistribution | None,
+    threads: int = 1,
+):
+    """Yield ``(n, size_master, g, moments, q)`` for each size of a study.
 
-    One graph per size, ``cfg.reps`` standardized replicates each; KS is
-    computed for both scalings from the same raw modularity values.
+    One graph per size from the size's graph seed, its exact null moments
+    under ``distribution`` (uniform on two colors by default), and ``reps``
+    raw modularity values from the size's simulation master.  The spec,
+    the sizes and the distribution are checked before any graph is built.
     """
-    rows = []
-    for n in cfg.sizes:
-        size_master, graph_seed, sim_master = _size_seeds(cfg.master_seed, n)
+    if isinstance(generator_spec, str):
+        generator_spec = parse_generator_spec(generator_spec)
+    sizes = tuple(int(s) for s in sizes)
+    if len(sizes) == 0 or any(s < 2 for s in sizes):
+        raise InputError("sizes must all be >= 2")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise InputError("sizes must be strictly increasing")
+    dist = distribution if distribution is not None else ColorDistribution.uniform(2)
+    if dist.is_degenerate:
+        raise DomainError("degenerate color distribution in study")
+    for n in sizes:
+        size_master, graph_seed, sim_master = _size_seeds(master_seed, n)
         try:
-            g = cfg.generator_spec.build(n, graph_seed)
+            g = generator_spec.build(n, graph_seed)
         except (InputError, DomainError) as exc:
             raise type(exc)(f"generator failed at size n={n}: {exc}") from exc
-        mom = null_moments(g, cfg.distribution)
-        q = null_q_samples(g, cfg.distribution, cfg.reps, sim_master, threads)
+        yield n, size_master, g, null_moments(g, dist), null_q_samples(
+            g, dist, reps, sim_master, threads
+        )
+
+
+def be_rate_study(
+    generator_spec: GeneratorSpec | str,
+    sizes,
+    reps: int,
+    master_seed: int,
+    distribution: ColorDistribution | None = None,
+    standardization: str = "delta",
+    threads: int = 1,
+) -> list[RateRow]:
+    """Kolmogorov distance to the normal across sizes, against the rate shape.
+
+    One graph per size, ``reps`` standardized replicates each; KS is
+    computed for both scalings from the same raw modularity values, and
+    ``ks`` is the one named by ``standardization``.
+    """
+    standardization = _check_standardization(standardization)
+    if reps < 100:
+        raise InputError(f"a study needs reps >= 100, got {reps}")
+    rows = []
+    for n, size_master, g, mom, q in _ladder(
+        generator_spec, sizes, reps, master_seed, distribution, threads
+    ):
         ks_sigma = ks_distance((q - mom.mu) / mom.sigma)
         ks_delta = ks_distance((q - mom.mu) / mom.delta)
-        ks = ks_sigma if cfg.standardization == "sigma" else ks_delta
+        ks = ks_sigma if standardization == "sigma" else ks_delta
         shape = n ** -0.25 * math.log(n)
         rows.append(
             RateRow(
@@ -363,32 +382,21 @@ def slln_study(
     gives every path's value at a size.  Decay is summarized as
     second-half max |value| not exceeding the first-half max.
     """
-    if isinstance(generator_spec, str):
-        generator_spec = parse_generator_spec(generator_spec)
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2 or any(s < 2 for s in sizes):
-        raise InputError("slln study needs at least two sizes, all >= 2")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise InputError("sizes must be strictly increasing")
+    sizes = tuple(sizes)
+    if len(sizes) < 2:
+        raise InputError("slln study needs at least two sizes")
     if paths < 1:
         raise InputError("paths must be >= 1")
-    dist = distribution if distribution is not None else ColorDistribution.uniform(2)
-    if dist.is_degenerate:
-        raise DomainError("degenerate color distribution in slln study")
-
-    half = len(sizes) // 2
-    values = np.empty((paths, len(sizes)))
-    for col, n in enumerate(sizes):
-        _, graph_seed, sim_master = _size_seeds(master_seed, n)
-        g = generator_spec.build(n, graph_seed)
-        b_n = math.sqrt(g.m) / math.log(n) ** 2
-        q = null_q_samples(g, dist, paths, sim_master)
-        values[:, col] = b_n * (q - null_moments(g, dist).mu)
-
+    columns = {
+        n: math.sqrt(g.m) / math.log(n) ** 2 * (q - mom.mu)
+        for n, _, g, mom, q in _ladder(generator_spec, sizes, paths, master_seed, distribution)
+    }
+    values = np.column_stack(list(columns.values()))
+    half = len(columns) // 2
     rows = [
         SllnRow(path=path, n=n, value=v)
         for path, path_values in enumerate(values.tolist())
-        for n, v in zip(sizes, path_values)
+        for n, v in zip(columns, path_values)
     ]
     first = np.abs(values[:, :half]).max(axis=1).tolist()
     second = np.abs(values[:, half:]).max(axis=1).tolist()

@@ -18,7 +18,6 @@ from conftest import er_corpus, random_distribution, standard_distributions
 from modnull import (
     ColorDistribution,
     Graph,
-    StudyConfig,
     be_rate_study,
     center_decompose,
     condition_statistics,
@@ -138,15 +137,10 @@ def test_criterion_04_martingale_variance_normalization():
 
 @pytest.fixture(scope="module")
 def rate_study_rows():
-    cfg = StudyConfig(
-        generator_spec="reg:d=6",
-        sizes=(250, 500, 1000, 2000),
-        reps=20000,
-        master_seed=BE_STUDY_SEED,
-        standardization="delta",
-    )
     start = time.perf_counter()
-    rows = be_rate_study(cfg, threads=1)
+    rows = be_rate_study(
+        "reg:d=6", (250, 500, 1000, 2000), 20000, BE_STUDY_SEED, standardization="delta"
+    )
     return rows, time.perf_counter() - start
 
 

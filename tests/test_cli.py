@@ -162,6 +162,20 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["config"]["master_seed"] == 321
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_unparsable_seed_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MODNULL_SEED", value)
+    out = tmp_path / "g.txt"
+    code, _, err = run_cli(capsys, "generate", "--model", "er:p=1.0", "--n", "3",
+                           "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert json.loads(err) == {
+        "code": 2,
+        "message": "bad MODNULL_SEED: seed must be an integer",
+        "context": {"command": "generate"},
+    }
+
+
 def test_input_errors_exit_2_with_json(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "0 0\n")
     part = write(tmp_path, "p.txt", "1\n")
@@ -270,8 +284,17 @@ def test_unknown_flag_exits_2_with_json(tmp_path, capsys):
          "unrecognized arguments: --threads 2"),
         (["conditions"], "the following arguments are required: --graph"),
         ([], "the following arguments are required: command"),
+        (["generate", "--model", "er:p=1.0", "--n", "3", "--seed", "abc"],
+         "argument --seed: seed must be an integer"),
+        (["compute", "--graph", "g.txt", "--partition", "part.txt", "--probs", "p.txt",
+          "--K", "9"],
+         "argument --K: not allowed with argument --probs"),
+        (["be-study", "--model", "reg:d=6", "--sizes", "50,100", "--reps", "100",
+          "--probs", "p.txt", "--K", "7", "--out", "b.csv"],
+         "argument --K: not allowed with argument --probs"),
     ],
-    ids=["bad-int", "bad-sizes", "slln-threads", "missing-option", "missing-command"],
+    ids=["bad-int", "bad-sizes", "slln-threads", "missing-option", "missing-command",
+         "bad-seed", "compute-K-and-probs", "be-study-K-and-probs"],
 )
 def test_argument_errors_exit_2_with_json(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

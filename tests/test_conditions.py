@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_hub_family_violates_max_degree_condition():
 
 
 def test_report_dict_field_names(triangle):
-    d = condition_statistics(triangle).to_dict()
+    d = asdict(condition_statistics(triangle))
     assert list(d) == ["stat_31", "stat_311", "stat_c1", "holds_c1", "n", "m", "kmax"]
 
 

@@ -8,7 +8,6 @@ from modnull import (
     ColorDistribution,
     DomainError,
     InputError,
-    StudyConfig,
     be_rate_study,
     gen_regular,
     ks_distance,
@@ -221,25 +220,24 @@ def test_null_p_values_roughly_uniform():
     assert rep.p_value == pytest.approx(float(p[0]), abs=1e-15)
 
 
-def test_study_config_validation():
+def test_be_rate_study_validation():
     with pytest.raises(InputError):
-        StudyConfig("reg:d=6", (100, 200), 50, 0)
+        be_rate_study("reg:d=6", (100, 200), 50, 0)
+    with pytest.raises(InputError, match="^sizes must be strictly increasing$"):
+        be_rate_study("reg:d=6", (200, 100), 200, 0)
+    with pytest.raises(InputError, match="^sizes must all be >= 2$"):
+        be_rate_study("reg:d=6", (1, 100), 200, 0)
     with pytest.raises(InputError):
-        StudyConfig("reg:d=6", (200, 100), 200, 0)
+        be_rate_study("reg:d=6", (), 200, 0)
     with pytest.raises(InputError):
-        StudyConfig("reg:d=6", (1, 100), 200, 0)
-    with pytest.raises(InputError):
-        StudyConfig("reg:d=6", (), 200, 0)
-    with pytest.raises(InputError):
-        StudyConfig("reg:d=6", (100, 200), 200, 0, standardization="zeta")
-    with pytest.raises(DomainError):
-        StudyConfig("reg:d=6", (100, 200), 200, 0, distribution=ColorDistribution.uniform(1))
+        be_rate_study("reg:d=6", (100, 200), 200, 0, standardization="zeta")
+    with pytest.raises(DomainError, match="^degenerate color distribution in study$"):
+        be_rate_study("reg:d=6", (100, 200), 200, 0, distribution=ColorDistribution.uniform(1))
 
 
 def test_be_rate_study_rows_and_determinism():
-    cfg = StudyConfig("reg:d=6", (50, 100), 150, 1234, standardization="delta")
-    rows1 = be_rate_study(cfg)
-    rows8 = be_rate_study(cfg, threads=8)
+    rows1 = be_rate_study("reg:d=6", (50, 100), 150, 1234, standardization="delta")
+    rows8 = be_rate_study("reg:d=6", (50, 100), 150, 1234, standardization="delta", threads=8)
     assert rows1 == rows8
     for row, n in zip(rows1, (50, 100)):
         assert row.n == n and row.m == 3 * n
@@ -248,17 +246,19 @@ def test_be_rate_study_rows_and_determinism():
         assert row.ks == row.ks_delta
         assert row.seed_used == stream_seed(1234, n)
         assert 0.0 <= row.ks <= 1.0
-    sigma_rows = be_rate_study(
-        StudyConfig("reg:d=6", (50, 100), 150, 1234, standardization="sigma")
-    )
+    sigma_rows = be_rate_study("reg:d=6", (50, 100), 150, 1234, standardization="sigma")
     assert sigma_rows[0].ks == sigma_rows[0].ks_sigma
     assert sigma_rows[0].ks_delta == rows1[0].ks_delta
 
 
 def test_be_rate_study_generator_failure_names_size():
-    cfg = StudyConfig("reg:d=3", (6, 9), 100, 0)
     with pytest.raises(DomainError, match="n=9"):
-        be_rate_study(cfg)
+        be_rate_study("reg:d=3", (6, 9), 100, 0)
+
+
+def test_slln_study_generator_failure_names_size():
+    with pytest.raises(DomainError, match=r"^generator failed at size n=9: n\*d must be even"):
+        slln_study("reg:d=3", (6, 9), 3, 0)
 
 
 def test_slln_study_shape_and_determinism():
@@ -297,13 +297,13 @@ def test_slln_values_match_direct_recomputation(paths, probs):
 
 
 def test_slln_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^slln study needs at least two sizes$"):
         slln_study("reg:d=6", (100,), 5, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^sizes must be strictly increasing$"):
         slln_study("reg:d=6", (100, 50), 5, 0)
     with pytest.raises(InputError):
         slln_study("reg:d=6", (50, 100), 0, 0)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^sizes must all be >= 2$"):
         slln_study("reg:d=6", (1, 100), 5, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^degenerate color distribution in study$"):
         slln_study("reg:d=6", (50, 100), 5, 0, distribution=ColorDistribution.uniform(1))
