@@ -21,9 +21,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError
-from .rng import uniform_block
+from .rng import MASK64, word_matrix
 
 _SUM_TOL = 1e-12
+# Guide-table buckets: a word's top 16 of 53 bits.
+_BUCKET_SHIFT = np.uint64(37)
+_BUCKETS = 1 << 16
 
 
 class ColorDistribution:
@@ -105,22 +108,44 @@ class ColorDistribution:
         )
 
     @cached_property
-    def _cum(self) -> np.ndarray:
-        # Inverse-CDF table; +inf in the last slot absorbs the float
-        # rounding of the cumulative sum so every draw maps to a color.
-        c = np.cumsum(self.p)
-        c[-1] = np.inf
-        c.setflags(write=False)
-        return c
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer thresholds and guide table of the inverse-CDF lookup.
 
-    def _colors_of(self, u: np.ndarray) -> np.ndarray:
-        """Colors 1..K for uniforms ``u`` in [0, 1), by inverse-CDF lookup.
-
-        The result has the shape of ``u`` and the narrowest signed dtype
-        that holds K: int16 for every K < 2**15.
+        The float lookup ``searchsorted(cumsum(p), u, side="right")`` at
+        u = x * 2**-53 counts the cumulative sums c_k <= u.  Scaling by a
+        power of two is exact, so for an integer word x that count equals
+        the number of thresholds ceil(c_k * 2**53) <= x; the last sum is
+        left out, which stands for +inf and absorbs its rounding.  The
+        table maps each word's top 16 bits to its color when every word
+        with those bits gets the same one, and to 0 otherwise; at most
+        K - 1 of the 65536 buckets are ambiguous (Chen & Asau, AIIE Trans.
+        6(2), 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
+        III.2.4).
         """
+        thresholds = np.ceil(np.cumsum(self.p)[:-1] * 2.0 ** 53).astype(np.uint64)
+        # Bucket b holds the words in [edges[b], edges[b + 1]).
+        edges = np.arange(_BUCKETS + 1, dtype=np.uint64) << _BUCKET_SHIFT
+        lo = np.searchsorted(thresholds, edges[:-1], side="right")
+        hi = np.searchsorted(thresholds, edges[1:], side="left")
         dtype = next(t for t in (np.int16, np.int32, np.int64) if self.K <= np.iinfo(t).max)
-        return np.searchsorted(self._cum, u, side="right").astype(dtype) + 1
+        table = np.where(lo == hi, lo + 1, 0).astype(dtype)
+        return thresholds, table
+
+    def _colors_of_words(self, words: np.ndarray) -> np.ndarray:
+        """Colors 1..K of 53-bit words (uniform = word * 2**-53); see :attr:`_guide`.
+
+        The result has the shape of ``words`` and the narrowest signed
+        dtype that holds K: int16 for every K < 2**15.
+        """
+        thresholds, table = self._guide
+        x = words.reshape(-1)
+        colors = table[(x >> _BUCKET_SHIFT).view(np.int64)]
+        open_ = np.flatnonzero(colors == 0)
+        if open_.size:
+            pick = np.searchsorted(thresholds, x[open_], side="right")
+            pick += 1
+            colors[open_] = pick
+        return colors.reshape(words.shape)
 
     def sample_coloring(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. int64 colors via inverse-CDF lookup on the stream ``seed``.
@@ -132,7 +157,7 @@ class ColorDistribution:
             raise InputError("need at least one vertex to color")
         if self.is_degenerate:
             raise DomainError("degenerate color distribution (single color has mass 1)")
-        return self._colors_of(uniform_block(seed, n)).astype(np.int64)
+        return self._colors_of_words(word_matrix([seed & MASK64], n)[0]).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"ColorDistribution({self.p.tolist()})"

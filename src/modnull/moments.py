@@ -61,6 +61,9 @@ ENUMERATION_GUARD = 10 ** 7
 # near 1 MB, cache-sized and reused, instead of large fresh arrays that
 # page-fault on every chunk.
 _V2_BLOCK = 1 << 17
+# Vertex and color slots per bincount of the degree-mass reduction (512 KB
+# of slot indices): few calls for small graphs, bounded memory for any K.
+_MASS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,21 +105,33 @@ class Decomposition:
 def _within_and_sumd2(colors_2d: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Per row: count of same-color edges, and sum over colors of (degree mass)^2.
 
-    Both are exact integers carried in int64/float64; the caller turns
-    them into Q with two divisions, so identical inputs give bit-identical
-    results no matter how rows are batched.
+    A color's degree mass is a sum of integer degrees, at most 2m, so the
+    masses and the sum of their squares (at most 4m^2) are exact in
+    float64 while 4m^2 < 2**53, i.e. m < 4.7e7.  Summation order is then
+    free: rows are reduced in blocks of about ``_MASS_BLOCK`` vertex and
+    color slots, with one bincount per block, and a row's value does not
+    depend on how rows are batched.  The caller turns both into Q with two
+    divisions.
     """
     within = np.count_nonzero(
         np.take(colors_2d, g.edge_lo, axis=1) == np.take(colors_2d, g.edge_hi, axis=1),
         axis=1,
     )
     rows, n = colors_2d.shape
-    kmax = int(colors_2d.max())
-    flat = (colors_2d.astype(np.int64) - 1) + np.arange(rows, dtype=np.int64)[:, None] * kmax
-    weights = np.broadcast_to(g._deg_float, colors_2d.shape)
-    mass = np.bincount(flat.ravel(), weights=weights.ravel(), minlength=rows * kmax)
-    mass = mass.reshape(rows, kmax)
-    return within, (mass * mass).sum(axis=1)
+    width = int(colors_2d.max()) + 1
+    step = min(rows, max(1, _MASS_BLOCK // (n + width)))
+    # Block row i counts its colors in slots i*width .. i*width + width - 1.
+    offsets = np.arange(step, dtype=np.int64)[:, None] * width
+    weights = np.tile(g._deg_float, step)
+    sumd2 = np.empty(rows)
+    for a in range(0, rows, step):
+        block = colors_2d[a:a + step]
+        b = block.shape[0]
+        slots = (block + offsets[:b]).reshape(-1)
+        mass = np.bincount(slots, weights=weights[:b * n], minlength=b * width)
+        mass = mass.reshape(b, width)
+        sumd2[a:a + b] = np.einsum("ij,ij->i", mass, mass)
+    return within, sumd2
 
 
 def _q_rows(colors_2d: np.ndarray, g: Graph) -> np.ndarray:

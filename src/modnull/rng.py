@@ -11,10 +11,14 @@ golden-ratio constant.  A stream with seed ``s`` then emits the words
 
     w_t = mix64(s + t * GOLDEN),   t = 1, 2, ...
 
-and uniforms in [0, 1) are the top 53 bits of each word.  The same seed
-gives the same draws everywhere, and replicate ``r`` of a Monte Carlo
-run depends only on ``(master, r)``, so any worker partition of the
-replicates reproduces the sequential result exactly.
+and uniforms in [0, 1) are the top 53 bits of each word, x_t = w_t >> 11,
+scaled by 2**-53.  The scaling is exact, so a consumer may compare the
+integer words x_t with integer thresholds instead of the floats (the
+color lookup does).  Word arrays are mixed in place with one scratch
+array of their size, so a block of c words holds 16c bytes at its peak.
+The same seed gives the same draws everywhere, and replicate ``r`` of a
+Monte Carlo run depends only on ``(master, r)``, so any worker partition
+of the replicates reproduces the sequential result exactly.
 """
 
 from __future__ import annotations
@@ -49,15 +53,36 @@ def stream_seed(master: int, index: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MUL1
-    z = (z ^ (z >> _S27)) * _MUL2
-    return z ^ (z >> _S31)
+    """splitmix64 finalizer of a uint64 array, in place; returns ``z``."""
+    tmp = np.empty_like(z)
+    for shift, mul in ((_S30, _MUL1), (_S27, _MUL2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mul
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def stream_seed_array(master: int, indices: np.ndarray) -> np.ndarray:
     """Vector version of :func:`stream_seed`; returns uint64 seeds."""
     idx = np.asarray(indices, dtype=np.uint64)
     return _mix64_array(_U64(master & MASK64) ^ ((idx + _U64(1)) * _G))
+
+
+def word_matrix(seeds, count: int, offset: int = 0) -> np.ndarray:
+    """Row ``r`` holds the 53-bit words x_{offset+1} .. x_{offset+count} of stream ``seeds[r]``.
+
+    The words are uint64 values in [0, 2**53); word x is the uniform
+    x * 2**-53.
+    """
+    s = np.asarray(seeds, dtype=np.uint64)
+    t = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    t *= _G
+    z = np.add(s[:, None], t[None, :])
+    _mix64_array(z)
+    z >>= _S11
+    return z
 
 
 def uniform_block(seed: int, count: int, offset: int = 0) -> np.ndarray:
@@ -67,17 +92,9 @@ def uniform_block(seed: int, count: int, offset: int = 0) -> np.ndarray:
     large scans (e.g. all vertex pairs of a random graph) run in constant
     memory without changing a single draw.
     """
-    t = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = _mix64_array(_U64(seed & MASK64) + t * _G)
-    return (z >> _S11).astype(np.float64) * _TO_UNIT
-
-
-def uniform_matrix(seeds: np.ndarray, count: int) -> np.ndarray:
-    """Row ``r`` holds the first ``count`` uniforms of stream ``seeds[r]``."""
-    s = np.asarray(seeds, dtype=np.uint64)
-    t = np.arange(1, count + 1, dtype=np.uint64)
-    z = _mix64_array(s[:, None] + t[None, :] * _G)
-    return (z >> _S11).astype(np.float64) * _TO_UNIT
+    u = word_matrix([seed & MASK64], count, offset)[0].astype(np.float64)
+    u *= _TO_UNIT
+    return u
 
 
 class SplitMix64:

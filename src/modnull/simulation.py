@@ -8,10 +8,14 @@ derive one sub-master per size via ``stream_seed(s, n)`` and split it
 into a graph seed (index 0) and a simulation master (index 1), so every
 row of a study is reproducible in isolation.  In the SLLN study, path
 ``p`` at size ``n`` is replicate ``p`` of that size's simulation master.
-Every sampling command draws its replicates through one chunked kernel:
-replicates are evaluated in fixed-size chunks, and a worker pool over
-chunks returns results in chunk order, which makes the output identical
-for any worker count.
+Every sampling command draws its replicates through one chunked kernel.
+A chunk holds as many replicates as fit a byte budget of ``_BUDGET``
+(8 MB) for the words, colors and per-edge arrays of a row, and at least
+one, so its boundaries depend on the graph's n and m but never on the
+worker count; a row's value does not depend on them at all.  A worker
+pool over chunks returns results in chunk order, which makes the output
+identical for any worker count, and each worker holds one chunk at a
+time.
 
 Standardization
 ---------------
@@ -34,10 +38,11 @@ from .errors import DomainError, InputError
 from .generators import GeneratorSpec, parse_generator_spec
 from .graph import Graph
 from .moments import NullMoments, _q_rows, _v2_rows, modularity, null_moments
-from .rng import stream_seed, stream_seed_array, uniform_matrix
+from .rng import stream_seed, stream_seed_array, word_matrix
 
 _SQRT2 = math.sqrt(2.0)
-_CHUNK = 1024
+# Bytes of working arrays one worker may hold for a chunk of replicates.
+_BUDGET = 8 << 20
 
 STANDARDIZATIONS = ("sigma", "delta")
 
@@ -96,11 +101,21 @@ def _ks_against(cdf_at_sorted: np.ndarray) -> float:
 
 def _null_colorings(dist: ColorDistribution, n: int, master_seed: int, start: int, stop: int):
     seeds = stream_seed_array(master_seed, np.arange(start, stop, dtype=np.uint64))
-    return dist._colors_of(uniform_matrix(seeds, n))
+    return dist._colors_of_words(word_matrix(seeds, n))
 
 
-def _sample_rows(kernel, n: int, dist, reps: int, master_seed: int, threads: int):
-    """``kernel(colorings)`` for replicates 0..reps-1, in chunks of ``_CHUNK`` rows.
+def _row_bytes(n: int, m: int) -> int:
+    """Upper bound on the bytes one replicate row holds in the Q kernel.
+
+    Per vertex: the words, their mixing scratch and bucket indices, the
+    colors, and the lookup of ambiguous buckets (48 bytes at most); per
+    edge: the colors at both endpoints and their comparison (9 bytes).
+    """
+    return 48 * n + 9 * m
+
+
+def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int):
+    """``kernel(colorings)`` for replicates 0..reps-1, in chunks within ``_BUDGET``.
 
     A worker pool returns the chunks in order, so the result does not
     depend on ``threads``.
@@ -111,11 +126,12 @@ def _sample_rows(kernel, n: int, dist, reps: int, master_seed: int, threads: int
         raise InputError(f"threads must be >= 1, got {threads}")
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: null sampling is pointless")
+    rows = max(1, _BUDGET // _row_bytes(g.n, g.m))
 
     def chunk(a: int) -> np.ndarray:
-        return kernel(_null_colorings(dist, n, master_seed, a, min(a + _CHUNK, reps)))
+        return kernel(_null_colorings(dist, g.n, master_seed, a, min(a + rows, reps)))
 
-    starts = range(0, reps, _CHUNK)
+    starts = range(0, reps, rows)
     if threads == 1 or len(starts) == 1:
         return np.concatenate([chunk(a) for a in starts])
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -126,14 +142,14 @@ def null_q_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Raw modularity values for ``reps`` independent null colorings."""
-    return _sample_rows(lambda c: _q_rows(c, g), g.n, dist, reps, master_seed, threads)
+    return _sample_rows(lambda c: _q_rows(c, g), g, dist, reps, master_seed, threads)
 
 
 def martingale_variance_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Martingale conditional variance for the same colorings as null_q_samples."""
-    return _sample_rows(lambda c: _v2_rows(c, g, dist), g.n, dist, reps, master_seed, threads)
+    return _sample_rows(lambda c: _v2_rows(c, g, dist), g, dist, reps, master_seed, threads)
 
 
 @dataclass(frozen=True)

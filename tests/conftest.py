@@ -111,6 +111,17 @@ def martingale_variance_by_wedges(g, colors, dist):
     return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)
 
 
+def colors_by_float_lookup(dist, u):
+    """Reference color lookup: float inverse CDF on uniforms ``u`` in [0, 1).
+
+    Color k + 1 for the count k of cumulative sums <= u; +inf in the last
+    slot absorbs the rounding of the sum, so every uniform gets a color.
+    """
+    cum = np.cumsum(dist.p)
+    cum[-1] = np.inf
+    return np.searchsorted(cum, u, side="right") + 1
+
+
 def frobenius_by_matrix_product(g):
     """Reference for common_neighbor_frobenius: form A^2 as a sparse product."""
     rows = np.concatenate([g.edge_lo, g.edge_hi])

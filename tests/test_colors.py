@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_distribution
+from conftest import colors_by_float_lookup, random_distribution
 from modnull import ColorDistribution, DomainError, InputError, parse_probability_text
-from modnull.rng import stream_seed
+from modnull.rng import stream_seed, uniform_block, word_matrix
 
 
 def kernel_oracle(dist, a, b):
@@ -183,6 +183,45 @@ def test_sampling_frequency_concentration():
         colors = d.sample_coloring(n, seed)
         freq = np.mean(colors == 1)
         assert abs(freq - 0.5) <= 6 * math.sqrt(0.25 / n)
+
+
+LOOKUP_CASES = {
+    # thresholds 2**52 and 3 * 2**51 sit exactly on guide-bucket edges
+    "bucket_edges": [0.5, 0.25, 0.25],
+    # threshold 2**37 - 1 is the last word of the first bucket
+    "bucket_last_word": [2.0 ** -16 - 2.0 ** -53, 1.0 - 2.0 ** -16 + 2.0 ** -53],
+    # 199 thresholds inside the first bucket, then the same ones inside the last
+    "crowded_low": [1e-9] * 199 + [1.0 - 199e-9],
+    "crowded_high": [1.0 - 199e-9] + [1e-9] * 199,
+    "zero_mass": [0.0, 0.3, 0.0, 0.0, 0.7, 0.0],
+    # the cumulative sum reaches 1 (and exceeds it) before the last slot
+    "sum_hits_one": [0.5, 0.5, 1e-13],
+    "sum_above_one": [0.6, 0.4 + 4e-13, 0.0, 1e-13],
+    # more colors than the 65536 buckets, so no bucket is unambiguous
+    "more_colors_than_buckets": [1.0 / 70000] * 70000,
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOKUP_CASES))
+def test_word_lookup_matches_float_inverse_cdf(case):
+    d = ColorDistribution(LOOKUP_CASES[case])
+    top = 2 ** 53 - 1
+    thresholds = np.ceil(np.cumsum(d.p)[:-1] * 2.0 ** 53)
+    thresholds = thresholds[thresholds <= top].astype(np.int64)
+    edges = np.arange(0, 2 ** 53 + 1, 2 ** 37, dtype=np.int64)
+    special = np.concatenate([thresholds, edges, [0, 1, top]])
+    special = np.concatenate([special - 1, special, special + 1])
+    special = special[(special >= 0) & (special <= top)].astype(np.uint64)
+    words = np.concatenate([special, word_matrix([stream_seed(5, len(d.p))], 50_000)[0]])
+    got = d._colors_of_words(words)
+    assert got.dtype == (np.int16 if d.K < 2 ** 15 else np.int32)
+    assert np.array_equal(got, colors_by_float_lookup(d, words * 2.0 ** -53))
+    block = d._colors_of_words(words[:60].reshape(3, 20))
+    assert np.array_equal(block.ravel(), got[:60])
+    seed = stream_seed(9, 1)
+    coloring = d.sample_coloring(1000, seed)
+    assert coloring.dtype == np.int64
+    assert np.array_equal(coloring, colors_by_float_lookup(d, uniform_block(seed, 1000)))
 
 
 def test_probability_file_parsing():

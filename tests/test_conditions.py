@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from conftest import colors_by_float_lookup
 from modnull import (
     ColorDistribution,
     DomainError,
@@ -12,7 +13,7 @@ from modnull import (
     gen_regular,
     tail_bound,
 )
-from modnull.rng import stream_seed, uniform_matrix
+from modnull.rng import stream_seed, word_matrix
 
 
 def test_regular_graphs_have_constant_stat31():
@@ -75,8 +76,7 @@ def test_empirical_tail_never_exceeds_bound():
     dist = ColorDistribution.uniform(2)
     reps = 4000
     seeds = np.array([stream_seed(777, r) for r in range(reps)], dtype=np.uint64)
-    u = uniform_matrix(seeds, g.n)
-    colors = np.searchsorted(dist._cum, u, side="right") + 1
+    colors = colors_by_float_lookup(dist, word_matrix(seeds, g.n) * 2.0 ** -53)
     c_lo = colors[:, g.edge_lo]
     c_hi = colors[:, g.edge_hi]
     kern = (

@@ -3,10 +3,9 @@
 The README promises byte-identical artifacts for identical seeds, and a
 refactor of the sampling or reporting code must keep them so.  These
 runs cover every command that writes an artifact, on inputs small enough
-to run in about a second; the 1100-replicate and 1030-path runs span two
-1024-row chunks of the sampling kernel.  A digest that changes means a
-byte moved: if that is a deliberate change to the output contract,
-re-pin the digest and record why.
+to run in about a second.  A digest that changes means a byte moved: if
+that is a deliberate change to the output contract, re-pin the digest
+and record why.
 """
 
 import hashlib

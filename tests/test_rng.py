@@ -8,7 +8,7 @@ from modnull.rng import (
     stream_seed,
     stream_seed_array,
     uniform_block,
-    uniform_matrix,
+    word_matrix,
 )
 
 
@@ -47,11 +47,16 @@ def test_stream_seed_scalar_vs_array():
     assert vec.tolist() == [stream_seed(123456789, int(i)) for i in idx]
 
 
-def test_uniform_matrix_rows_are_streams():
+def test_word_matrix_rows_are_streams():
     seeds = stream_seed_array(77, np.arange(8))
-    mat = uniform_matrix(seeds, 33)
+    words = word_matrix(seeds, 33)
+    assert words.dtype == np.uint64 and words.shape == (8, 33)
     for r in range(8):
-        assert np.array_equal(mat[r], uniform_block(int(seeds[r]), 33))
+        rng = SplitMix64(int(seeds[r]))
+        assert words[r].tolist() == [rng.next_u64() >> 11 for _ in range(33)]
+        assert np.array_equal(words[r] * 2.0 ** -53, uniform_block(int(seeds[r]), 33))
+    tail = word_matrix(seeds, 20, offset=13)
+    assert np.array_equal(tail, words[:, 13:])
 
 
 def test_determinism_and_range():

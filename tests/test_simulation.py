@@ -19,12 +19,13 @@ from modnull import (
     null_q_samples,
     significance_test,
     simulate_null,
+    simulation,
     slln_study,
     std_normal_cdf,
 )
 from modnull.moments import _V2_BLOCK
 from modnull.rng import stream_seed
-from modnull.simulation import _size_seeds, upper_p_value
+from modnull.simulation import _row_bytes, _size_seeds, upper_p_value
 
 
 def ks_bruteforce(samples):
@@ -157,8 +158,7 @@ def test_martingale_variance_hook_matches_simulation_colorings():
 
 
 def test_martingale_variance_samples_independent_of_chunks_and_threads():
-    # 1100 rows span two 1024-row chunks, and the kernel splits a chunk
-    # into blocks of `step` rows.
+    # The kernel splits a chunk into blocks of `step` rows.
     g = gen_regular(80, 4, 5)
     step = _V2_BLOCK // g.m
     assert 0 < step < 1024
@@ -168,6 +168,22 @@ def test_martingale_variance_samples_independent_of_chunks_and_threads():
     for r in (0, step - 1, step, 1023, 1024, 1099):
         colors = d.sample_coloring(g.n, stream_seed(31, r))
         assert martingale_variance(g, colors, d) == v2[r]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 7])
+def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, rows_per_chunk):
+    # 103 replicates in chunks of one row, or of 7 with a ragged last chunk
+    # of 5, against the default budget, which fits them all in one chunk.
+    g = gen_regular(80, 4, 5)
+    d = ColorDistribution([0.25, 0.3, 0.45])
+    assert simulation._BUDGET // _row_bytes(g.n, g.m) >= 103
+    want_q = null_q_samples(g, d, 103, 31)
+    want_v2 = martingale_variance_samples(g, d, 103, 31)
+    budget = rows_per_chunk * _row_bytes(g.n, g.m) + 5
+    monkeypatch.setattr(simulation, "_BUDGET", budget)
+    for threads in (1, 2, 3):
+        assert np.array_equal(null_q_samples(g, d, 103, 31, threads=threads), want_q)
+        assert np.array_equal(martingale_variance_samples(g, d, 103, 31, threads=threads), want_v2)
 
 
 @pytest.mark.parametrize("K", [40000, 70000])
