@@ -41,7 +41,7 @@ from .moments import (
     modularity,
     null_moments,
 )
-from .rng import SplitMix64, mix64, stream_seed, uniform_block
+from .rng import SplitMix64, mix64, stream_seed
 from .simulation import (
     NullSample,
     RateRow,
@@ -101,7 +101,6 @@ __all__ = [
     "std_normal_cdf",
     "stream_seed",
     "tail_bound",
-    "uniform_block",
     "validate_coloring",
     "write_edge_list",
 ]

@@ -257,12 +257,13 @@ def cmd_be_study(args) -> int:
 def cmd_slln_study(args) -> int:
     seed = _resolve_seed(args)
     dist = _study_distribution(args)
-    result = slln_study(args.model, args.sizes, args.reps, seed, distribution=dist)
+    spec = parse_generator_spec(args.model)
+    result = slln_study(spec, args.sizes, args.reps, seed, distribution=dist)
     table = [[row.path, row.n, row.value] for row in result.rows]
     summary = {
         "config": {
             "command": "slln-study",
-            "model": args.model,
+            "model": str(spec),
             "sizes": list(args.sizes),
             "paths": args.reps,
             "master_seed": seed,
@@ -285,7 +286,7 @@ def cmd_generate(args) -> int:
         {
             "config": {
                 "command": "generate",
-                "model": args.model,
+                "model": str(spec),
                 "n": args.n,
                 "master_seed": seed,
             },

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError
-from .rng import MASK64, word_matrix
+from .rng import MASK64, word_matrix, word_threshold
 
 _SUM_TOL = 1e-12
 # Guide-table buckets: a word's top 16 of 53 bits.
@@ -122,7 +122,7 @@ class ColorDistribution:
         6(2), 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
         III.2.4).
         """
-        thresholds = np.ceil(np.cumsum(self.p)[:-1] * 2.0 ** 53).astype(np.uint64)
+        thresholds = word_threshold(np.cumsum(self.p)[:-1])
         # Bucket b holds the words in [edges[b], edges[b + 1]).
         edges = np.arange(_BUCKETS + 1, dtype=np.uint64) << _BUCKET_SHIFT
         lo = np.searchsorted(thresholds, edges[:-1], side="right")

@@ -9,8 +9,10 @@ Three models, chosen to bracket the regularity conditions:
   kmax grows like sqrt(n) and the max-degree condition fails by design.
 
 Every generator is a pure function of (parameters, seed): the same call
-produces a byte-identical canonical edge list on any platform.  The CLI
-spec grammar is "er:p=<float>", "reg:d=<int>", "hub:p=<float>".
+produces a byte-identical canonical edge list on any platform.  Draws
+are :mod:`modnull.rng` words compared with thresholds or sorted, never
+floats.  The CLI spec grammar is "er:p=<float>", "reg:d=<int>",
+"hub:p=<float>".
 """
 
 from __future__ import annotations
@@ -22,30 +24,32 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .graph import Graph
-from .rng import MASK64, SplitMix64, stream_seed, uniform_block
+from .rng import MASK64, SplitMix64, budget_rows, stream_seed, word_matrix, word_threshold
 
 _ER_RETRIES = 64
 _PAIRING_ROUNDS = 60
 _SWITCH_ATTEMPTS = 500
-_PAIR_CHUNK = 1 << 22
+# Bytes per pair of the ER scan: its word and mixing scratch, and the comparison.
+_PAIR_BYTES = 17
 
 
-def _er_edge_array(n: int, p: float, seed: int) -> list[tuple[int, int]]:
-    """One Bernoulli(p) draw per unordered pair, visited lexicographically."""
-    row_starts = np.concatenate(
-        [[0], np.cumsum(n - 1 - np.arange(n - 1, dtype=np.int64))]
-    )
+def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
+    """One Bernoulli(p) draw per unordered pair, visited lexicographically.
+
+    Pair t is an edge when word x_{t+1} of stream ``seed`` is below
+    ``word_threshold(p)``; the scan runs in blocks within the byte budget.
+    Returns the edges as an int64 (m, 2) array.
+    """
+    row_starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))])
     npairs = int(row_starts[-1])
-    edges: list[tuple[int, int]] = []
-    for start in range(0, npairs, _PAIR_CHUNK):
-        count = min(_PAIR_CHUNK, npairs - start)
-        u = uniform_block(seed, count, offset=start)
-        sel = np.nonzero(u < p)[0] + start
-        if sel.size:
-            i = np.searchsorted(row_starts, sel, side="right") - 1
-            j = sel - row_starts[i] + i + 1
-            edges.extend(zip(i.tolist(), j.tolist()))
-    return edges
+    threshold = word_threshold(p)
+    block = budget_rows(_PAIR_BYTES)
+    sel = np.concatenate([
+        np.flatnonzero(word_matrix([seed], min(block, npairs - a), a)[0] < threshold) + a
+        for a in range(0, npairs, block)
+    ])
+    i = np.searchsorted(row_starts, sel, side="right") - 1
+    return np.column_stack([i, sel - row_starts[i] + i + 1])
 
 
 def gen_er(n: int, p: float, seed: int) -> Graph:
@@ -60,18 +64,11 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
         raise InputError(f"er model needs 0 < p <= 1, got {p}")
     for attempt in range(_ER_RETRIES):
         edges = _er_edge_array(n, p, (seed + attempt) & MASK64)
-        if edges:
+        if len(edges):
             return Graph(n, edges)
     raise DomainError(
         f"er generator produced no edges in {_ER_RETRIES} attempts (n={n}, p={p})"
     )
-
-
-def _shuffled(stubs: np.ndarray, rng: SplitMix64) -> np.ndarray:
-    # Permutation by sorting random keys; stable sort pins the (measure
-    # zero) tie behavior so the result is deterministic.
-    keys = rng.uniforms(len(stubs))
-    return stubs[np.argsort(keys, kind="stable")]
 
 
 def _try_switch(
@@ -133,36 +130,36 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     if (n * d) % 2 != 0:
         raise DomainError(f"n*d must be even to realize a d-regular graph (n={n}, d={d})")
     rng = SplitMix64(seed)
-    edge_set: set[tuple[int, int]] = set()
-    edge_list: list[tuple[int, int]] = []
+    # Edge keys lo * n + hi: those placed so far, sorted and closed by a
+    # sentinel above every key, and each pass's new ones in pair order.
+    placed = np.array([n * n], dtype=np.int64)
+    passes = []
     work = np.repeat(np.arange(n, dtype=np.int64), d)
     stalls = 0
     for _ in range(_PAIRING_ROUNDS):
         if len(work) == 0:
             break
-        work = _shuffled(work, rng)
-        leftover: list[int] = []
-        for i in range(0, len(work), 2):
-            u = int(work[i])
-            v = int(work[i + 1])
-            if u == v:
-                leftover += [u, v]
-                continue
-            e = (u, v) if u < v else (v, u)
-            if e in edge_set:
-                leftover += [u, v]
-                continue
-            edge_set.add(e)
-            edge_list.append(e)
-        if len(leftover) == len(work):
-            stalls += 1
-            if stalls >= 3:
-                break
-        else:
-            stalls = 0
-        work = np.asarray(leftover, dtype=np.int64)
-    if len(work):
-        _switch_repair([int(s) for s in work], edge_set, edge_list, rng)
+        # A stable sort, so stubs with tied words keep their order.
+        pairs = work[np.argsort(rng.words(len(work)), kind="stable")].reshape(-1, 2)
+        lo = pairs.min(axis=1)
+        hi = pairs.max(axis=1)
+        keys = lo * n + hi
+        # A pair is placed unless it is a loop, an edge placed before, or
+        # a repeat of an earlier pair of this pass.
+        first = np.zeros(len(keys), dtype=bool)
+        first[np.unique(keys, return_index=True)[1]] = True
+        ok = (lo != hi) & (placed[np.searchsorted(placed, keys)] != keys) & first
+        passes.append(keys[ok])
+        placed = np.sort(np.concatenate([placed, passes[-1]]))
+        work = pairs[~ok].reshape(-1)
+        stalls = 0 if ok.any() else stalls + 1
+        if stalls >= 3:
+            break
+    keys = np.concatenate(passes)
+    if len(work) == 0:
+        return Graph(n, np.column_stack([keys // n, keys % n]))
+    edge_list = [divmod(k, n) for k in keys.tolist()]
+    _switch_repair(work.tolist(), set(edge_list), edge_list, rng)
     return Graph(n, edge_list)
 
 
@@ -178,12 +175,11 @@ def gen_hub(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"hub model needs 0 <= p <= 1, got {p}")
     base_n = n - 1
-    edges = _er_edge_array(base_n, p, stream_seed(seed, 0)) if p > 0.0 else []
-    rng = SplitMix64(stream_seed(seed, 1))
-    spokes = rng.sample_indices(ceil_sqrt(base_n), base_n)
-    hub = n - 1
-    edges.extend((v, hub) for v in spokes)
-    return Graph(n, edges)
+    spokes = SplitMix64(stream_seed(seed, 1)).sample_indices(ceil_sqrt(base_n), base_n)
+    edges = [np.column_stack([spokes, np.full(len(spokes), n - 1)])]
+    if p > 0.0:
+        edges.append(_er_edge_array(base_n, p, stream_seed(seed, 0)))
+    return Graph(n, np.concatenate(edges))
 
 
 @dataclass(frozen=True)

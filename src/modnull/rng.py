@@ -1,4 +1,4 @@
-"""Deterministic seeding and uniform variates built on splitmix64.
+"""Deterministic seeding and 53-bit words built on splitmix64.
 
 Every random quantity in this package is a pure function of a 64-bit
 seed.  Parallel work never shares a generator: a *stream* is carved out
@@ -11,12 +11,13 @@ golden-ratio constant.  A stream with seed ``s`` then emits the words
 
     w_t = mix64(s + t * GOLDEN),   t = 1, 2, ...
 
-and uniforms in [0, 1) are the top 53 bits of each word, x_t = w_t >> 11,
-scaled by 2**-53.  The scaling is exact, so a consumer may compare the
-integer words x_t with integer thresholds instead of the floats (the
-color lookup does).  Word arrays are mixed in place with one scratch
-array of their size, so a block of c words holds 16c bytes at its peak.
-The same seed gives the same draws everywhere, and replicate ``r`` of a
+and every draw is the top 53 bits of a word, x_t = w_t >> 11, standing
+for the uniform x_t * 2**-53.  No float is formed: consumers compare
+words with the thresholds ceil(q * 2**53) of :func:`word_threshold`,
+exact because scaling by a power of two is.  Word arrays are mixed in
+place with one scratch array, so c words hold 16c bytes at their peak,
+and blocks of draws are sized to the one byte budget ``BUDGET``.  The
+same seed gives the same draws everywhere, and replicate ``r`` of a
 Monte Carlo run depends only on ``(master, r)``, so any worker partition
 of the replicates reproduces the sequential result exactly.
 """
@@ -36,7 +37,19 @@ _S30 = _U64(30)
 _S27 = _U64(27)
 _S31 = _U64(31)
 _S11 = _U64(11)
-_TO_UNIT = 2.0 ** -53
+
+# Bytes of working arrays one worker may hold for a block of draws.
+BUDGET = 8 << 20
+
+
+def budget_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes fit :data:`BUDGET`; at least one."""
+    return max(1, BUDGET // row_bytes)
+
+
+def word_threshold(q):
+    """uint64 thresholds ceil(q * 2**53): a word x is below one exactly when x * 2**-53 < q."""
+    return np.ceil(np.asarray(q, dtype=np.float64) * 2.0 ** 53).astype(np.uint64)
 
 
 def mix64(z: int) -> int:
@@ -80,28 +93,17 @@ def word_matrix(seeds, count: int, offset: int = 0) -> np.ndarray:
     t = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
     t *= _G
     z = np.add(s[:, None], t[None, :])
+    del t
     _mix64_array(z)
     z >>= _S11
     return z
 
 
-def uniform_block(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Uniforms w_{offset+1} .. w_{offset+count} of the stream ``seed``.
-
-    Blocks taken at increasing offsets tile the stream exactly, which lets
-    large scans (e.g. all vertex pairs of a random graph) run in constant
-    memory without changing a single draw.
-    """
-    u = word_matrix([seed & MASK64], count, offset)[0].astype(np.float64)
-    u *= _TO_UNIT
-    return u
-
-
 class SplitMix64:
     """Sequential view of a stream, for inherently serial algorithms.
 
-    ``uniforms(k)`` consumes exactly the same k words that k calls of
-    ``uniform()`` would, so vectorized and scalar consumers can share a
+    ``words(k)`` consumes exactly the k words that k calls of
+    ``next_u64()`` would, so vectorized and scalar consumers can share a
     stream deterministically.
     """
 
@@ -114,11 +116,9 @@ class SplitMix64:
         self._state = (self._state + GOLDEN) & MASK64
         return mix64(self._state)
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * _TO_UNIT
-
-    def uniforms(self, count: int) -> np.ndarray:
-        out = uniform_block(self._state, count)
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` 53-bit words of the stream, as a uint64 array."""
+        out = word_matrix([self._state], count)[0]
         self._state = (self._state + count * GOLDEN) & MASK64
         return out
 
@@ -136,11 +136,14 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, count: int, population: int) -> list[int]:
-        """``count`` distinct integers from range(population), partial Fisher-Yates."""
+        """``count`` distinct integers from range(population) by partial
+        Fisher-Yates on a sparse pool (only swapped slots stored): O(count)."""
         if count > population:
             raise ValueError("sample larger than population")
-        pool = list(range(population))
+        moved: dict[int, int] = {}
+        picks = []
         for i in range(count):
             j = i + self.randbelow(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:count]
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return picks

@@ -9,8 +9,8 @@ into a graph seed (index 0) and a simulation master (index 1), so every
 row of a study is reproducible in isolation.  In the SLLN study, path
 ``p`` at size ``n`` is replicate ``p`` of that size's simulation master.
 Every sampling command draws its replicates through one chunked kernel.
-A chunk holds as many replicates as fit a byte budget of ``_BUDGET``
-(8 MB) for the words, colors and per-edge arrays of a row, and at least
+A chunk holds as many replicates as fit the byte budget ``rng.BUDGET``
+(8 MiB) for the words, colors and per-edge arrays of a row, and at least
 one, so its boundaries depend on the graph's n and m but never on the
 worker count; a row's value does not depend on them at all.  A worker
 pool over chunks returns results in chunk order, which makes the output
@@ -38,11 +38,9 @@ from .errors import DomainError, InputError
 from .generators import GeneratorSpec, parse_generator_spec
 from .graph import Graph
 from .moments import NullMoments, _q_rows, _v2_rows, modularity, null_moments
-from .rng import stream_seed, stream_seed_array, word_matrix
+from .rng import budget_rows, stream_seed, stream_seed_array, word_matrix
 
 _SQRT2 = math.sqrt(2.0)
-# Bytes of working arrays one worker may hold for a chunk of replicates.
-_BUDGET = 8 << 20
 
 STANDARDIZATIONS = ("sigma", "delta")
 
@@ -115,7 +113,7 @@ def _row_bytes(n: int, m: int) -> int:
 
 
 def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int):
-    """``kernel(colorings)`` for replicates 0..reps-1, in chunks within ``_BUDGET``.
+    """``kernel(colorings)`` for replicates 0..reps-1, in chunks within ``rng.BUDGET``.
 
     A worker pool returns the chunks in order, so the result does not
     depend on ``threads``.
@@ -126,7 +124,7 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
         raise InputError(f"threads must be >= 1, got {threads}")
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: null sampling is pointless")
-    rows = max(1, _BUDGET // _row_bytes(g.n, g.m))
+    rows = budget_rows(_row_bytes(g.n, g.m))
 
     def chunk(a: int) -> np.ndarray:
         return kernel(_null_colorings(dist, g.n, master_seed, a, min(a + rows, reps)))

@@ -154,6 +154,27 @@ def test_slln_study_files(tmp_path, capsys):
     assert len(doc["per_path"]) == 3
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("generate", ["--n", "60"]),
+    ("be-study", ["--sizes", "30,60", "--reps", "100"]),
+    ("slln-study", ["--sizes", "30,60", "--reps", "3"]),
+])
+def test_model_echo_is_the_resolved_spec(tmp_path, capsys, command, extra):
+    # Two spellings of one model give one graph, so they must give one artifact:
+    # every command echoes the parsed spec, not the text it was given.
+    artifacts = []
+    for i, model in enumerate(("er:p=2e-1", " er : p = 0.2 ")):
+        out = tmp_path / f"{i}.csv"
+        code, stdout, _ = run_cli(capsys, command, "--model", model, *extra, "--seed", "4",
+                                  "--out", str(out))
+        assert code == 0
+        summary = out.with_suffix(".summary.json")
+        echo = summary.read_text() if summary.exists() else stdout
+        assert json.loads(echo)["config"]["model"] == "er:p=0.2"
+        artifacts.append((out.read_bytes(), echo))
+    assert artifacts[0] == artifacts[1]
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODNULL_SEED", "321")
     code, out, _ = run_cli(capsys, "generate", "--model", "er:p=1.0", "--n", "3",

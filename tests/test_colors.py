@@ -5,7 +5,7 @@ import pytest
 
 from conftest import colors_by_float_lookup, random_distribution
 from modnull import ColorDistribution, DomainError, InputError, parse_probability_text
-from modnull.rng import stream_seed, uniform_block, word_matrix
+from modnull.rng import stream_seed, word_matrix
 
 
 def kernel_oracle(dist, a, b):
@@ -221,7 +221,7 @@ def test_word_lookup_matches_float_inverse_cdf(case):
     seed = stream_seed(9, 1)
     coloring = d.sample_coloring(1000, seed)
     assert coloring.dtype == np.int64
-    assert np.array_equal(coloring, colors_by_float_lookup(d, uniform_block(seed, 1000)))
+    assert np.array_equal(coloring, colors_by_float_lookup(d, word_matrix([seed], 1000)[0] * 2.0 ** -53))
 
 
 def test_probability_file_parsing():

@@ -5,13 +5,16 @@ import pytest
 
 from modnull import (
     DomainError,
+    Graph,
     InputError,
+    SplitMix64,
     gen_er,
     gen_hub,
     gen_regular,
     parse_generator_spec,
     write_edge_list,
 )
+from modnull import generators, rng
 from modnull.generators import GeneratorSpec, ceil_sqrt
 
 
@@ -45,6 +48,18 @@ def test_er_validation_and_retries():
         gen_er(2, 1e-12, 0)
 
 
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_er_scan_independent_of_block_size(monkeypatch, block):
+    # The scan tiles the pair stream in blocks within the byte budget; blocks
+    # of one pair, or of 7 with a ragged last block, must find the same edges.
+    want = [write_edge_list(gen_er(40, 0.1, 3)), write_edge_list(gen_hub(41, 0.1, 3))]
+    assert rng.budget_rows(generators._PAIR_BYTES) > 40 * 39 // 2
+    if block is not None:
+        monkeypatch.setattr(rng, "BUDGET", block * generators._PAIR_BYTES)
+        assert rng.budget_rows(generators._PAIR_BYTES) == block
+    assert [write_edge_list(gen_er(40, 0.1, 3)), write_edge_list(gen_hub(41, 0.1, 3))] == want
+
+
 def test_regular_matching():
     g = gen_regular(4, 1, 7)
     assert g.m == 2
@@ -56,6 +71,49 @@ def test_regular_degrees_exact():
         g = gen_regular(n, d, seed)
         assert g.m == n * d // 2
         assert np.all(g.degrees == d)
+
+
+def regular_by_pairing_loop(n, d, seed):
+    """Reference for gen_regular: the same passes, one pair at a time.
+
+    Stubs are shuffled by the float images of the words, and each pair is
+    placed unless it is a loop or an edge already placed, this pass included.
+    """
+    rng = SplitMix64(seed)
+    edge_set, edge_list = set(), []
+    work = np.repeat(np.arange(n), d)
+    stalls = 0
+    for _ in range(generators._PAIRING_ROUNDS):
+        if len(work) == 0:
+            break
+        work = work[np.argsort(rng.words(len(work)) * 2.0 ** -53, kind="stable")]
+        leftover = []
+        for u, v in zip(work[0::2].tolist(), work[1::2].tolist()):
+            e = (min(u, v), max(u, v))
+            if u == v or e in edge_set:
+                leftover += [u, v]
+            else:
+                edge_set.add(e)
+                edge_list.append(e)
+        stalls = stalls + 1 if len(leftover) == len(work) else 0
+        if stalls >= 3:
+            break
+        work = np.array(leftover, dtype=np.int64)
+    if len(work):
+        generators._switch_repair(work.tolist(), edge_set, edge_list, rng)
+    return Graph(n, edge_list)
+
+
+@pytest.mark.parametrize("n, d", [(4, 1), (10, 3), (64, 2), (300, 6), (50, 47), (20, 17), (30, 26)])
+def test_regular_matches_the_pairing_loop(n, d):
+    def outcome(generate, seed):
+        try:
+            return generate(n, d, seed)
+        except DomainError as exc:  # a dense repair can give up, then both must
+            return str(exc)
+
+    for seed in range(1, 6):
+        assert outcome(gen_regular, seed) == outcome(regular_by_pairing_loop, seed), seed
 
 
 def test_regular_parity_and_validation():

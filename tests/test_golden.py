@@ -70,8 +70,32 @@ def artifact_digests(workdir: Path, capsys) -> dict[str, str]:
     return digests
 
 
+# Generator edge lists the runs above do not reach: the hub spokes, and a
+# dense regular graph whose pairing passes leave 6 stubs to the edge-switch
+# repair.
+GENERATOR_RUNS = {
+    "hub.txt": ["generate", "--model", "hub:p=0.1", "--n", "60", "--seed", "3"],
+    "repair.txt": ["generate", "--model", "reg:d=17", "--n", "20", "--seed", "1"],
+}
+
+GENERATOR_GOLDEN = {
+    "hub.txt": "63d4ce3ef890360f2e6f2d4b22ece17c93971014220471dcfb760ba8fcbf5046",
+    "repair.txt": "6972cfa2209b1b51995f160125902d435bb223ab56d731bbc03d959ae3664992",
+}
+
+
 def test_cli_artifacts_match_pinned_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     digests = artifact_digests(tmp_path, capsys)
     assert digests["null1.csv"] == digests["null2.csv"]
     assert digests == GOLDEN
+
+
+def test_generated_edge_lists_match_pinned_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, argv in GENERATOR_RUNS.items():
+        assert main([*argv, "--out", name]) == 0, argv
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == GENERATOR_GOLDEN

@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_bipartite,
@@ -179,6 +181,28 @@ def test_closed_form_matches_enumeration(small_graphs):
             mu_e, var_e = exact_moments_by_enumeration(g, d)
             assert rel_err(mom.mu, mu_e) < 1e-11
             assert rel_err(mom.sigma2, var_e) < 1e-11
+
+
+small_graphs_and_distributions = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from([(u, v) for v in range(n) for u in range(v)]),
+                 min_size=1, unique=True),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(small_graphs_and_distributions)
+def test_closed_form_matches_enumeration_property(case):
+    n, edges, weights = case
+    g = Graph(n, edges)
+    d = ColorDistribution(np.array(weights) / math.fsum(weights))
+    mom = null_moments(g, d)
+    mu_e, var_e = exact_moments_by_enumeration(g, d)
+    assert rel_err(mom.mu, mu_e) < 1e-11
+    assert rel_err(mom.sigma2, var_e) < 1e-11
 
 
 def test_enumeration_guard():

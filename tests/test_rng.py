@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from modnull.rng import (
     GOLDEN,
@@ -7,8 +8,8 @@ from modnull.rng import (
     mix64,
     stream_seed,
     stream_seed_array,
-    uniform_block,
     word_matrix,
+    word_threshold,
 )
 
 
@@ -21,23 +22,23 @@ def test_mix64_reference_values():
 
 def test_scalar_stream_matches_vector_block():
     rng = SplitMix64(987654321)
-    scalar = [rng.uniform() for _ in range(64)]
-    block = uniform_block(987654321, 64)
+    scalar = [rng.next_u64() >> 11 for _ in range(64)]
+    block = word_matrix([987654321], 64)[0]
     assert scalar == block.tolist()
 
 
-def test_uniforms_method_advances_like_scalar_draws():
+def test_words_method_advances_like_scalar_draws():
     a = SplitMix64(5)
     b = SplitMix64(5)
-    chunk = a.uniforms(10)
-    singles = [b.uniform() for _ in range(10)]
+    chunk = a.words(10)
+    singles = [b.next_u64() >> 11 for _ in range(10)]
     assert chunk.tolist() == singles
-    assert a.uniform() == b.uniform()
+    assert a.next_u64() == b.next_u64()
 
 
 def test_offset_blocks_tile_the_stream():
-    whole = uniform_block(314, 100)
-    parts = np.concatenate([uniform_block(314, 37), uniform_block(314, 63, offset=37)])
+    whole = word_matrix([314], 100)[0]
+    parts = np.concatenate([word_matrix([314], 37)[0], word_matrix([314], 63, offset=37)[0]])
     assert np.array_equal(whole, parts)
 
 
@@ -54,19 +55,40 @@ def test_word_matrix_rows_are_streams():
     for r in range(8):
         rng = SplitMix64(int(seeds[r]))
         assert words[r].tolist() == [rng.next_u64() >> 11 for _ in range(33)]
-        assert np.array_equal(words[r] * 2.0 ** -53, uniform_block(int(seeds[r]), 33))
+        assert np.array_equal(words[r], SplitMix64(int(seeds[r])).words(33))
     tail = word_matrix(seeds, 20, offset=13)
     assert np.array_equal(tail, words[:, 13:])
 
 
 def test_determinism_and_range():
-    u1 = uniform_block(2024, 100000)
-    u2 = uniform_block(2024, 100000)
-    assert np.array_equal(u1, u2)
-    assert u1.min() >= 0.0 and u1.max() < 1.0
+    x1 = word_matrix([2024], 100000)[0]
+    x2 = word_matrix([2024], 100000)[0]
+    assert np.array_equal(x1, x2)
+    assert int(x1.max()) < 2 ** 53
+    u1 = x1 * 2.0 ** -53
     # mean of 1e5 uniforms, 6 sigma band around 1/2
     assert abs(u1.mean() - 0.5) < 6 * np.sqrt(1 / 12 / 100000)
-    assert not np.array_equal(u1[:100], uniform_block(2025, 100)[:100])
+    assert not np.array_equal(x1[:100], word_matrix([2025], 100)[0])
+
+
+_K = 123456789
+THRESHOLD_EDGES = [
+    5e-324,
+    2.0 ** -53,
+    _K * 2.0 ** -53,
+    np.nextafter(_K * 2.0 ** -53, 0.0),
+    np.nextafter(_K * 2.0 ** -53, 1.0),
+    0.5,
+    np.nextafter(1.0, 0.0),
+    1.0,
+]
+
+
+@pytest.mark.parametrize("q", THRESHOLD_EDGES)
+def test_word_threshold_decides_the_float_comparison_exactly(q):
+    t = int(word_threshold(q))
+    for x in {0, max(t - 1, 0), t, 2 ** 53 - 1}:
+        assert (np.uint64(x) < word_threshold(q)) == (x * 2.0 ** -53 < q), (q, x)
 
 
 def test_shuffle_and_sample_indices_deterministic():
@@ -80,3 +102,15 @@ def test_shuffle_and_sample_indices_deterministic():
     assert len(set(picks)) == 5
     assert all(0 <= v < 20 for v in picks)
     assert picks == SplitMix64(9).sample_indices(5, 20)
+
+
+def test_sample_indices_matches_a_dense_fisher_yates():
+    # The sparse pool must make the same swaps as a full list of the population.
+    for seed in range(20):
+        for count, population in ((5, 20), (20, 20), (30, 31), (1, 1)):
+            rng = SplitMix64(seed)
+            pool = list(range(population))
+            for i in range(count):
+                j = i + rng.randbelow(population - i)
+                pool[i], pool[j] = pool[j], pool[i]
+            assert SplitMix64(seed).sample_indices(count, population) == pool[:count]

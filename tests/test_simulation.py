@@ -19,8 +19,8 @@ from modnull import (
     null_q_samples,
     significance_test,
     simulate_null,
-    simulation,
     slln_study,
+    rng,
     std_normal_cdf,
 )
 from modnull.moments import _V2_BLOCK
@@ -176,11 +176,11 @@ def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, rows_per_c
     # of 5, against the default budget, which fits them all in one chunk.
     g = gen_regular(80, 4, 5)
     d = ColorDistribution([0.25, 0.3, 0.45])
-    assert simulation._BUDGET // _row_bytes(g.n, g.m) >= 103
+    assert rng.BUDGET // _row_bytes(g.n, g.m) >= 103
     want_q = null_q_samples(g, d, 103, 31)
     want_v2 = martingale_variance_samples(g, d, 103, 31)
     budget = rows_per_chunk * _row_bytes(g.n, g.m) + 5
-    monkeypatch.setattr(simulation, "_BUDGET", budget)
+    monkeypatch.setattr(rng, "BUDGET", budget)
     for threads in (1, 2, 3):
         assert np.array_equal(null_q_samples(g, d, 103, 31, threads=threads), want_q)
         assert np.array_equal(martingale_variance_samples(g, d, 103, 31, threads=threads), want_v2)
