@@ -117,6 +117,19 @@ def _switch_repair(
             raise DomainError("regular-graph repair failed; degree too close to n")
 
 
+def _stable_order(words: np.ndarray) -> np.ndarray:
+    """``np.argsort(words, kind="stable")``, by the faster default sort when no two words tie.
+
+    Without ties the sorting permutation is unique, so any sort gives it;
+    the stable sort runs only when adjacent sorted words are equal.
+    """
+    order = np.argsort(words)
+    ranked = words[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(words, kind="stable")
+    return order
+
+
 def gen_regular(n: int, d: int, seed: int) -> Graph:
     """Random simple d-regular graph by stub pairing with repair.
 
@@ -139,8 +152,7 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(_PAIRING_ROUNDS):
         if len(work) == 0:
             break
-        # A stable sort, so stubs with tied words keep their order.
-        pairs = work[np.argsort(rng.words(len(work)), kind="stable")].reshape(-1, 2)
+        pairs = work[_stable_order(rng.words(len(work)))].reshape(-1, 2)
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
         keys = lo * n + hi

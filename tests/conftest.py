@@ -177,6 +177,13 @@ def parse_edge_list_by_lines(text):
     return Graph(n, edges)
 
 
+def write_edge_list_by_lines(g):
+    """Reference writer: the directive, then one f-string per edge, joined."""
+    lines = [f"# n={g.n}"]
+    lines.extend(f"{int(u)} {int(v)}" for u, v in zip(g.edge_lo, g.edge_hi))
+    return "\n".join(lines) + "\n"
+
+
 def chung_lu(n, mean_degree, tail, seed):
     """Heavy-tailed simple graph: endpoints drawn in proportion to Pareto(tail)
     weights, self-loops and repeats dropped."""

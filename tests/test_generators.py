@@ -116,6 +116,16 @@ def test_regular_matches_the_pairing_loop(n, d):
         assert outcome(gen_regular, seed) == outcome(regular_by_pairing_loop, seed), seed
 
 
+def test_stub_order_is_the_stable_argsort():
+    words = SplitMix64(4).words(5000)
+    planted = words.copy()
+    planted[::7] = planted[3]  # one word shared by 715 stubs
+    planted[[10, 4000]] = planted[[2500, 11]]  # two tied pairs
+    cases = [words, planted, words[:1], words[:0], np.zeros(9, dtype=np.uint64)]
+    for w in cases:
+        assert np.array_equal(generators._stable_order(w), np.argsort(w, kind="stable"))
+
+
 def test_regular_parity_and_validation():
     with pytest.raises(DomainError):
         gen_regular(5, 1, 0)

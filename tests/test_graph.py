@@ -1,5 +1,6 @@
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     er_corpus,
     frobenius_by_matrix_product,
     parse_edge_list_by_lines,
+    write_edge_list_by_lines,
 )
 from modnull import (
     DegreeSummary,
@@ -134,6 +136,26 @@ def test_roundtrip_canonical_writer(small_graphs):
         assert parse_edge_list(text) == g
         # a second serialization is byte-identical
         assert write_edge_list(parse_edge_list(text)) == text
+
+
+def _edge_arrays(n, edges):
+    """A stand-in with only the fields the writer reads, for edge sets no
+    Graph can hold: none at all, or ids too large to allocate."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return types.SimpleNamespace(n=n, m=len(pairs), edge_lo=pairs[:, 0], edge_hi=pairs[:, 1])
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 14])
+def test_writer_matches_the_fstring_join(monkeypatch, block):
+    monkeypatch.setattr(graph_module, "_WRITE_BLOCK", block)
+    graphs = [chung_lu(n, 4.0, 2.5, seed) for n, seed in ((12, 1), (150, 2), (2000, 3))]
+    graphs += [Graph(2, [(0, 1)]), Graph(7, [(5, 6)]), complete_graph(12)]
+    # Every digit count up to int64's 19, and no edges at all.
+    digits = {(0, v) for k in range(19) for v in (10**k - 1, 10**k, 10**k + 7) if v}
+    digits |= {(10**18, 2**63 - 1), (9, 10), (99, 100)}
+    graphs += [_edge_arrays(2**63 - 1, sorted(digits)), _edge_arrays(0, []), _edge_arrays(5, [])]
+    for g in graphs:
+        assert write_edge_list(g) == write_edge_list_by_lines(g)
 
 
 def test_roundtrip_preserves_isolated_vertices():

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from modnull import (
 )
 from modnull.moments import _V2_BLOCK
 from modnull.rng import stream_seed
-from modnull.simulation import _row_bytes, _size_seeds, upper_p_value
+from modnull.simulation import _MAXLOG, _erfc, _row_bytes, _size_seeds, upper_p_value
 
 
 def ks_bruteforce(samples):
@@ -61,6 +64,62 @@ def test_phi_scalar_vs_array():
     vec = 0.5 * special.erfc(-xs / math.sqrt(2.0))
     for x, v in zip(xs, vec):
         assert std_normal_cdf(float(x)) == float(v)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _neighbors(x, steps):
+    """The 2 * steps + 1 doubles around each of x, by walking the bit pattern."""
+    x = np.asarray(x, dtype=np.float64)
+    return (x.view(np.int64)[:, None] + np.arange(-steps, steps + 1)).reshape(-1).view(np.float64)
+
+
+ERFC_SPECIALS = np.array(
+    [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300,
+     np.inf, -np.inf, np.nan, 27.0, -27.0, 37.5, -37.5]
+)
+
+
+def test_erfc_port_is_bit_identical_to_scipy():
+    draws = np.random.default_rng(20240417)
+    edges = np.array([1.0, 8.0, math.sqrt(_MAXLOG), 26.6])
+    xs = np.concatenate([
+        draws.normal(size=400_000),
+        draws.normal(scale=math.sqrt(4.5), size=400_000),
+        draws.uniform(-40.0, 40.0, size=400_000),
+        _neighbors(np.concatenate([edges, -edges]), 2000),
+        np.linspace(-27.0, 27.0, 200_001),
+        ERFC_SPECIALS,
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _erfc(xs)
+    want = special.erfc(xs)
+    assert got.shape == xs.shape
+    bad = np.flatnonzero(_bits(got) != _bits(want))
+    assert bad.size == 0, list(zip(xs[bad][:5], got[bad][:5], want[bad][:5]))
+
+
+def test_erfc_port_scalars_and_shapes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ERFC_SPECIALS.tolist() + [0.5, -0.999, 1.0, -8.0, 26.55]:
+            for arg in (v, np.float64(v), np.array(v)):
+                got = _erfc(arg)
+                assert np.ndim(got) == 0
+                assert _bits(got) == _bits(special.erfc(arg)), v
+        grid = np.linspace(-30.0, 30.0, 24).reshape(2, 3, 4)
+        assert np.array_equal(_bits(_erfc(grid)), _bits(special.erfc(grid)))
+        assert _erfc(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("module", ["modnull", "modnull.cli"])
+def test_import_does_not_load_scipy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ks_single_sample_at_zero():
