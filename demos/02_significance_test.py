@@ -31,9 +31,7 @@ g = Graph(2 * block, edges)
 print("graph:", g)
 
 planted = np.array([1] * block + [2] * block)
-labels = planted.tolist()
-SplitMix64(7).shuffle(labels)
-shuffled = np.array(labels)
+shuffled = planted[np.argsort(SplitMix64(7).words(2 * block))]
 
 for name, colors in (("planted", planted), ("random relabeling", shuffled)):
     rep = significance_test(g, colors)

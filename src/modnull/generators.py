@@ -10,44 +10,76 @@ Three models, chosen to bracket the regularity conditions:
 
 Every generator is a pure function of (parameters, seed): the same call
 produces a byte-identical canonical edge list on any platform.  Draws
-are :mod:`modnull.rng` words compared with thresholds or sorted, never
-floats.  The CLI spec grammar is "er:p=<float>", "reg:d=<int>",
-"hub:p=<float>".
+are :mod:`modnull.rng` words.  ``reg`` and the hub spokes sort words or
+reduce them to integers; ``er`` and the ``hub`` base turn each word into
+a geometric gap between consecutive edges of the lexicographic pair
+order (seed-contract v2), the one float step being libm's ``log`` of the
+word's uniform, so generation costs O(n + m), not O(n^2).  The CLI spec
+grammar is "er:p=<float>", "reg:d=<int>", "hub:p=<float>".
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError
 from .graph import Graph
-from .rng import MASK64, SplitMix64, budget_rows, stream_seed, word_matrix, word_threshold
+from .rng import MASK64, SplitMix64, budget_rows, stream_seed, word_matrix
 
 _ER_RETRIES = 64
 _PAIRING_ROUNDS = 60
 _SWITCH_ATTEMPTS = 500
-# Bytes per pair of the ER scan: its word and mixing scratch, and the comparison.
-_PAIR_BYTES = 17
+# Bytes per word of a block of ER gaps: the word and its mixing scratch,
+# the uniform, libm's boxed logarithm, the gap and the running pair index.
+_GAP_BYTES = 64
+# libm log, elementwise: numpy's SIMD log may round differently between CPUs.
+_libm_log = np.frompyfunc(math.log, 1, 1)
 
 
 def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
-    """One Bernoulli(p) draw per unordered pair, visited lexicographically.
+    """G(n, p) by geometric skipping over the unordered pairs, in O(n + m).
 
-    Pair t is an edge when word x_{t+1} of stream ``seed`` is below
-    ``word_threshold(p)``; the scan runs in blocks within the byte budget.
+    Pairs are numbered lexicographically, 0 .. N-1.  Word x_k of stream
+    ``seed`` gives the gap g_k = floor(ln((x_k + 1) * 2**-53) / ln(1 - p)),
+    clamped at N, and the k-th edge is pair t_k = t_{k-1} + g_k + 1 from
+    t_0 = -1, for as long as t_k < N (Batagelj and Brandes, Phys. Rev. E
+    71, 036113, 2005).  Words are drawn in blocks within the byte budget.
     Returns the edges as an int64 (m, 2) array.
     """
     row_starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))])
     npairs = int(row_starts[-1])
-    threshold = word_threshold(p)
-    block = budget_rows(_PAIR_BYTES)
-    sel = np.concatenate([
-        np.flatnonzero(word_matrix([seed], min(block, npairs - a), a)[0] < threshold) + a
-        for a in range(0, npairs, block)
-    ])
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    # Blocks a little longer than the expected m + 1 words, so one block is the rule.
+    want = npairs * p
+    block = min(budget_rows(_GAP_BYTES), int(want + 4.0 * math.sqrt(want)) + 16)
+    found = []
+    last, drawn = -1, 0
+    while last < npairs - 1:
+        u = word_matrix([seed], block, drawn)[0].astype(np.float64)
+        drawn += block
+        u += 1.0
+        u *= 2.0 ** -53
+        with np.errstate(over="ignore"):  # a gap beyond any double is clamped below
+            gaps = _libm_log(u).astype(np.float64) / log_q
+        del u
+        # Gaps of at least N end the graph; the clamp keeps them integers and
+        # the sum below monotone up to its first index at or beyond N.
+        t = np.minimum(np.floor(gaps, out=gaps), npairs).astype(np.int64)
+        del gaps
+        t += 1
+        np.cumsum(t, out=t)
+        t += last
+        beyond = t >= npairs
+        if beyond.any():
+            found.append(t[: int(beyond.argmax())])
+            break
+        found.append(t)
+        last = int(t[-1])
+    sel = np.concatenate(found)
     i = np.searchsorted(row_starts, sel, side="right") - 1
     return np.column_stack([i, sel - row_starts[i] + i + 1])
 
@@ -106,7 +138,8 @@ def _switch_repair(
 
     For stubs (u, v) pick an edge (x, y) disjoint from them; replacing it
     by (u, x) and (v, y) leaves the degrees of x and y unchanged while u
-    and v each gain one.
+    and v each gain one.  A pair that no random edge takes hands every
+    stub left to :func:`_complete_stubs`.
     """
     for idx in range(0, len(leftover), 2):
         u, v = leftover[idx], leftover[idx + 1]
@@ -114,7 +147,42 @@ def _switch_repair(
             if _try_switch(u, v, rng.randbelow(len(edge_list)), edge_set, edge_list):
                 break
         else:
-            raise DomainError("regular-graph repair failed; degree too close to n")
+            _complete_stubs(leftover[idx:], edge_set, edge_list)
+            return
+
+
+def _complete_stubs(
+    stubs: list[int],
+    edge_set: set[tuple[int, int]],
+    edge_list: list[tuple[int, int]],
+) -> None:
+    """Give each vertex one edge per stub it holds, deterministically.
+
+    Each step takes the smallest vertex a holding a stub.  If a is not
+    adjacent to some other holder b, it adds (a, b).  Otherwise it splices
+    (a, b) into an edge (x, y), for b the next holder (or a again when a
+    holds every stub left).  Such an edge always exists: a and b have
+    degree below d < n, and every non-neighbour x of a has degree d (the
+    other holders are all a's neighbours), so if no neighbour of x were a
+    non-neighbour of b, x would have fewer than d neighbours.  So every
+    input with n*d even and d < n is completed.
+    """
+    need = Counter(stubs)
+    while need:
+        held = sorted(need)
+        a = held[0]
+        b = next((w for w in held[1:] if (a, w) not in edge_set), None)
+        if b is not None:
+            edge_set.add((a, b))
+            edge_list.append((a, b))
+        else:
+            b = held[1] if len(held) > 1 else a
+            for k in range(len(edge_list)):
+                if _try_switch(a, b, k, edge_set, edge_list):
+                    break
+            else:  # unreachable by the argument above
+                raise DomainError("regular-graph repair failed")
+        need -= Counter((a, b))
 
 
 def _stable_order(words: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ class Graph:
         return DegreeSummary(n=self.n, m=self.m, S2=s2, S4=s4, kmax=kmax)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(int(u), int(v)) for u, v in zip(self.edge_lo, self.edge_hi)]
+        return list(zip(self.edge_lo.tolist(), self.edge_hi.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

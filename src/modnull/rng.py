@@ -129,12 +129,6 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_indices(self, count: int, population: int) -> list[int]:
         """``count`` distinct integers from range(population) by partial
         Fisher-Yates on a sparse pool (only swapped slots stored): O(count)."""

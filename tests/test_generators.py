@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from modnull import (
     DomainError,
@@ -18,9 +19,91 @@ from modnull import generators, rng
 from modnull.generators import GeneratorSpec, ceil_sqrt
 
 
+def er_by_gap_rule(n, p, seed):
+    """Seed-contract v2 one gap at a time: the edges ``_er_edge_array`` must return.
+
+    Word x of the stream skips floor(ln((x + 1) * 2**-53) / ln(1 - p)) pairs,
+    clamped at the pair count, before the next edge; pairs are listed
+    lexicographically, so no index arithmetic is shared with the generator.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    stream = SplitMix64(seed)
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    edges, t = [], -1
+    while True:
+        x = stream.next_u64() >> 11
+        t += math.floor(min(math.log((x + 1) * 2.0 ** -53) / log_q, len(pairs))) + 1
+        if t >= len(pairs):
+            return edges
+        edges.append(pairs[t])
+
+
+def er_by_pair_scan(n, p, seed):
+    """The seed-contract v1 generator, kept as a distributional oracle.
+
+    One Bernoulli(p) draw per unordered pair in lexicographic order: pair t
+    is an edge when word x_{t+1} of stream ``seed`` is below ceil(p * 2**53).
+    """
+    lo, hi = np.triu_indices(n, 1)
+    keep = rng.word_matrix([seed], len(lo))[0] < rng.word_threshold(p)
+    return Graph(n, np.column_stack([lo[keep], hi[keep]]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 30])
+def test_er_follows_the_gap_rule(n):
+    # At small n most steps cross a row boundary (pair (0, n-1) is followed
+    # by (1, 2)), and n = 2 has a single pair.
+    for p in (0.05, 0.3, 0.5, 0.9, 1.0):
+        for seed in range(40):
+            got = generators._er_edge_array(n, p, seed)
+            assert got.dtype == np.int64 and got.shape[1] == 2
+            assert list(map(tuple, got.tolist())) == er_by_gap_rule(n, p, seed), (p, seed)
+
+
 def test_er_complete_graph_at_p_one():
     g = gen_er(3, 1.0, 123)
     assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+    for n in (2, 4, 30):
+        assert gen_er(n, 1.0, n).edges() == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert gen_hub(30, 1.0, 1).m == 29 * 28 // 2 + ceil_sqrt(29)
+
+
+def test_er_tiny_p_ends_in_the_retry_error():
+    # Every gap exceeds the pair count, or the double range (5e-324): each
+    # attempt draws one short block and finds no edge.
+    for p in (1e-300, 5e-324):
+        with pytest.raises(DomainError, match="no edges in 64 attempts"):
+            gen_er(1000, p, 0)
+        assert gen_hub(100, p, 1).m == ceil_sqrt(99)
+
+
+@pytest.mark.parametrize("n, p", [(200, 0.05), (60, 0.3)])
+def test_er_edge_count_and_degrees_match_the_pair_scan(n, p):
+    # Over fixed seeds, the edge counts of both generators follow
+    # Binomial(N, p), their pooled degrees follow Binomial(n - 1, p), and the
+    # two samples agree with each other.  Every test is at level 1e-4.
+    npairs = n * (n - 1) // 2
+    seeds = range(300)
+    skip = [Graph(n, generators._er_edge_array(n, p, s)) for s in seeds]
+    scan = [er_by_pair_scan(n, p, s) for s in seeds]
+    counts = {}
+    histograms = {}
+    lo, hi = int(stats.binom.ppf(0.005, n - 1, p)), int(stats.binom.isf(0.005, n - 1, p))
+    expected = stats.binom.pmf(np.arange(lo, hi + 1), n - 1, p)
+    expected[0] = stats.binom.cdf(lo, n - 1, p)
+    expected[-1] = stats.binom.sf(hi - 1, n - 1, p)
+    for name, graphs in (("skip", skip), ("scan", scan)):
+        m = np.array([g.m for g in graphs], dtype=float)
+        assert abs(m.mean() - npairs * p) < 4.0 * math.sqrt(npairs * p * (1 - p) / len(m)), name
+        chi = (len(m) - 1) * m.var(ddof=1) / (npairs * p * (1 - p))
+        assert stats.chi2.ppf(1e-4, len(m) - 1) < chi < stats.chi2.isf(1e-4, len(m) - 1), name
+        degrees = np.clip(np.concatenate([g.degrees for g in graphs]), lo, hi)
+        histograms[name] = np.bincount(degrees - lo, minlength=hi - lo + 1)
+        fit = stats.chisquare(histograms[name], expected * len(degrees))
+        assert fit.pvalue > 1e-4, name
+        counts[name] = m
+    assert stats.ks_2samp(counts["skip"], counts["scan"]).pvalue > 1e-4
+    assert stats.chi2_contingency([histograms["skip"], histograms["scan"]]).pvalue > 1e-4
 
 
 def test_er_determinism():
@@ -50,14 +133,17 @@ def test_er_validation_and_retries():
 
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_er_scan_independent_of_block_size(monkeypatch, block):
-    # The scan tiles the pair stream in blocks within the byte budget; blocks
-    # of one pair, or of 7 with a ragged last block, must find the same edges.
-    want = [write_edge_list(gen_er(40, 0.1, 3)), write_edge_list(gen_hub(41, 0.1, 3))]
-    assert rng.budget_rows(generators._PAIR_BYTES) > 40 * 39 // 2
+    # Gaps are drawn in blocks of words within the byte budget; blocks of one
+    # word, or of 7 with a ragged end, must give the gap rule's edges, also
+    # when the last edge is the last pair (p = 1).
+    cases = [(40, 0.1, 3), (12, 1.0, 3)]
+    hub = write_edge_list(gen_hub(41, 0.1, 3))
     if block is not None:
-        monkeypatch.setattr(rng, "BUDGET", block * generators._PAIR_BYTES)
-        assert rng.budget_rows(generators._PAIR_BYTES) == block
-    assert [write_edge_list(gen_er(40, 0.1, 3)), write_edge_list(gen_hub(41, 0.1, 3))] == want
+        monkeypatch.setattr(rng, "BUDGET", block * generators._GAP_BYTES)
+        assert rng.budget_rows(generators._GAP_BYTES) == block
+    for n, p, seed in cases:
+        assert gen_er(n, p, seed).edges() == er_by_gap_rule(n, p, seed)
+    assert write_edge_list(gen_hub(41, 0.1, 3)) == hub
 
 
 def test_regular_matching():
@@ -106,14 +192,35 @@ def regular_by_pairing_loop(n, d, seed):
 
 @pytest.mark.parametrize("n, d", [(4, 1), (10, 3), (64, 2), (300, 6), (50, 47), (20, 17), (30, 26)])
 def test_regular_matches_the_pairing_loop(n, d):
-    def outcome(generate, seed):
-        try:
-            return generate(n, d, seed)
-        except DomainError as exc:  # a dense repair can give up, then both must
-            return str(exc)
-
     for seed in range(1, 6):
-        assert outcome(gen_regular, seed) == outcome(regular_by_pairing_loop, seed), seed
+        assert gen_regular(n, d, seed) == regular_by_pairing_loop(n, d, seed), seed
+
+
+def test_dense_regular_graphs_complete_on_every_seed():
+    # Random splicing alone gave up on (50, 47) for seeds 3, 5, 9 and 18, and
+    # on 3 to 19 of seeds 1-20 for each K_n with 4 <= n <= 30; the
+    # deterministic completion places every stub.
+    cases = [(50, 47, s) for s in range(1, 21)]
+    cases += [(n, d, s) for n in range(2, 13) for d in range(1, n) if n * d % 2 == 0
+              for s in range(1, 4)]
+    for n, d, seed in cases:
+        g = gen_regular(n, d, seed)
+        assert g.m == n * d // 2 and np.all(g.degrees == d), (n, d, seed)
+    assert gen_regular(8, 7, 1).edges() == [(i, j) for i in range(8) for j in range(i + 1, 8)]
+
+
+def test_stub_completion_adds_or_splices():
+    # Path 0-1-2-3 with stubs 0, 3 (non-adjacent: added) and then 1, 1 on a
+    # graph where 1's only non-neighbours 3 and 4 are joined: spliced.
+    edge_list = [(0, 1), (1, 2), (2, 3)]
+    edge_set = set(edge_list)
+    generators._complete_stubs([3, 0], edge_set, edge_list)
+    assert sorted(edge_list) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    edge_list = [(0, 1), (1, 2), (3, 4), (0, 2)]
+    edge_set = set(edge_list)
+    generators._complete_stubs([1, 1], edge_set, edge_list)
+    assert sorted(edge_list) == [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)]
+    assert edge_set == set(edge_list)
 
 
 def test_stub_order_is_the_stable_argsort():

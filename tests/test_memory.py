@@ -6,8 +6,9 @@ per worker, so what remains is the interpreter, the parsed graph and the
 color distribution: about 190 MB for the large graph and 120 MB for the
 large K.  A kernel whose memory grows with the replicate count, or that
 holds a replicates x K table, exceeds the limit by hundreds of MB.
-The ER pair scan works in blocks within the same byte budget, so
-generating a graph holds little more than its edges.
+The ER generator skips over vertex pairs and draws its gaps in blocks
+within the same byte budget, so generating a graph holds little more
+than its edges.
 """
 
 import subprocess
@@ -68,7 +69,8 @@ def test_null_sample_memory_bounded_in_the_number_of_colors(tmp_path):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
 def test_er_generation_memory_bounded_by_the_byte_budget(tmp_path):
-    # 32M pairs scanned in blocks of 4M words would hold ~100 MB of temporaries.
+    # n=2e5 and np=6: 2e10 pairs, which no per-pair array or scan could
+    # hold or finish, and m=6e5 edges; the graph and the writer peak at ~66 MB.
     out = str(tmp_path / "er.txt")
-    assert peak_rss_mb("generate", "--model", "er:p=0.002", "--n", "8000", "--seed", "1",
-                       "--out", out) < 120
+    assert peak_rss_mb("generate", "--model", "er:p=0.00003", "--n", "200000", "--seed", "1",
+                       "--out", out) < 80

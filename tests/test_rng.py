@@ -91,13 +91,7 @@ def test_word_threshold_decides_the_float_comparison_exactly(q):
         assert (np.uint64(x) < word_threshold(q)) == (x * 2.0 ** -53 < q), (q, x)
 
 
-def test_shuffle_and_sample_indices_deterministic():
-    r1, r2 = SplitMix64(1), SplitMix64(1)
-    x1, x2 = list(range(30)), list(range(30))
-    r1.shuffle(x1)
-    r2.shuffle(x2)
-    assert x1 == x2
-    assert sorted(x1) == list(range(30))
+def test_sample_indices_deterministic():
     picks = SplitMix64(9).sample_indices(5, 20)
     assert len(set(picks)) == 5
     assert all(0 <= v < 20 for v in picks)
