@@ -29,6 +29,14 @@ _BUCKET_SHIFT = np.uint64(37)
 _BUCKETS = 1 << 16
 
 
+def lane_dtype(K: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and uint32 that holds colors 1..K."""
+    for t in (np.uint8, np.uint16, np.uint32):
+        if K <= np.iinfo(t).max:
+            return np.dtype(t)
+    raise InputError(f"colors up to {K} exceed the 32-bit lanes")
+
+
 class ColorDistribution:
     """Probabilities p_1..p_K with their power sums p_(2), p_(3) and the constants r1, r2."""
 
@@ -127,20 +135,24 @@ class ColorDistribution:
         edges = np.arange(_BUCKETS + 1, dtype=np.uint64) << _BUCKET_SHIFT
         lo = np.searchsorted(thresholds, edges[:-1], side="right")
         hi = np.searchsorted(thresholds, edges[1:], side="left")
-        dtype = next(t for t in (np.int16, np.int32, np.int64) if self.K <= np.iinfo(t).max)
-        table = np.where(lo == hi, lo + 1, 0).astype(dtype)
+        table = np.where(lo == hi, lo + 1, 0).astype(lane_dtype(self.K))
         return thresholds, table
 
-    def _colors_of_words(self, words: np.ndarray) -> np.ndarray:
+    def _colors_of_words(self, words: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Colors 1..K of 53-bit words (uniform = word * 2**-53); see :attr:`_guide`.
 
-        The result has the shape of ``words`` and the narrowest signed
-        dtype that holds K: int16 for every K < 2**15.
+        The result has the shape of ``words`` and dtype ``lane_dtype(K)``.
+        ``out`` (that shape and dtype) receives it and ``scratch`` (a uint64
+        array of that shape) holds the bucket indices; both are allocated
+        when not given, and ``words`` is left unchanged.
         """
         thresholds, table = self._guide
         x = words.reshape(-1)
-        colors = table[(x >> _BUCKET_SHIFT).view(np.int64)]
-        open_ = np.flatnonzero(colors == 0)
+        bucket = np.right_shift(x, _BUCKET_SHIFT, out=None if scratch is None else scratch.reshape(-1))
+        colors = np.take(table, bucket.view(np.int64), out=None if out is None else out.reshape(-1),
+                         mode="clip")
+        # The ambiguous buckets' mask reuses the bucket indices' memory.
+        open_ = np.flatnonzero(np.equal(colors, 0, out=bucket.view(bool)[:x.size]))
         if open_.size:
             pick = np.searchsorted(thresholds, x[open_], side="right")
             pick += 1

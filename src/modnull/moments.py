@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colors import ColorDistribution, validate_coloring
+from .colors import ColorDistribution, lane_dtype, validate_coloring
 from .errors import DomainError
 from .graph import Graph
 
@@ -61,8 +61,10 @@ ENUMERATION_GUARD = 10 ** 7
 # near 1 MB, cache-sized and reused, instead of large fresh arrays that
 # page-fault on every chunk.
 _V2_BLOCK = 1 << 17
-# Vertex and color slots per bincount of the degree-mass reduction (512 KB
-# of slot indices): few calls for small graphs, bounded memory for any K.
+# Vertex and color slots per bincount of the degree-mass reduction: a block
+# of lanes takes at most 512 KB of slot indices, drawn from the Q kernel's
+# scratch, and its degree weights are tiled once per sampling call; few
+# calls for small graphs, bounded memory for any K.
 _MASS_BLOCK = 1 << 16
 
 
@@ -102,42 +104,108 @@ class Decomposition:
     reconstructed_Q: float
 
 
-def _within_and_sumd2(colors_2d: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: count of same-color edges, and sum over colors of (degree mass)^2.
+def _mass_lanes(n: int, K: int) -> int:
+    """Lanes per bincount of the degree-mass reduction.
 
-    A color's degree mass is a sum of integer degrees, at most 2m, so the
-    masses and the sum of their squares (at most 4m^2) are exact in
-    float64 while 4m^2 < 2**53, i.e. m < 4.7e7.  Summation order is then
-    free: rows are reduced in blocks of about ``_MASS_BLOCK`` vertex and
-    color slots, with one bincount per block, and a row's value does not
-    depend on how rows are batched.  The caller turns both into Q with two
-    divisions.
+    A block of b lanes counts its colors in b * (K + 1) slots; the lanes
+    per block keep vertex and color slots near ``_MASS_BLOCK`` (one lane
+    at a time when K alone exceeds it).
     """
-    within = np.count_nonzero(
-        np.take(colors_2d, g.edge_lo, axis=1) == np.take(colors_2d, g.edge_hi, axis=1),
-        axis=1,
-    )
-    rows, n = colors_2d.shape
-    width = int(colors_2d.max()) + 1
-    step = min(rows, max(1, _MASS_BLOCK // (n + width)))
-    # Block row i counts its colors in slots i*width .. i*width + width - 1.
-    offsets = np.arange(step, dtype=np.int64)[:, None] * width
-    weights = np.tile(g._deg_float, step)
-    sumd2 = np.empty(rows)
-    for a in range(0, rows, step):
-        block = colors_2d[a:a + step]
-        b = block.shape[0]
-        slots = (block + offsets[:b]).reshape(-1)
-        mass = np.bincount(slots, weights=weights[:b * n], minlength=b * width)
+    return max(1, _MASS_BLOCK // (n + K + 1))
+
+
+def _q_work_words(g: Graph, rows: int, lanes: int, K: int) -> int:
+    """uint64 words of scratch that :func:`_q_lanes` needs for ``rows`` replicates."""
+    return max(2 * g.m * (rows // lanes), g.n * min(rows, _mass_lanes(g.n, K)))
+
+
+def _q_tables(g: Graph, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_q_lanes` reads besides the colors, for colors up to K.
+
+    Writeable copies of the edge ends (``np.take`` copies read-only index
+    arrays, such as the graph's own, on every call) and the degrees tiled
+    over the lanes of one bincount.
+    """
+    return g.edge_lo.copy(), g.edge_hi.copy(), np.tile(g._deg_float, _mass_lanes(g.n, K))
+
+
+def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.ndarray:
+    """Q of the first ``count`` columns of ``colors``, colorings side by side.
+
+    ``colors`` is a C-contiguous n x r array of unsigned lanes, r a
+    multiple of the lanes per uint64 word, so row v packs vertex v's
+    colors into r / lanes words; the columns from ``count`` on only pad
+    the last word.  ``tables`` is :func:`_q_tables` for a K
+    at least every color, and ``work`` is uint64 scratch of
+    :func:`_q_work_words`; no other array the size of the graph is made.
+
+    Same-color edges: the words at both ends of every edge are gathered
+    and XORed, so a lane is zero exactly where the colors agree.  With L
+    the low bits of every lane (0x7F.. for bytes), ~(((x & L) + L) | x | L)
+    keeps a lane's top bit exactly when the lane is zero (Warren, *Hacker's
+    Delight*, 2nd ed., 2013, sec. 6-1), and a shift moves it to the lane's
+    lowest bit.  Words of at most 2**bits - 1 edges are summed as integers
+    without carrying out of a lane, then the lanes of the block sums are
+    added up.
+
+    Degree mass: a color's mass is a sum of integer degrees, at most 2m,
+    so the masses and the sum of their squares (at most 4m^2) are exact
+    in float64 while 4m^2 < 2**53, i.e. m < 4.7e7.  Summation order is
+    then free: lanes are reduced in blocks of ``_mass_lanes``, with
+    one bincount per block.  Every count is an exact integer, so a
+    replicate's Q does not depend on the lanes beside it.
+    """
+    n, r = colors.shape
+    lo, hi, weights = tables
+    m = lo.size
+    bits = 8 * colors.itemsize
+    groups = r * colors.itemsize // 8
+    packed = colors.view(np.uint64)
+    x = work[:m * groups].reshape(m, groups)
+    zero = work[m * groups:2 * m * groups].reshape(m, groups)
+    np.take(packed, lo, axis=0, out=x, mode="clip")
+    np.take(packed, hi, axis=0, out=zero, mode="clip")
+    x ^= zero
+    low = np.full(8 // colors.itemsize, np.iinfo(colors.dtype).max >> 1, colors.dtype)
+    low = low.view(np.uint64)[0]
+    np.bitwise_and(x, low, out=zero)
+    zero += low
+    zero |= x
+    zero |= low
+    np.invert(zero, out=zero)
+    zero >>= np.uint64(bits - 1)
+    # Block sums reuse the XOR's memory; each row covers at least one edge.
+    full, rest = divmod(m, min(m, (1 << bits) - 1))
+    sums = work[:(full + (rest > 0)) * groups].reshape(-1, groups)
+    np.add.reduce(zero[:m - rest].reshape(full, -1, groups), axis=1, out=sums[:full])
+    if rest:
+        np.add.reduce(zero[m - rest:], axis=0, out=sums[full])
+    same = sums.view(colors.dtype)[:, :count].sum(axis=0, dtype=np.int64)
+
+    step = weights.size // n
+    width = int(colors.max()) + 1
+    # Lane i of a block counts its colors in slots i*width .. i*width + width - 1.
+    offsets = np.arange(0, step * width, width, dtype=np.int64)[:, None]
+    sumd2 = np.empty(count)
+    for a in range(0, count, step):
+        b = min(step, count - a)
+        slots = work[:b * n].view(np.int64).reshape(b, n)
+        np.add(colors[:, a:a + b].T, offsets[:b], out=slots)
+        mass = np.bincount(slots.reshape(-1), weights=weights[:b * n], minlength=b * width)
         mass = mass.reshape(b, width)
         sumd2[a:a + b] = np.einsum("ij,ij->i", mass, mass)
-    return within, sumd2
+    return same / m - sumd2 / (4.0 * m * m)
 
 
-def _q_rows(colors_2d: np.ndarray, g: Graph) -> np.ndarray:
-    within, sumd2 = _within_and_sumd2(colors_2d, g)
-    m = g.m
-    return within / m - sumd2 / (4.0 * m * m)
+def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:
+    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`."""
+    rows = colorings.shape[0]
+    dtype = lane_dtype(K)
+    lanes = 8 // dtype.itemsize
+    colors = np.zeros((g.n, -(-rows // lanes) * lanes), dtype)
+    colors[:, :rows] = colorings.T
+    work = np.empty(_q_work_words(g, colors.shape[1], lanes, K), np.uint64)
+    return _q_lanes(colors, rows, _q_tables(g, K), work)
 
 
 def modularity(g: Graph, colors) -> float:
@@ -148,7 +216,7 @@ def modularity(g: Graph, colors) -> float:
     definition including the diagonal terms.
     """
     c = validate_coloring(colors, n=g.n)
-    return float(_q_rows(c[None, :], g)[0])
+    return float(_q_of_rows(c[None, :], g, int(c.max()))[0])
 
 
 def null_moments(g: Graph, dist: ColorDistribution) -> NullMoments:
@@ -294,7 +362,7 @@ def exact_moments_by_enumeration(
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         colorings = (idx[:, None] // place[None, :]) % dist.K + 1
         w_parts.append(np.prod(dist.p[colorings - 1], axis=1))
-        q_parts.append(_q_rows(colorings, g))
+        q_parts.append(_q_of_rows(colorings, g, dist.K))
     total_w = math.fsum(math.fsum(w.tolist()) for w in w_parts)
     mean = math.fsum(math.fsum((w * q).tolist()) for w, q in zip(w_parts, q_parts)) / total_w
     var = (

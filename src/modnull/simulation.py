@@ -9,13 +9,22 @@ into a graph seed (index 0) and a simulation master (index 1), so every
 row of a study is reproducible in isolation.  In the SLLN study, path
 ``p`` at size ``n`` is replicate ``p`` of that size's simulation master.
 Every sampling command draws its replicates through one chunked kernel.
-A chunk holds as many replicates as fit the byte budget ``rng.BUDGET``
-(8 MiB) for the words, colors and per-edge arrays of a row, and at least
-one, so its boundaries depend on the graph's n and m but never on the
-worker count; a row's value does not depend on them at all.  A worker
-pool over chunks returns results in chunk order, which makes the output
-identical for any worker count, and each worker holds one chunk at a
-time.
+A chunk's colorings are packed side by side: an n x r array of unsigned
+lanes, the narrowest of uint8, uint16 and uint32 that holds K, with one
+column per replicate, so each vertex owns r / lanes uint64 words and a
+lane group is the lanes of one word (8, 4 or 2 replicates).  Words are
+drawn and turned into colors in blocks of vertices, and the Q kernel
+(:func:`moments._q_lanes`) counts same-color edges on the packed words.
+Each worker allocates its buffers once and reuses them for every chunk:
+the chunk's colors, and one scratch array that holds a block of words
+and their mixing scratch, then the words gathered at both ends of every
+edge, then the degree-mass slots.  They fit the byte budget
+``rng.BUDGET`` (2 MiB, see :func:`_chunking`), or one lane group's worth
+when a group is larger, so a chunk's boundaries depend on the graph's n
+and m and on the lane width but never on the worker count; a row's value
+does not depend on them at all.  The output is allocated before any word
+is drawn, and workers take chunks in turn and write each into it in
+place, which makes the output identical for any worker count.
 
 Standardization
 ---------------
@@ -27,17 +36,26 @@ sqrt(r1/m).  The rate study reports the Kolmogorov distance for both.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .colors import ColorDistribution, validate_coloring
+from .colors import ColorDistribution, lane_dtype, validate_coloring
 from .errors import DomainError, InputError
 from .generators import GeneratorSpec, parse_generator_spec
 from .graph import Graph
-from .moments import NullMoments, _q_rows, _v2_rows, modularity, null_moments
-from .rng import budget_rows, stream_seed, stream_seed_array, word_matrix
+from .moments import (
+    NullMoments,
+    _q_lanes,
+    _q_tables,
+    _q_work_words,
+    _v2_rows,
+    modularity,
+    null_moments,
+)
+from .rng import budget_rows, mix_words, stream_seed, stream_seed_array, stream_steps
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -166,26 +184,29 @@ def _ks_against(cdf_at_sorted: np.ndarray) -> float:
     return max(upper, lower)
 
 
-def _null_colorings(dist: ColorDistribution, n: int, master_seed: int, start: int, stop: int):
-    seeds = stream_seed_array(master_seed, np.arange(start, stop, dtype=np.uint64))
-    return dist._colors_of_words(word_matrix(seeds, n))
+def _chunking(g: Graph, lanes: int) -> tuple[int, int]:
+    """Replicates per chunk and vertices per block of words, for ``lanes`` lanes per word.
 
-
-def _row_bytes(n: int, m: int) -> int:
-    """Upper bound on the bytes one replicate row holds in the Q kernel.
-
-    Per vertex: the words, their mixing scratch and bucket indices, the
-    colors, and the lookup of ambiguous buckets (48 bytes at most); per
-    edge: the colors at both endpoints and their comparison (9 bytes).
+    Half of ``rng.BUDGET`` holds a chunk's colors and the words gathered
+    at both ends of every edge, 8n + 16m bytes per lane group; the other
+    half holds one block of words and their mixing scratch, 16 bytes per
+    replicate and vertex.  A chunk has at least one lane group and a
+    block at least one vertex.
     """
-    return 48 * n + 9 * m
+    rows = lanes * budget_rows(2 * (8 * g.n + 16 * g.m))
+    return rows, min(g.n, budget_rows(32 * rows))
 
 
 def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int):
-    """``kernel(colorings)`` for replicates 0..reps-1, in chunks within ``rng.BUDGET``.
+    """``kernel(colors, count, work)`` for replicates 0..reps-1, in chunks of lane groups.
 
-    A worker pool returns the chunks in order, so the result does not
-    depend on ``threads``.
+    A chunk's colorings are an n x r array of unsigned lanes, one column
+    per replicate (see the module docstring), of which the first
+    ``count`` are wanted and the rest pad the last lane group; ``kernel``
+    returns one value per wanted column and may overwrite ``work``.  The output and every
+    worker's buffers are allocated before any word is drawn, and each
+    worker writes its chunks into the output in place, so the result
+    does not depend on ``threads``.
     """
     if reps < 1:
         raise InputError("reps must be >= 1")
@@ -193,30 +214,67 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
         raise InputError(f"threads must be >= 1, got {threads}")
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: null sampling is pointless")
-    rows = budget_rows(_row_bytes(g.n, g.m))
-
-    def chunk(a: int) -> np.ndarray:
-        return kernel(_null_colorings(dist, g.n, master_seed, a, min(a + rows, reps)))
-
+    n = g.n
+    dtype = lane_dtype(dist.K)
+    lanes = 8 // dtype.itemsize
+    rows, block = _chunking(g, lanes)
+    out = np.empty(reps)
     starts = range(0, reps, rows)
-    if threads == 1 or len(starts) == 1:
-        return np.concatenate([chunk(a) for a in starts])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(chunk, starts)))
+    buffers = [
+        (np.empty(n * rows, dtype),
+         np.empty(max(2 * block * rows, _q_work_words(g, rows, lanes, dist.K)), np.uint64))
+        for _ in range(min(threads, len(starts)))
+    ]
+    steps = stream_steps(n)
+    todo = iter(starts)
+    lock = threading.Lock()
+
+    def worker(color_buffer: np.ndarray, scratch: np.ndarray) -> None:
+        while True:
+            with lock:
+                a = next(todo, None)
+            if a is None:
+                return
+            count = min(rows, reps - a)
+            r = -(-count // lanes) * lanes
+            seeds = stream_seed_array(master_seed, np.arange(a, a + r, dtype=np.uint64))
+            colors = color_buffer[:n * r].reshape(n, r)
+            for v in range(0, n, block):
+                size = min(block, n - v) * r
+                words = scratch[:size].reshape(-1, r)
+                mix = scratch[size:2 * size].reshape(-1, r)
+                np.add(steps[v:v + block, None], seeds, out=words)
+                dist._colors_of_words(mix_words(words, mix), out=colors[v:v + block], scratch=mix)
+            out[a:a + count] = kernel(colors, count, scratch)
+
+    if len(buffers) == 1:
+        worker(*buffers[0])
+    else:
+        with ThreadPoolExecutor(max_workers=len(buffers)) as pool:
+            for done in [pool.submit(worker, *b) for b in buffers]:
+                done.result()
+    return out
 
 
 def null_q_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Raw modularity values for ``reps`` independent null colorings."""
-    return _sample_rows(lambda c: _q_rows(c, g), g, dist, reps, master_seed, threads)
+    tables = _q_tables(g, dist.K)
+    return _sample_rows(
+        lambda colors, count, work: _q_lanes(colors, count, tables, work),
+        g, dist, reps, master_seed, threads,
+    )
 
 
 def martingale_variance_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Martingale conditional variance for the same colorings as null_q_samples."""
-    return _sample_rows(lambda c: _v2_rows(c, g, dist), g, dist, reps, master_seed, threads)
+    return _sample_rows(
+        lambda colors, count, work: _v2_rows(colors.T[:count], g, dist),
+        g, dist, reps, master_seed, threads,
+    )
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,34 @@ def martingale_variance_by_wedges(g, colors, dist):
     return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)
 
 
+def q_by_rows(colors_2d, g, mass_block=1 << 16):
+    """Reference Q of each row of a (rows x n) coloring array, row-major.
+
+    The same-color count compares the colors gathered at both ends of
+    every edge; the squared degree masses come from one bincount per
+    block of rows, row i of a block counting its colors in slots
+    i*width .. i*width + width - 1.  This was the library's kernel before
+    the colorings were packed into lanes.
+    """
+    within = np.count_nonzero(
+        np.take(colors_2d, g.edge_lo, axis=1) == np.take(colors_2d, g.edge_hi, axis=1), axis=1
+    )
+    rows, n = colors_2d.shape
+    width = int(colors_2d.max()) + 1
+    step = min(rows, max(1, mass_block // (n + width)))
+    offsets = np.arange(step, dtype=np.int64)[:, None] * width
+    weights = np.tile(g.degrees.astype(np.float64), step)
+    sumd2 = np.empty(rows)
+    for a in range(0, rows, step):
+        block = colors_2d[a:a + step]
+        b = block.shape[0]
+        slots = (block + offsets[:b]).reshape(-1)
+        mass = np.bincount(slots, weights=weights[:b * n], minlength=b * width).reshape(b, width)
+        sumd2[a:a + b] = np.einsum("ij,ij->i", mass, mass)
+    m = g.m
+    return within / m - sumd2 / (4.0 * m * m)
+
+
 def colors_by_float_lookup(dist, u):
     """Reference color lookup: float inverse CDF on uniforms ``u`` in [0, 1).
 

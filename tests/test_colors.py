@@ -214,7 +214,7 @@ def test_word_lookup_matches_float_inverse_cdf(case):
     special = special[(special >= 0) & (special <= top)].astype(np.uint64)
     words = np.concatenate([special, word_matrix([stream_seed(5, len(d.p))], 50_000)[0]])
     got = d._colors_of_words(words)
-    assert got.dtype == (np.int16 if d.K < 2 ** 15 else np.int32)
+    assert got.dtype == (np.uint8 if d.K < 2 ** 8 else np.uint16 if d.K < 2 ** 16 else np.uint32)
     assert np.array_equal(got, colors_by_float_lookup(d, words * 2.0 ** -53))
     block = d._colors_of_words(words[:60].reshape(3, 20))
     assert np.array_equal(block.ravel(), got[:60])

@@ -1,16 +1,26 @@
-"""Peak memory of ``null-sample`` and ``generate`` stays bounded.
+"""Peak memory and page faults of ``null-sample`` and ``generate`` stay bounded.
 
 Each case runs the CLI in a child interpreter and reads its high-water
-mark from ``os.wait4``.  The sampling kernel holds one chunk of a few MB
-per worker, so what remains is the interpreter, the parsed graph and the
-color distribution: about 190 MB for the large graph and 120 MB for the
-large K.  A kernel whose memory grows with the replicate count, or that
-holds a replicates x K table, exceeds the limit by hundreds of MB.
-The ER generator skips over vertex pairs and draws its gaps in blocks
-within the same byte budget, so generating a graph holds little more
-than its edges.
+mark and minor page faults from ``os.wait4``.  The sampling kernel packs
+the colorings of a chunk of replicates side by side into unsigned lanes,
+one uint64 word per vertex and lane group.  Each worker allocates its
+buffers once: the chunk's colors, and one scratch array that holds a
+block of words and their mixing scratch, then the words gathered at both
+ends of every edge, then the degree-mass slots.  Together they take
+``rng.BUDGET`` (2 MiB), or one lane group's worth when a group is
+larger, and the output arrays are allocated before any word is drawn.
+So what remains is the interpreter, the parsed graph and the color
+distribution: about 190 MB for the large graph and 120 MB for the large
+K.  A kernel whose memory grows with the replicate count, or that holds
+a replicates x K table, exceeds the limit by hundreds of MB, and one
+that allocates its buffers per chunk faults their pages in again for
+every chunk.  The ER generator skips over vertex pairs and draws its
+gaps in blocks within the same byte budget, so generating a graph holds
+little more than its edges.
 """
 
+import json
+import os
 import subprocess
 import sys
 
@@ -22,22 +32,28 @@ LIMIT_MB = 250
 
 # A child's ru_maxrss also counts the memory of the process it was forked
 # from, here the whole test session.  So the CLI is started by a small
-# launcher interpreter, which reaps it and prints its exit code and peak.
+# launcher interpreter, which reaps it and prints its exit code, peak and
+# minor page faults.
 LAUNCHER = """
 import os, sys
 pid = os.spawnv(os.P_NOWAIT, sys.executable, [sys.executable, "-m", "modnull.cli", *sys.argv[1:]])
 _, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, usage.ru_minflt)
 """
 
 
-def peak_rss_mb(*argv):
+def run_cli(*argv, env=None):
+    """(peak RSS in MB, minor page faults) of one CLI run, which must succeed."""
     result = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], capture_output=True,
-                            text=True, check=True)
+                            text=True, check=True, env=env)
     # The launcher's line comes last, after anything the CLI printed.
-    code, maxrss = map(int, result.stdout.splitlines()[-1].split())
+    code, maxrss, minflt = map(int, result.stdout.splitlines()[-1].split())
     assert code == 0, result.stderr
-    return maxrss / 1024  # ru_maxrss is in KiB on Linux
+    return maxrss / 1024, minflt  # ru_maxrss is in KiB on Linux
+
+
+def peak_rss_mb(*argv):
+    return run_cli(*argv)[0]
 
 
 def circulant(tmp_path, n, offsets):
@@ -74,3 +90,49 @@ def test_er_generation_memory_bounded_by_the_byte_budget(tmp_path):
     out = str(tmp_path / "er.txt")
     assert peak_rss_mb("generate", "--model", "er:p=0.00003", "--n", "200000", "--seed", "1",
                        "--out", out) < 80
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc settings")
+def test_null_sample_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
+    # n=1e4, m=3e4, K=32: 64 replicates are a few chunks, 1024 are over a
+    # hundred.  glibc is made to map every allocation above 128 KB afresh
+    # and to return freed heap at once, the layout in which temporaries
+    # made per chunk fault their pages in again for every chunk: a kernel
+    # that did so took 136k more faults for the larger run.  With buffers
+    # allocated once per worker the growth is the output arrays and the
+    # CSV rows, under 3000 faults (12 MB).
+    graph = circulant(tmp_path, 10_000, (1, 2, 3))
+    env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0", MALLOC_MMAP_THRESHOLD_="131072")
+    faults = [
+        run_cli("null-sample", "--graph", graph, "--K", "32", "--reps", reps, "--seed", "1",
+                "--out", str(tmp_path / f"q{reps}.csv"), env=env)[1]
+        for reps in ("64", "1024")
+    ]
+    assert faults[1] - faults[0] < 3000, faults
+
+
+def overcommit_heuristic():
+    try:
+        with open("/proc/sys/vm/overcommit_memory") as fh:
+            return fh.read().strip() == "0"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not overcommit_heuristic(), reason="needs heuristic overcommit (mode 0)")
+def test_null_sample_refuses_unallocatable_reps_at_once(tmp_path):
+    # 1e11 replicates need 745 GiB of output, which the kernel allocates
+    # before drawing any word; the run ends at once under the JSON contract.
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 0\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "modnull.cli", "null-sample", "--graph", str(graph), "--K", "2",
+         "--reps", "100000000000", "--seed", "1", "--out", str(tmp_path / "q.csv")],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 4
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["code"] == 4 and error["message"].startswith("MemoryError")
+    assert not (tmp_path / "q.csv").exists()

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 from scipy import special
 
+from conftest import q_by_rows
+
 from modnull import (
     ColorDistribution,
     DomainError,
+    Graph,
     InputError,
     be_rate_study,
     gen_regular,
@@ -26,9 +29,9 @@ from modnull import (
     rng,
     std_normal_cdf,
 )
-from modnull.moments import _V2_BLOCK
+from modnull.moments import _V2_BLOCK, _q_of_rows
 from modnull.rng import stream_seed
-from modnull.simulation import _MAXLOG, _erfc, _row_bytes, _size_seeds, upper_p_value
+from modnull.simulation import _MAXLOG, _chunking, _erfc, _size_seeds, upper_p_value
 
 
 def ks_bruteforce(samples):
@@ -229,20 +232,90 @@ def test_martingale_variance_samples_independent_of_chunks_and_threads():
         assert martingale_variance(g, colors, d) == v2[r]
 
 
-@pytest.mark.parametrize("rows_per_chunk", [1, 7])
-def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, rows_per_chunk):
-    # 103 replicates in chunks of one row, or of 7 with a ragged last chunk
-    # of 5, against the default budget, which fits them all in one chunk.
+@pytest.mark.parametrize("groups_per_chunk", [1, 7])
+def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, groups_per_chunk):
+    # 103 replicates in 8-lane groups: chunks of one group, with a last
+    # group of 7 lanes, or of 7 groups, with a last chunk of 47 replicates;
+    # words come in blocks of 25 vertices.  The default budget fits them
+    # all in one chunk and one block.
     g = gen_regular(80, 4, 5)
     d = ColorDistribution([0.25, 0.3, 0.45])
-    assert rng.BUDGET // _row_bytes(g.n, g.m) >= 103
+    assert _chunking(g, 8) >= (103, g.n)
     want_q = null_q_samples(g, d, 103, 31)
     want_v2 = martingale_variance_samples(g, d, 103, 31)
-    budget = rows_per_chunk * _row_bytes(g.n, g.m) + 5
-    monkeypatch.setattr(rng, "BUDGET", budget)
+    monkeypatch.setattr(rng, "BUDGET", groups_per_chunk * 2 * (8 * g.n + 16 * g.m) + 5)
+    assert _chunking(g, 8) == (8 * groups_per_chunk, 25)
     for threads in (1, 2, 3):
         assert np.array_equal(null_q_samples(g, d, 103, 31, threads=threads), want_q)
         assert np.array_equal(martingale_variance_samples(g, d, 103, 31, threads=threads), want_v2)
+
+
+def test_workers_take_every_chunk_once(monkeypatch):
+    # Eight workers on two cores, one lane group per chunk, and a thread
+    # switch every microsecond: a chunk that two workers took, or none,
+    # would leave its slice of the output stale.
+    g = gen_regular(80, 4, 5)
+    d = ColorDistribution([0.25, 0.3, 0.45])
+    monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            want = null_q_samples(g, d, 1003, seed)
+            assert np.array_equal(null_q_samples(g, d, 1003, seed, threads=8), want)
+            want = martingale_variance_samples(g, d, 1003, seed)
+            assert np.array_equal(martingale_variance_samples(g, d, 1003, seed, threads=8), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+RING = np.arange(300)
+# Edge counts on and off the byte-lane block of 255 edges, isolated
+# vertices (40..99 of the "isolated" graph have no edges), and a regular graph.
+LANE_GRAPHS = {
+    "m255": Graph(300, np.column_stack([RING[:255], RING[1:256]])),
+    "m256": Graph(300, np.column_stack([RING[:256], RING[1:257]])),
+    "m511": Graph(300, np.column_stack([np.r_[RING[:256], RING[:255]],
+                                        np.r_[RING[1:257], (RING[:255] + 2) % 300]])),
+    "isolated": Graph(100, [(i, j) for i in range(40) for j in range(i + 1, 40) if (i + j) % 3]),
+    "reg": gen_regular(80, 4, 5),
+}
+
+
+@pytest.mark.parametrize("K", [2, 32, 255, 256, 40000, 70000])
+@pytest.mark.parametrize("graph_name", sorted(LANE_GRAPHS))
+def test_lane_kernel_matches_the_row_major_oracle(monkeypatch, graph_name, K):
+    # Every lane width (uint8 up to K=255, uint16 up to 65535, uint32 beyond),
+    # replicate counts around one 8-lane group, ragged last groups.
+    g = LANE_GRAPHS[graph_name]
+    d = ColorDistribution.uniform(K)
+    colorings = np.array([d.sample_coloring(g.n, stream_seed(17, r)) for r in range(103)])
+    want = q_by_rows(colorings, g)
+    for reps in (1, 7, 8, 9, 103):
+        for threads in (1, 2, 3):
+            assert np.array_equal(null_q_samples(g, d, reps, 17, threads=threads), want[:reps])
+    # Constant colorings fill every lane sum to its block length.
+    rows = np.vstack([colorings, np.ones((1, g.n), np.int64), np.full((1, g.n), K)])
+    assert np.array_equal(_q_of_rows(rows, g, K), q_by_rows(rows, g))
+    # One lane group per chunk.
+    monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
+    lanes = {2: 8, 32: 8, 255: 8, 256: 4, 40000: 4, 70000: 2}[K]
+    assert _chunking(g, lanes)[0] == lanes
+    for threads in (1, 3):
+        assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
+
+
+def test_lane_kernel_block_sums_of_16_bit_lanes():
+    # 65536 edges: one full block of 16-bit lane sums and one edge more.
+    n = 32768
+    i = np.arange(n)
+    g = Graph(n, np.column_stack([np.r_[i, i], np.r_[(i + 1) % n, (i + 2) % n]]))
+    assert g.m == 65536
+    d = ColorDistribution.uniform(300)
+    colorings = np.array([d.sample_coloring(n, stream_seed(3, r)) for r in range(9)])
+    assert np.array_equal(null_q_samples(g, d, 9, 3, threads=2), q_by_rows(colorings, g))
+    rows = np.vstack([np.ones((1, n), np.int64), np.full((1, n), 300)])
+    assert np.array_equal(_q_of_rows(rows, g, 300), q_by_rows(rows, g))
 
 
 @pytest.mark.parametrize("K", [40000, 70000])
