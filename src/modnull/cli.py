@@ -59,19 +59,26 @@ def _sizes(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}") from None
 
 
-def _read(path: str) -> str:
+def _read(path: str, table: bool = False) -> str | bytes:
+    """The text of ``path``.  A ``table`` of integer rows comes back as
+    bytes when it is ASCII, which the row reader splits without decoding;
+    any other file is read again as text."""
     try:
+        if table:
+            data = Path(path).read_bytes()
+            if data.isascii():
+                return data
         return Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _load_graph(args):
-    return parse_edge_list(_read(args.graph))
+    return parse_edge_list(_read(args.graph, table=True))
 
 
 def _load_partition(path: str) -> np.ndarray:
-    rows = int_rows(_read(path), 1)
+    rows = int_rows(_read(path, table=True), 1)
     malformed = np.flatnonzero(~rows.well_formed)
     if malformed.size:
         raise InputError(f"{path} line {rows.line[malformed[0]]}: colors must be integers")

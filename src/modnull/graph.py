@@ -8,14 +8,17 @@ cleaned up silently.  The canonical writer emits the directive followed
 by edges with ``u < v`` in lexicographic order, newline terminated, so
 ``parse_edge_list(write_edge_list(g))`` reproduces ``g`` byte for byte.
 
-Ingest is linear in the input.  :func:`int_rows` splits the text into
-integer rows in one vectorized pass that follows ``str.splitlines``,
-``str.split`` and ``int`` exactly; every check then runs once over whole
-arrays, and an error is reported at its source line by mapping the
-offending row back to it.  Degree statistics are exact int64 dot products
-(Python integers when they could overflow), and the common-neighbour
-Frobenius statistic counts 4-cycles in O(m * arboricity) time without
-ever forming A^2.
+Ingest is linear in the input and runs on cache-sized temporaries.
+:func:`int_rows` reads the text as bytes (decoding only text that is not
+ASCII) and splits it into integer rows a block of whole lines at a time,
+within :data:`rng.BUDGET`, following ``str.splitlines``, ``str.split``
+and ``int`` exactly; digits are converted eight at a time.  Every check
+then runs once over whole arrays, and an error is reported at its source
+line by mapping the offending row back to it.  Degree statistics are
+exact int64 dot products (Python integers when they could overflow), and
+the common-neighbour Frobenius statistic counts 4-cycles in
+O(m * arboricity) time without ever forming A^2, sorting uint32 keys of
+ranked wedges in blocks of the same budget.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError
+from .rng import BUDGET
 
 _DIRECTIVE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
@@ -41,12 +45,25 @@ _UNICODE_SPACE = str.maketrans(
 )
 # A string of at most 18 decimal digits fits in int64.
 _FAST_DIGITS = 18
+_U64 = np.uint64
+# Digit bytes xor _ZEROS are 0..9; _BIAS added to such a byte sets no bit of _HIGH.
+_ZEROS = _U64(0x3030303030303030)
+_BIAS = _U64(0x7676767676767676)
+_HIGH = _U64(0x8080808080808080)
+# Entry c keeps the c high bytes of a word: the last c bytes before its end.
+_KEEP_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * c)) for c in range(9)], dtype=np.uint64)
+# Line breaks of str.splitlines() in ASCII text, other than "\n".
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+# Bytes of text split into rows at once: the masks, token arrays and
+# digit words of a block take about 11 bytes per byte of an edge list,
+# and at most ~27 on text of one-digit tokens.
+_PARSE_BLOCK = BUDGET // 32
 _INT64_MAX = np.iinfo(np.int64).max
-# lo * top + hi stays below 2**63 for ids below this bound.
-_PACK_BOUND = 3_037_000_499
-# Ranked wedges expanded at once by the 4-cycle count: about 40 MB of
-# temporaries per block, so memory stays bounded whatever the graph.
-_WEDGE_BLOCK = 1 << 20
+# (lo << bits) | hi stays below 2**63 for ids of at most this many bits.
+_PACK_BITS = 31
+# Ranked wedges expanded at once by the 4-cycle count: a block's
+# temporaries take at most ~25 bytes per wedge.
+_WEDGE_BLOCK = BUDGET // 32
 # Edges written at once by write_edge_list: about 2 MB of temporaries,
 # small enough to stay in cache (fastest of 2^11..2^20 at m = 3e6).
 _WRITE_BLOCK = 1 << 14
@@ -204,12 +221,15 @@ def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     bad = (lo < 0) | (lo == hi) | (hi >= limit)
-    top = int(hi.max()) + 1
-    if top <= _PACK_BOUND and not bad.any():
-        key = np.sort(lo * top + hi)
+    bits = int(hi.max()).bit_length()
+    if bits <= _PACK_BITS and not bad.any():
+        key = lo << bits
+        key |= hi
+        key.sort()
         if not np.any(key[1:] == key[:-1]):
-            slo, shi = np.divmod(key, top)
-            return slo, shi, None
+            np.bitwise_and(key, (1 << bits) - 1, out=hi)
+            key >>= bits
+            return key, hi, None
     order = np.lexsort((hi, lo))  # stable: equal pairs keep their input order
     slo, shi = lo[order], hi[order]
     repeat = (slo[1:] == slo[:-1]) & (shi[1:] == shi[:-1])
@@ -223,96 +243,185 @@ def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):
     return slo, shi, (min(rows, key=lambda f: (f[0], f[1] == "repeat")) if rows else None)
 
 
-def _csr(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR ``(indptr, indices)`` of the edges ``lo < hi`` on ``n``
-    vertices, each row ascending (needs n below ``_PACK_BOUND``)."""
-    key = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
-    row, indices = np.divmod(key, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return indptr, indices
-
-
 @dataclass(frozen=True)
 class IntRows:
     """Integer rows of a whitespace-separated text table; see :func:`int_rows`."""
 
-    values: np.ndarray  # (rows, width) int64; a malformed row reads 0
+    values: np.ndarray  # (rows, width) int64; a token that is not an integer reads 0
     line: np.ndarray  # 1-based source line of each row
-    tokens: np.ndarray  # tokens on each row
+    fits: np.ndarray  # exactly ``width`` tokens
     well_formed: np.ndarray  # exactly ``width`` tokens, each an int64 integer
     comments: list  # (line, stripped text) of every comment line, in order
 
 
-def int_rows(text: str, width: int) -> IntRows:
-    """Split ``text`` into rows of ``width`` integers in one vectorized pass.
+def int_rows(text: str | bytes, width: int) -> IntRows:
+    """Split ``text`` into rows of ``width`` integers, a block of lines at a time.
 
     Lines, tokens and integers are those of ``str.splitlines``,
     ``str.split`` and ``int``: a line whose first token starts with ``#``
     is a comment, a line with no token is skipped, and every other line is
     a row.  A token that ``int`` rejects, or whose value falls outside
-    int64, leaves its row malformed.  Plain digit strings are converted in
-    numpy; only other tokens (signs, underscores, non-ASCII digits, very
-    long strings) go through ``int`` one by one.
+    int64, leaves its row malformed.  ``bytes`` are read as UTF-8, and
+    only a text that is not ASCII is decoded and its Unicode spaces mapped
+    to ASCII ones.  The text then goes through in blocks of whole lines of
+    about ``_PARSE_BLOCK`` bytes, so every temporary stays within
+    :data:`rng.BUDGET`; each block carries the count of line breaks before
+    it.  Plain digit strings are converted eight digits at a time (see
+    :func:`_token_ints`); only other tokens (signs, underscores, non-ASCII
+    digits, very long strings) go through ``int`` one by one.
     """
-    if not text.isascii():
-        text = text.translate(_UNICODE_SPACE)
-    data = text.encode()
+    data = _ascii_bytes(text)
     buf = np.frombuffer(data, dtype=np.uint8)
+    parts, line0 = [], 0
+    for s, e in _line_blocks(data, _PARSE_BLOCK):
+        part, breaks = _block_rows(data, buf, s, e, width, line0)
+        parts.append(part)
+        line0 += breaks
+    values, line, fits, well_formed, comments = zip(*parts)
+    del parts  # so each field's blocks go once the field is joined
+    values = np.concatenate(values)
+    line = np.concatenate(line)
+    return IntRows(
+        values, line, np.concatenate(fits), np.concatenate(well_formed),
+        [c for block in comments for c in block],
+    )
+
+
+def _ascii_bytes(text: str | bytes) -> bytes:
+    """``text`` as bytes in which every whitespace character is ASCII."""
+    if isinstance(text, str):
+        return text.encode() if text.isascii() else text.translate(_UNICODE_SPACE).encode()
+    return text if text.isascii() else text.decode().translate(_UNICODE_SPACE).encode()
+
+
+def _line_blocks(data: bytes, size: int):
+    r"""``(start, end)`` of consecutive pieces of ``data``, each of whole lines.
+
+    A piece ends just after the last line break within ``size`` bytes of
+    its start (after the first one past them, if there is none there), and
+    takes the ``\n`` of a ``\r\n`` pair along.  An empty text is one empty
+    piece.
+    """
+    s = 0
+    while True:
+        e = s + size
+        if e >= len(data):
+            yield s, len(data)
+            return
+        cut = data.rfind(b"\n", s, e)
+        cut = max(cut, *(data.rfind(c, max(cut, s), e) for c in _OTHER_BREAKS))
+        if cut < 0:
+            found = [i for i in (data.find(c, e) for c in (b"\n", *_OTHER_BREAKS)) if i >= 0]
+            if not found:
+                yield s, len(data)
+                return
+            cut = min(found)
+        cut += 2 if data[cut] == 13 and data[cut + 1:cut + 2] == b"\n" else 1
+        yield s, cut
+        s = cut
+
+
+def _block_rows(data: bytes, buf: np.ndarray, s: int, e: int, width: int, line0: int):
+    """The rows of ``data[s:e]``, a piece of whole lines after ``line0`` line breaks.
+
+    Returns the :class:`IntRows` fields of the piece and its count of line
+    breaks.  When every line holds ``width`` tokens and none is a comment,
+    the rows are the tokens taken ``width`` at a time, and line numbers
+    follow from the breaks alone.
+    """
+    b = buf[s:e]
     # ASCII whitespace is 9..13 and 28..32; of it, str.splitlines() breaks
     # lines at 10..13 and 28..30, and "\r\n" is one break.
-    breaks = (buf - np.uint8(10) <= 3) | (buf - np.uint8(28) <= 2)
-    breaks[1:] &= (buf[1:] != 10) | (buf[:-1] != 13)
-    space = np.ones(buf.size + 2, dtype=bool)
-    np.logical_or(buf - np.uint8(9) <= 4, buf - np.uint8(28) <= 4, out=space[1:-1])
-    start = np.flatnonzero(space[:-1] & ~space[1:])
-    end = np.flatnonzero(~space[:-1] & space[1:])
-    line = np.searchsorted(np.flatnonzero(breaks), start, side="right") + 1
-    head = np.ones(start.size, dtype=bool)
-    head[1:] = line[1:] != line[:-1]
-    hash_line = buf[start[head]] == ord("#")
-    comment = hash_line[np.cumsum(head) - 1]
-    tail = np.ones(start.size, dtype=bool)
-    tail[:-1] = head[1:]
-    comments = [
-        (ln, data[s:e].decode())
-        for ln, s, e in zip(
-            line[head][hash_line].tolist(),
-            start[head][hash_line].tolist(),
-            end[tail][hash_line].tolist(),
-        )
-    ]
-    start, end, head = start[~comment], end[~comment], head[~comment]
-    row_line = line[~comment][head]
-    first = np.flatnonzero(head)
-    tokens = np.diff(np.append(first, start.size))
-    value, numeric = _token_ints(data, buf, start, end)
-    fits = tokens == width
-    cols = first[fits][:, None] + np.arange(width)
-    values = np.zeros((first.size, width), dtype=np.int64)
-    values[fits] = value[cols]
-    well_formed = fits.copy()
-    well_formed[fits] = numeric[cols].all(axis=1)
-    return IntRows(values, row_line, tokens, well_formed, comments)
+    space = np.ones(b.size + 2, dtype=bool)
+    np.logical_or(b - np.uint8(9) <= 4, b - np.uint8(28) <= 4, out=space[1:-1])
+    breaks = (b - np.uint8(10) <= 3) | (b - np.uint8(28) <= 2)
+    if data.find(b"\r", s, e) >= 0:
+        breaks[1:] &= (b[1:] != 10) | (b[:-1] != 13)
+    lines = int(np.count_nonzero(breaks))
+    # Tokens start and end where the space mask changes.
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    start, end = edges[0::2], edges[1::2]
+    value, numeric = _token_ints(data, b, start, end, s)
+    # The piece is regular when a break follows the last token of every
+    # group of ``width`` and there are no other breaks (the text's last
+    # line may lack one).
+    row_end = end[width - 1::width]
+    if row_end.size and row_end[-1] == b.size:
+        row_end = row_end[:-1]
+    if (
+        start.size % width == 0
+        and row_end.size == lines
+        and data.find(b"#", s, e) < 0
+        and bool(breaks[row_end].all())
+    ):
+        row_line = np.arange(line0 + 1, line0 + 1 + start.size // width)
+        fits = np.ones(row_line.size, dtype=bool)
+        comments = []
+    else:
+        line = np.searchsorted(np.flatnonzero(breaks), start) + (line0 + 1)
+        head = np.ones(start.size, dtype=bool)
+        head[1:] = line[1:] != line[:-1]
+        hash_line = b[start[head]] == ord("#")
+        comment = hash_line[np.cumsum(head) - 1]
+        tail = np.ones(start.size, dtype=bool)
+        tail[:-1] = head[1:]
+        comments = [
+            (ln, data[s + a:s + z].decode())
+            for ln, a, z in zip(
+                line[head][hash_line].tolist(),
+                start[head][hash_line].tolist(),
+                end[tail][hash_line].tolist(),
+            )
+        ]
+        keep = ~comment
+        value, numeric, head = value[keep], numeric[keep], head[keep]
+        row_line = line[keep][head]
+        first = np.flatnonzero(head)
+        fits = np.diff(np.append(first, value.size)) == width
+    if fits.all():
+        values = value.reshape(-1, width)
+        well_formed = fits if numeric.all() else numeric.reshape(-1, width).all(axis=1)
+    else:
+        cols = first[fits][:, None] + np.arange(width)
+        values = np.zeros((first.size, width), dtype=np.int64)
+        values[fits] = value[cols]
+        well_formed = fits.copy()
+        well_formed[fits] = numeric[cols].all(axis=1)
+    return (values, row_line, fits, well_formed, comments), lines
 
 
-def _token_ints(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Integer value of each token ``data[start:end]`` and whether it is one."""
+def _token_ints(data: bytes, b: np.ndarray, start: np.ndarray, end: np.ndarray, s: int):
+    """Integer value of each token ``b[start:end]`` and whether it is one.
+
+    ``b`` is the block ``data[s:e]`` as uint8.  A plain token, at most
+    ``_FAST_DIGITS`` ASCII digits, is read eight digits at a time: the
+    little-endian word of the eight bytes that end at a digit group holds
+    the group's digits in its high bytes, and three multiply-shift steps
+    combine them into pairs, fours and eights (the digit bytes xor "0" are
+    0..9, and a byte is a digit when adding 0x76 sets no high bit).
+    Other tokens go through ``int``; a token that is not an integer reads 0.
+    """
     length = end - start
-    value = np.zeros(start.size, dtype=np.int64)
-    plain = length <= _FAST_DIGITS
-    pos, last, at = start.copy(), end - 1, np.empty_like(start)
-    for k in range(min(int(length.max(initial=0)), _FAST_DIGITS)):
-        live = length > k
-        digit = buf[np.minimum(pos, last, out=at)] - np.uint8(48)
-        plain &= (digit <= 9) | ~live
-        np.multiply(value, 10, out=value, where=live)
-        np.add(value, digit, out=value, where=live)
-        pos += 1
-    numeric = plain.copy()
-    for i in np.flatnonzero(~plain).tolist():
+    # words[k] holds the eight bytes before b[k]: b behind eight bytes of
+    # padding, which the masks drop, read as overlapping words.
+    padded = np.empty(b.size + 8, dtype=np.uint8)
+    padded[8:] = b
+    words = np.ndarray((b.size + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    wide = length.max(initial=0) > 8
+    value, numeric = _eight_digits(words[end], np.minimum(length, 8) if wide else length)
+    if wide:
+        numeric &= length <= _FAST_DIGITS
+        # Group k holds the digits 8k + 1 .. 8k + 8 from the token's end.
+        for k in range(1, (_FAST_DIGITS + 7) // 8):
+            more = np.flatnonzero(numeric & (length > 8 * k))
+            group, ok = _eight_digits(words[end[more] - 8 * k], np.minimum(length[more] - 8 * k, 8))
+            value[more] += group * _U64(10 ** (8 * k))
+            numeric[more] = ok
+    value = value.view(np.int64)
+    for i in np.flatnonzero(~numeric).tolist():
+        value[i] = 0
         try:
-            x = int(data[start[i]:end[i]].decode())
+            x = int(data[s + start[i]:s + end[i]].decode())
         except ValueError:
             continue
         if -_INT64_MAX - 1 <= x <= _INT64_MAX:
@@ -320,7 +429,24 @@ def _token_ints(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray
     return value, numeric
 
 
-def parse_edge_list(text: str) -> Graph:
+def _eight_digits(word: np.ndarray, count: np.ndarray):
+    """Decimal value of the ``count`` (at most 8) high bytes of each word,
+    the last bytes before its end, and whether they are all ASCII digits."""
+    word ^= _ZEROS
+    word &= _KEEP_HIGH[count]
+    ok = ((word + _BIAS) | word) & _HIGH == 0
+    word *= _U64(1 + (10 << 8))
+    word >>= _U64(8)
+    word &= _U64(0x00FF00FF00FF00FF)
+    word *= _U64(1 + (100 << 16))
+    word >>= _U64(16)
+    word &= _U64(0x0000FFFF0000FFFF)
+    word *= _U64(1 + (10000 << 32))
+    word >>= _U64(32)
+    return word, ok
+
+
+def parse_edge_list(text: str | bytes) -> Graph:
     """Parse the edge-list format described in the module docstring.
 
     Rejects self-loops, duplicate edges (in either order), ids at or
@@ -340,13 +466,16 @@ def parse_edge_list(text: str) -> Graph:
         raise InputError("edge list contains no edges")
     limit = _INT64_MAX
     if declared_n is not None:
-        limit = np.where(rows.line > directive_line, declared_n, _INT64_MAX)
+        # A directive bounds the rows below it, often all of them.
+        limit = declared_n if rows.line[0] > directive_line else np.where(
+            rows.line > directive_line, declared_n, _INT64_MAX
+        )
     lo, hi, fault = _canonical_edges(rows.values[:, 0], rows.values[:, 1], limit)
     malformed = np.flatnonzero(~rows.well_formed)
     if malformed.size and (fault is None or malformed[0] <= fault[0]):
         ln = int(rows.line[malformed[0]])
-        if rows.tokens[malformed[0]] != 2:
-            raw = text.splitlines()[ln - 1]
+        if not rows.fits[malformed[0]]:
+            raw = (text.decode() if isinstance(text, bytes) else text).splitlines()[ln - 1]
             raise InputError(f"line {ln}: expected two vertex ids, got {raw!r}")
         raise InputError(f"line {ln}: vertex ids must be integers")
     if fault is not None:
@@ -423,34 +552,96 @@ def four_cycles(g: Graph) -> int:
     (a ranked wedge), and each pair (v, w) reached by c wedges closes
     C(c, 2) cycles.  Edge u-v gives at most min(k_u, k_v) wedges, so there
     are O(m * arboricity) of them (Chiba and Nishizeki, SIAM J. Comput. 14,
-    1985).  Wedges are expanded and sorted in blocks of about
-    ``_WEDGE_BLOCK`` that never split a top vertex.  All counts are exact
-    integers.
+    1985).
+
+    The ranked CSR, every row ascending, is built once from two sorts of
+    packed int64 keys.  Sorting the edges by (lower end u, upper end v)
+    lays out the upper part of every row, so edge e, at position e, gives
+    the length of u's row prefix below v; sorting them again by (v, e)
+    groups them by top vertex and lays out the lower part of every row.
+    Each temporary is freed before the next one is made.  Wedges are then
+    expanded in blocks of about ``_WEDGE_BLOCK`` that never split a top
+    vertex and whose tops span at most 2^32 // n ranks, so every pair
+    (v, w) fits the uint32 key (v - v0) * n + w, v0 the block's first top.
+    A block's keys are sorted, and one compare of neighbouring keys finds
+    the runs of equal pairs.  All counts are exact integers.
     """
-    n = g.n
+    n, m = g.n, g.m
+    bits, ebits = max(1, (n - 1).bit_length()), max(1, (m - 1).bit_length())
+    if bits + max(bits, ebits) > 63:
+        raise DomainError(f"graph too large for the 4-cycle count (n={n}, m={m})")
+    low = (1 << bits) - 1
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
+    rank[np.sort((g.degrees << bits) | np.arange(n)) & low] = np.arange(n)
     a, b = rank[g.edge_lo], rank[g.edge_hi]
-    indptr, nbr = _csr(n, np.minimum(a, b), np.maximum(a, b))
-    # Entry (u, v) of the ranked CSR with v above u: its offset in row u is
-    # the number of u's neighbours ranked below v.
-    src = np.repeat(np.arange(n), np.diff(indptr))
-    up = np.flatnonzero(nbr > src)
-    u, v = src[up], nbr[up]
-    by_top = np.argsort(v * n + u)
-    u, v = u[by_top], v[by_top]
-    wedges = up[by_top] - indptr[u]
-    done = np.cumsum(wedges) - wedges
-    top_start = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
-    cuts = top_start[np.r_[True, np.diff(done[top_start] // _WEDGE_BLOCK) > 0]]
+    del rank
+    key = np.minimum(a, b)
+    np.maximum(a, b, out=a)
+    del b
+    key <<= bits
+    key |= a
+    del a
+    key.sort()
+    # Edge e joins u_e below v_e, in (u, v) order.
+    u_e = key >> bits
+    v_e = np.bitwise_and(key, low, out=key)
+    del key
+    # Row r of the ranked CSR holds its lower neighbours, then its upper
+    # ones, from below[r] + above[r]: below[r] and above[r] count the edges
+    # whose upper and lower ends rank below r.  Edge e puts v_e at
+    # below[u_e + 1] + e, so u_e's neighbours below v_e are the row prefix
+    # of length e + below[u_e + 1] - below[u_e] - above[u_e].
+    below = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(v_e, minlength=n), out=below[1:])
+    above = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u_e, minlength=n), out=above[1:])
+    edge = np.arange(m)
+    nbr = np.empty(2 * m, dtype=np.uint32)
+    at = below[u_e + 1]
+    at += edge
+    nbr[at] = v_e
+    del at
+    # The same edges by (v, e): grouped by top vertex.
+    key = v_e << ebits
+    del v_e
+    key |= edge
+    key.sort()
+    top = key >> ebits
+    by_top = np.bitwise_and(key, (1 << ebits) - 1, out=key)
+    del key
+    bottom = u_e[by_top]
+    del u_e
+    at = above[top]
+    at += edge
+    nbr[at] = bottom
+    del at, edge
+    row_start = below + above
+    wedges = by_top  # the prefix lengths, in place of the edge positions
+    wedges += (below[1:] - row_start[:-1])[bottom]
+    row_start = row_start[bottom]
+    del below, above, bottom
+    first = np.flatnonzero(np.r_[True, top[1:] != top[:-1]])
+    per_top = np.add.reduceat(wedges, first)
+    new_block = (np.diff((np.cumsum(per_top) - per_top) // _WEDGE_BLOCK) > 0) | (
+        np.diff(top[first] // max(1, (1 << 32) // n)) > 0
+    )
+    cuts = first[np.r_[True, new_block]]
     total = 0
-    for e0, e1 in zip(cuts.tolist(), np.append(cuts[1:], v.size).tolist()):
+    for e0, e1 in zip(cuts.tolist(), np.append(cuts[1:], m).tolist()):
         c = wedges[e0:e1]
         count = int(c.sum())
         if count == 0:
             continue
-        base = np.cumsum(c) - c
-        w = nbr[np.repeat(indptr[u[e0:e1]] - base, c) + np.arange(count)]
-        _, runs = np.unique(np.repeat(v[e0:e1], c) * n + w, return_counts=True)
-        total += int(np.sum(runs * (runs - 1) // 2))
+        offset = np.cumsum(c) - c
+        w = nbr[np.repeat(row_start[e0:e1] - offset, c) + np.arange(count)]
+        pair = np.repeat(((top[e0:e1] - top[e0]) * n).astype(np.uint32), c)
+        pair += w
+        del w
+        pair.sort()
+        same = np.flatnonzero(pair[1:] == pair[:-1])
+        if same.size:
+            # A run of r equal neighbours is a pair (v, w) reached r + 1 times.
+            ends = np.flatnonzero(np.diff(same) != 1)
+            r = np.diff(np.r_[-1, ends, same.size - 1])
+            total += int(np.dot(r, r + 1)) // 2
     return total

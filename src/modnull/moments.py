@@ -293,7 +293,9 @@ def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.nda
     thread count.
     """
     n, m, K = g.n, g.m, dist.K
-    lo, hi = g._lower_edges
+    hi = g._lower_edges[1]
+    # A writeable copy: np.take copies a read-only index array on every call.
+    lo = g._lower_edges[0].copy()
     lower_deg = np.bincount(hi, minlength=n).astype(np.float64)
     base = hi * K - 1
     p = dist.p

@@ -213,6 +213,31 @@ def test_input_errors_exit_2_with_json(tmp_path, capsys):
     assert json.loads(err)["code"] == 2
 
 
+@pytest.mark.parametrize(
+    "text,loop,line",
+    [
+        ("0 1\r\n0 2\r\n1 2\r\n", "0 1\r\n0 2\r\n2 2\r\n", 3),
+        ("0 1\r0 2\r1 2", "0 1\r0 2\r2 2", 3),
+        ("0\u00a01\u20280 2\n\n1\u30002\n", "0\u00a01\u20280 2\n\n2\u30002\n", 4),
+    ],
+)
+def test_graph_files_read_as_bytes_or_text_alike(tmp_path, capsys, text, loop, line):
+    # An ASCII graph file reaches the parser as bytes, any other one as
+    # decoded text; line ends and spaces of either kind read the same.
+    p = write(tmp_path, "part.txt", PARTITION_122)
+    outs = []
+    for name, body in (("plain.txt", TRIANGLE), ("other.txt", text)):
+        code, out, _ = run_cli(capsys, "compute", "--graph", write(tmp_path, name, body),
+                               "--partition", p)
+        assert code == 0
+        outs.append({k: v for k, v in json.loads(out).items() if k != "config"})
+    assert outs[0] == outs[1]
+    code, _, err = run_cli(capsys, "compute", "--graph", write(tmp_path, "loop.txt", loop),
+                           "--partition", p)
+    assert code == 2
+    assert json.loads(err)["message"] == f"line {line}: self-loop at vertex 2"
+
+
 def test_unwritable_out_exits_2_with_json(tmp_path, capsys):
     out = str(tmp_path / "missing" / "g.txt")
     code, _, err = run_cli(capsys, "generate", "--model", "er:p=0.5", "--n", "5", "--out", out)

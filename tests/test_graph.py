@@ -371,3 +371,93 @@ def test_roundtrip_and_free_form_text_property(case, rnd):
     lines.insert(rnd.randrange(len(lines) + 1), "")
     text = "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in lines)
     assert_parsers_agree(text)
+
+
+BLOCK_CASES = PARSER_CASES + [
+    "0 1\r\n2 3\r\n\r\n4 5\r\n# n=9\r\n6 7\r\n",
+    "10 11\r12 13\r\n14 15\n\r16 17\r\n",
+    "0 1\x85\x852 3 # c 4 5\x1d6 7\x1e\x1c8 9",
+    "# n=40\n  # note\n\n1 2\n3 4 5\n",
+    "123456789012 3\n4 1234567890123456789\n",
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 13])
+def test_line_blocks_never_split_a_line(size):
+    for text in BLOCK_CASES:
+        data = graph_module._ascii_bytes(text)
+        pieces = [data[s:e] for s, e in graph_module._line_blocks(data, size)]
+        assert b"".join(pieces) == data
+        assert [ln for p in pieces for ln in p.decode().splitlines()] == data.decode().splitlines()
+        if len(data) > 2 * size + 2 and data.decode().count("\n") > 2:
+            assert len(pieces) > 1
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7])
+def test_parser_independent_of_block_size(monkeypatch, size):
+    monkeypatch.setattr(graph_module, "_PARSE_BLOCK", size)
+    for text in BLOCK_CASES:
+        assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize(
+    "bad,repeat",
+    [("5 x", False), ("5 6 7", False), ("9 9", False), ("-5 6", False), ("# n=3", True), (None, True)],
+)
+def test_parser_reports_deep_lines_independent_of_block_size(monkeypatch, bad, repeat):
+    # About 80 lines a block: the bad and repeated lines sit deep in later blocks.
+    monkeypatch.setattr(graph_module, "_PARSE_BLOCK", 997)
+    test_parser_reports_deep_lines_like_oracle(bad, repeat)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edge_sets, st.randoms(use_true_random=False), st.sampled_from([1, 2, 3, 5, 8]))
+def test_roundtrip_property_independent_of_block_size(case, rnd, size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_PARSE_BLOCK", size)
+        test_roundtrip_and_free_form_text_property.hypothesis.inner_test(case, rnd)
+
+
+def test_token_values_match_int():
+    # Digit strings of every length around the 8-digit groups and the
+    # 18-digit fast limit, with leading zeros, and with one byte swapped
+    # for each printable non-digit.
+    rng = np.random.default_rng(11)
+    tokens = ["".join(rng.choice(list("0123456789"), k)) for k in range(1, 25) for _ in range(40)]
+    tokens += ["0" * k + "7" for k in range(1, 24)] + ["9" * k for k in range(1, 24)]
+    for t in tokens[::7]:
+        for c in [chr(x) for x in range(33, 127) if not chr(x).isdigit() and chr(x) != "#"]:
+            i = int(rng.integers(len(t)))
+            tokens.append(t[:i] + c + t[i + 1:])
+    rows = graph_module.int_rows("\n".join(tokens) + "\n", 1)
+    for t, value, ok in zip(tokens, rows.values[:, 0].tolist(), rows.well_formed.tolist()):
+        try:
+            x = int(t)
+        except ValueError:
+            x = None
+        if x is not None and -2 ** 63 <= x < 2 ** 63:
+            assert (ok, value) == (True, x), t
+        else:
+            assert (ok, value) == (False, 0), t
+
+
+def test_four_cycles_across_key_ranges(monkeypatch):
+    # n = 70000 vertices of equal degree, ranked by id.  A block's pairs
+    # (v - v0) * n + w fit 32 bits for 2**32 // n = 61356 top vertices, so
+    # with no wedge-count cut the tops fall into two key ranges.  Offset
+    # 14060 makes (100, 98) and (100 + 61356, 98 + 47296) both wedge pairs,
+    # and one key range over both would give them keys 2**32 apart, the
+    # same uint32.
+    n = 70_000
+    assert (1 << 32) // n == 61356 and 61356 * n + 47296 == 1 << 32
+    monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", 1 << 40)
+    i = np.arange(n)
+    g = Graph(n, np.concatenate([np.column_stack([i, (i + s) % n]) for s in (1, 2, 5, 14060)]))
+    assert common_neighbor_frobenius(g) == frobenius_by_matrix_product(g)
+
+
+def test_four_cycles_refuses_a_graph_beyond_its_keys():
+    # Ranks and edge positions are packed into int64 keys; a graph whose ids
+    # do not fit is refused before any array is read, not counted wrong.
+    with pytest.raises(DomainError, match="too large for the 4-cycle count"):
+        graph_module.four_cycles(types.SimpleNamespace(n=1 << 32, m=1))

@@ -1,4 +1,4 @@
-"""Peak memory and page faults of ``null-sample`` and ``generate`` stay bounded.
+"""Peak memory and page faults of ``null-sample``, ``compute`` and ``generate`` stay bounded.
 
 Each case runs the CLI in a child interpreter and reads its high-water
 mark and minor page faults from ``os.wait4``.  The sampling kernel packs
@@ -10,8 +10,9 @@ ends of every edge, then the degree-mass slots.  Together they take
 ``rng.BUDGET`` (2 MiB), or one lane group's worth when a group is
 larger, and the output arrays are allocated before any word is drawn.
 So what remains is the interpreter, the parsed graph and the color
-distribution: about 190 MB for the large graph and 120 MB for the large
-K.  A kernel whose memory grows with the replicate count, or that holds
+distribution: about 80 MB for the large graph and 120 MB for the large
+K.  The edge-list parse reads the text a block of whole lines at a time,
+so the graph costs little more than its text and its edge arrays.  A kernel whose memory grows with the replicate count, or that holds
 a replicates x K table, exceeds the limit by hundreds of MB, and one
 that allocates its buffers per chunk faults their pages in again for
 every chunk.  The ER generator skips over vertex pairs and draws its
@@ -72,6 +73,19 @@ def test_null_sample_memory_bounded_on_a_large_graph(tmp_path):
     out = str(tmp_path / "q.csv")
     assert peak_rss_mb("null-sample", "--graph", graph, "--reps", "128", "--seed", "1",
                        "--out", out) < LIMIT_MB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+def test_compute_memory_bounded_by_the_parse_blocks(tmp_path):
+    # n=2e5, m=6e5 (7.7 MB of text): the parse holds the text and a block's
+    # temporaries, then the rows, ~80 B per edge, and compute peaks near
+    # 80 MB.  Whole-text byte masks and int64 token arrays took ~220 B per
+    # edge and peaked at 163 MB.
+    graph = circulant(tmp_path, 200_000, (1, 2, 3))
+    partition = tmp_path / "colors.txt"
+    np.savetxt(partition, np.arange(200_000) % 7 + 1, fmt="%d")
+    assert peak_rss_mb("compute", "--graph", graph, "--partition", str(partition),
+                       "--out", str(tmp_path / "c.json")) < 110
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
