@@ -15,8 +15,7 @@ res = slln_study("reg:d=6", sizes, paths=8, master_seed=42)
 
 header = " ".join(f"{n:>9}" for n in sizes)
 print(f"{'path':>4} {header}")
-for p in range(res.paths):
-    vals = [r.value for r in res.rows if r.path == p]
+for p, vals in enumerate(res.values.tolist()):
     print(f"{p:>4} " + " ".join(f"{v:>+9.5f}" for v in vals))
 
 print("\nper-path: does the second half stay below the first half in magnitude?")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import DomainError, InputError
 from .generators import parse_generator_spec
 from .graph import int_rows, parse_edge_list, write_edge_list
 from .moments import exact_moments_by_enumeration, modularity, null_moments
-from .serialize import csv_text, dumps
+from .serialize import dumps, write_csv
 from .simulation import RateRow, be_rate_study, significance_test, simulate_null, slln_study
 
 SEED_ENV = "MODNULL_SEED"
@@ -121,11 +121,9 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv_with_summary(out: str, header, rows, summary: dict) -> None:
-    out_path = Path(out)
-    out_path.write_text(csv_text(header, rows))
-    base = out[:-4] if out.endswith(".csv") else out
-    Path(base + ".summary.json").write_text(dumps(summary) + "\n")
+def _write_csv_with_summary(out: str, header, columns, summary: dict) -> None:
+    write_csv(out, header, columns)
+    Path(out.removesuffix(".csv") + ".summary.json").write_text(dumps(summary) + "\n")
 
 
 def cmd_compute(args) -> int:
@@ -203,7 +201,6 @@ def cmd_null_sample(args) -> int:
     sample = simulate_null(
         g, dist, args.reps, seed, standardization=args.standardize, threads=args.threads
     )
-    rows = [[r, q, z] for r, (q, z) in enumerate(zip(sample.q, sample.samples))]
     summary = {
         "config": {
             "command": "null-sample",
@@ -224,7 +221,8 @@ def cmd_null_sample(args) -> int:
         "variance": sample.variance,
         "ks": sample.ks,
     }
-    _write_csv_with_summary(args.out, ["replicate", "q", "z"], rows, summary)
+    _write_csv_with_summary(args.out, ["replicate", "q", "z"],
+                            [np.arange(args.reps), sample.q, sample.samples], summary)
     return 0
 
 
@@ -232,15 +230,8 @@ def cmd_be_study(args) -> int:
     seed = _resolve_seed(args)
     dist = _study_distribution(args)
     spec = parse_generator_spec(args.model)
-    rows = be_rate_study(
-        spec,
-        args.sizes,
-        args.reps,
-        seed,
-        distribution=dist,
-        standardization=args.standardize,
-        threads=args.threads,
-    )
+    rows = be_rate_study(spec, args.sizes, args.reps, seed, distribution=dist,
+                         standardization=args.standardize, threads=args.threads)
     summary = {
         "config": {
             "command": "be-study",
@@ -256,8 +247,10 @@ def cmd_be_study(args) -> int:
             for r in rows
         ],
     }
-    header = [f.name for f in fields(RateRow)]
-    _write_csv_with_summary(args.out, header, [astuple(r) for r in rows], summary)
+    # Integer fields are exact as uint64: seed_used spans the whole 64-bit range.
+    columns = [np.array([getattr(r, f.name) for r in rows],
+                        np.uint64 if f.type == "int" else np.float64) for f in fields(RateRow)]
+    _write_csv_with_summary(args.out, [f.name for f in fields(RateRow)], columns, summary)
     return 0
 
 
@@ -266,7 +259,6 @@ def cmd_slln_study(args) -> int:
     dist = _study_distribution(args)
     spec = parse_generator_spec(args.model)
     result = slln_study(spec, args.sizes, args.reps, seed, distribution=dist)
-    table = [[row.path, row.n, row.value] for row in result.rows]
     summary = {
         "config": {
             "command": "slln-study",
@@ -280,7 +272,9 @@ def cmd_slln_study(args) -> int:
         "decayed_paths": result.decayed_paths,
         "per_path": [asdict(s) for s in result.path_summaries],
     }
-    _write_csv_with_summary(args.out, ["path", "n", "value"], table, summary)
+    columns = [np.repeat(np.arange(result.paths), len(result.sizes)),
+               np.tile(result.sizes, result.paths), result.values.reshape(-1)]
+    _write_csv_with_summary(args.out, ["path", "n", "value"], columns, summary)
     return 0
 
 

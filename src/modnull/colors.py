@@ -44,8 +44,8 @@ class ColorDistribution:
         p = np.asarray(probabilities, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise InputError("probabilities must be a nonempty vector")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise InputError("probabilities must be finite and nonnegative")
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise InputError("probabilities must lie in [0, 1]")
         total = math.fsum(p.tolist())
         if abs(total - 1.0) > _SUM_TOL:
             raise InputError(f"probabilities sum to {total!r}, not 1")
@@ -190,16 +190,19 @@ def validate_coloring(colors, n: int | None = None, K: int | None = None) -> np.
 
 
 def parse_probability_text(text: str) -> ColorDistribution:
-    """One probability per line; must sum to 1 within 1e-9, then is renormalized."""
+    """One probability in [0, 1] per line; must sum to 1 within 1e-9, then is renormalized."""
     values = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
-            raise InputError(f"line {ln}: not a probability: {raw!r}") from None
+            value = math.nan
+        if not 0.0 <= value <= 1.0 + 1e-9:
+            raise InputError(f"line {ln}: not a probability: {raw!r}")
+        values.append(value)
     if not values:
         raise InputError("probability file is empty")
     total = math.fsum(values)

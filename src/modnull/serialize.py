@@ -3,7 +3,9 @@
 All numeric output carries 17 significant digits, enough to round-trip
 any 64-bit float, and the writers control every byte (key order is
 insertion order, lines end with \\n), so identical results serialize to
-identical files on every platform.
+identical files on every platform.  CSVs are written from numpy
+columns in blocks of rows, each formatted from ``tolist`` slices by one
+line format, so no table exists as Python rows or as one string.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ import math
 
 import numpy as np
 
-
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value in output: {x!r}")
-    return format(float(x), ".17g")
+from .rng import budget_rows
 
 
 def _atom(value) -> str:
@@ -26,7 +24,9 @@ def _atom(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value in output: {float(value)!r}")
+        return format(float(value), ".17g")
     if isinstance(value, str):
         return json.dumps(value)
     if value is None:
@@ -44,13 +44,24 @@ def dumps(obj) -> str:
     return _atom(obj)
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
-    """Header plus one comma-joined line per row, \\n terminated."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def write_csv(path, header: list[str], columns) -> None:
+    """Write ``header`` and one line per row of equal-length numpy ``columns``.
 
-
-def _csv_cell(value) -> str:
-    return value if isinstance(value, str) else _atom(value)
+    Floats take ``.17g`` and integers ``d``.  The first non-finite float
+    in row order raises before the file is opened.  A block of rows takes
+    ~64 bytes per cell (a Python number, a list slot, text) of ``rng.BUDGET``.
+    """
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    if floats:
+        bad = np.column_stack([~np.isfinite(c) for c in floats]).reshape(-1)
+        if bad.any():
+            i = int(bad.argmax())
+            x = float(floats[i % len(floats)][i // len(floats)])
+            raise ValueError(f"non-finite value in output: {x!r}")
+    line = ",".join("{:.17g}" if c.dtype.kind == "f" else "{:d}" for c in columns) + "\n"
+    step = budget_rows(64 * len(columns))
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for a in range(0, len(columns[0]), step):
+            block = zip(*(c[a:a + step].tolist() for c in columns))
+            fh.write("".join(line.format(*row) for row in block))

@@ -159,7 +159,7 @@ def ks_distance(samples) -> float:
     x = np.sort(np.asarray(samples, dtype=np.float64))
     if x.size == 0:
         raise InputError("need at least one sample")
-    return _ks_against(_phi_array(x))
+    return _ks_against(x, _phi_array)
 
 
 def ks_distance_uniform(samples) -> float:
@@ -169,19 +169,20 @@ def ks_distance_uniform(samples) -> float:
         raise InputError("need at least one sample")
     if x[0] < 0.0 or x[-1] > 1.0:
         raise InputError("samples outside [0, 1]")
-    return _ks_against(x)
+    return _ks_against(x, np.asarray)
 
 
-def _ks_against(cdf_at_sorted: np.ndarray) -> float:
-    # Both grids are built directly so each gap is the literal float
-    # count/n - cdf; a double-loop empirical-CDF scan produces the same
-    # candidate values and therefore the exact same maximum.
-    n = cdf_at_sorted.size
-    above = np.arange(1, n + 1, dtype=np.float64) / n
-    below = np.arange(0, n, dtype=np.float64) / n
-    upper = float(np.max(above - cdf_at_sorted))
-    lower = float(np.max(cdf_at_sorted - below))
-    return max(upper, lower)
+def _ks_against(x: np.ndarray, cdf) -> float:
+    # Each gap is the literal float count/n - cdf(x_i) whatever the blocks, so
+    # the maximum is exact; a block takes < 128 B per value of rng.BUDGET.
+    n = x.size
+    step = budget_rows(128)
+    worst = -math.inf
+    for a in range(0, n, step):
+        c = cdf(x[a:a + step])
+        counts = np.arange(a, a + c.size, dtype=np.float64)
+        worst = max(worst, float(np.max((counts + 1.0) / n - c)), float(np.max(c - counts / n)))
+    return worst
 
 
 def _chunking(g: Graph, lanes: int) -> tuple[int, int]:
@@ -484,13 +485,6 @@ def be_rate_study(
 
 
 @dataclass(frozen=True)
-class SllnRow:
-    path: int
-    n: int
-    value: float
-
-
-@dataclass(frozen=True)
 class SllnPathSummary:
     path: int
     first_half_max: float
@@ -500,7 +494,10 @@ class SllnPathSummary:
 
 @dataclass(frozen=True)
 class SllnResult:
-    rows: list[SllnRow]
+    """``values[p, j]`` is path ``p``'s value b_n (Q - mu) at ``sizes[j]``."""
+
+    values: np.ndarray
+    sizes: tuple[int, ...]
     path_summaries: list[SllnPathSummary]
     decayed_paths: int
     paths: int
@@ -528,17 +525,11 @@ def slln_study(
         raise InputError("slln study needs at least two sizes")
     if paths < 1:
         raise InputError("paths must be >= 1")
-    columns = {
-        n: math.sqrt(g.m) / math.log(n) ** 2 * (q - mom.mu)
+    values = np.column_stack([
+        math.sqrt(g.m) / math.log(n) ** 2 * (q - mom.mu)
         for n, _, g, mom, q in _ladder(generator_spec, sizes, paths, master_seed, distribution)
-    }
-    values = np.column_stack(list(columns.values()))
-    half = len(columns) // 2
-    rows = [
-        SllnRow(path=path, n=n, value=v)
-        for path, path_values in enumerate(values.tolist())
-        for n, v in zip(columns, path_values)
-    ]
+    ])
+    half = len(sizes) // 2
     first = np.abs(values[:, :half]).max(axis=1).tolist()
     second = np.abs(values[:, half:]).max(axis=1).tolist()
     summaries = [
@@ -546,7 +537,8 @@ def slln_study(
         for path, (f, s) in enumerate(zip(first, second))
     ]
     return SllnResult(
-        rows=rows,
+        values=values,
+        sizes=tuple(int(n) for n in sizes),
         path_summaries=summaries,
         decayed_paths=sum(s.decayed for s in summaries),
         paths=paths,

@@ -9,6 +9,7 @@ from scipy import sparse
 
 import modnull
 from modnull import ColorDistribution, Graph, InputError, gen_er
+from modnull.serialize import _atom
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -233,3 +234,23 @@ def complete_graph(n):
 def complete_bipartite(a, b):
     left, right = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
     return Graph(a + b, np.column_stack([left.ravel(), right.ravel()]))
+
+
+def csv_text(header, rows):
+    """Reference CSV writer: the header and one comma-joined line per row of
+    Python values, all built as one string.  The CLI wrote its CSVs this way
+    before it wrote them from columns."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _atom(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def ks_by_full_grids(cdf_at_sorted):
+    """Reference Kolmogorov distance from the CDF at the sorted sample, in one
+    pass: both empirical-CDF grids are built whole, so each gap is the
+    literal float count/n - cdf."""
+    n = cdf_at_sorted.size
+    above = np.arange(1, n + 1, dtype=np.float64) / n
+    below = np.arange(0, n, dtype=np.float64) / n
+    return max(float(np.max(above - cdf_at_sorted)), float(np.max(cdf_at_sorted - below)))

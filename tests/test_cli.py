@@ -385,6 +385,19 @@ def test_partition_color_beyond_probs_exits_2(tmp_path, capsys, command):
     assert json.loads(err)["message"] == "coloring uses color 5 but K=3"
 
 
+@pytest.mark.parametrize("text,line", [("0.5\ninf\n", 2), ("-inf\n1\n", 1),
+                                       ("1e308\n1e308\n", 1)], ids=["inf", "-inf", "1e308"])
+def test_probability_file_with_huge_values_exits_2(tmp_path, capsys, text, line):
+    # These used to reach math.fsum, which raised ValueError or OverflowError (exit 4).
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    probs = write(tmp_path, "p.txt", text)
+    code, out, err = run_cli(capsys, "enumerate-check", "--graph", g, "--probs", probs)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    raw = text.splitlines()[line - 1]
+    assert json.loads(err) == {"code": 2, "message": f"line {line}: not a probability: {raw!r}",
+                               "context": {"command": "enumerate-check"}}
+
+
 def test_installed_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "modnull.cli", "generate", "--model", "er:p=1.0",

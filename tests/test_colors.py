@@ -58,6 +58,28 @@ def test_constructor_validation():
         ColorDistribution([])
 
 
+@pytest.mark.parametrize("p", [[1e308, 1e308], [np.inf, -np.inf], [np.nan, 1.0], [1.5, -0.5]],
+                         ids=["1e308", "inf", "nan", "above-1"])
+def test_constructor_refuses_entries_outside_the_unit_interval(p):
+    # Checked before the sum: two entries of 1e308 would overflow fsum.
+    with pytest.raises(InputError, match=r"^probabilities must lie in \[0, 1\]$"):
+        ColorDistribution(p)
+
+
+@pytest.mark.parametrize("text,line", [("0.5\ninf\n", 2), ("-inf\n1\n", 1), ("nan\n", 1),
+                                       ("1e308\n1e308\n", 1), ("-0.5\n1.5\n", 1),
+                                       ("0.5\n1.000001\n", 2)],
+                         ids=["inf", "-inf", "nan", "1e308", "negative", "above-1"])
+def test_probability_file_refuses_values_outside_the_unit_interval(text, line):
+    raw = text.splitlines()[line - 1]
+    with pytest.raises(InputError, match=f"^line {line}: not a probability: {raw!r}$"):
+        parse_probability_text(text)
+
+
+def test_probability_file_accepts_a_value_within_the_sum_tolerance_of_1():
+    assert parse_probability_text("1.0000000005\n").p.tolist() == [1.0]
+
+
 def test_power_sums():
     rng = np.random.default_rng(11)
     for _ in range(25):

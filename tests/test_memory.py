@@ -12,12 +12,16 @@ larger, and the output arrays are allocated before any word is drawn.
 So what remains is the interpreter, the parsed graph and the color
 distribution: about 80 MB for the large graph and 120 MB for the large
 K.  The edge-list parse reads the text a block of whole lines at a time,
-so the graph costs little more than its text and its edge arrays.  A kernel whose memory grows with the replicate count, or that holds
-a replicates x K table, exceeds the limit by hundreds of MB, and one
-that allocates its buffers per chunk faults their pages in again for
-every chunk.  The ER generator skips over vertex pairs and draws its
-gaps in blocks within the same byte budget, so generating a graph holds
-little more than its edges.
+so the graph costs little more than its text and its edge arrays.  A
+kernel whose memory grows with the replicate count, or that holds a
+replicates x K table, exceeds the limit by hundreds of MB, and one that
+allocates its buffers per chunk faults their pages in again for every
+chunk.  Around the kernel, a run holds its sample arrays: the CSV is
+written from them a block of rows at a time, and the KS distance scans
+the sorted sample in blocks, so a million replicates take tens of MB.
+The ER generator skips over vertex pairs and draws its gaps in blocks
+within the same byte budget, so generating a graph holds little more
+than its edges.
 """
 
 import json
@@ -76,6 +80,19 @@ def test_null_sample_memory_bounded_on_a_large_graph(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+def test_null_sample_memory_bounded_by_its_sample_arrays(tmp_path):
+    # 1e6 replicates on a 4-edge graph: q, z and the replicate column take
+    # 24 MB and the run peaks near 61 MB.  A list of Python rows and the CSV
+    # as one string peaked at ~370 MB; writing from columns alone, with the
+    # KS grids built over the whole sample, at ~120 MB.
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+    out = str(tmp_path / "q.csv")
+    assert peak_rss_mb("null-sample", "--graph", str(graph), "--K", "2", "--reps", "1000000",
+                       "--seed", "3", "--out", out) < 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
 def test_compute_memory_bounded_by_the_parse_blocks(tmp_path):
     # n=2e5, m=6e5 (7.7 MB of text): the parse holds the text and a block's
     # temporaries, then the rows, ~80 B per edge, and compute peaks near
@@ -114,7 +131,7 @@ def test_null_sample_page_faults_do_not_grow_with_the_chunk_count(tmp_path):
     # made per chunk fault their pages in again for every chunk: a kernel
     # that did so took 136k more faults for the larger run.  With buffers
     # allocated once per worker the growth is the output arrays and the
-    # CSV rows, under 3000 faults (12 MB).
+    # CSV blocks, under 3000 faults (12 MB).
     graph = circulant(tmp_path, 10_000, (1, 2, 3))
     env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0", MALLOC_MMAP_THRESHOLD_="131072")
     faults = [

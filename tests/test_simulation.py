@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import q_by_rows
+from conftest import ks_by_full_grids, q_by_rows
 
 from modnull import (
     ColorDistribution,
@@ -31,7 +31,9 @@ from modnull import (
 )
 from modnull.moments import _V2_BLOCK, _q_of_rows
 from modnull.rng import stream_seed
-from modnull.simulation import _MAXLOG, _chunking, _erfc, _size_seeds, upper_p_value
+from modnull.simulation import (
+    _MAXLOG, _chunking, _erfc, _phi_array, _size_seeds, upper_p_value,
+)
 
 
 def ks_bruteforce(samples):
@@ -157,6 +159,17 @@ def test_ks_uniform_variant():
         ks_distance_uniform([0.2, 1.2])
     with pytest.raises(InputError):
         ks_distance_uniform([])
+
+
+@pytest.mark.parametrize("budget", [1, 128 * 7, 128 * 64])
+def test_ks_does_not_depend_on_the_block_size(monkeypatch, budget):
+    # Blocks of 1, 7 and 64 values against the one-pass grids of the whole sample.
+    gen = np.random.default_rng(4)
+    z = np.concatenate([gen.normal(size=450), np.round(gen.normal(size=50), 1)])
+    u = np.concatenate([gen.random(size=450), [0.0, 1.0, 0.5, 0.5]])
+    expected = (ks_by_full_grids(_phi_array(np.sort(z))), ks_by_full_grids(np.sort(u)))
+    monkeypatch.setattr(rng, "BUDGET", budget)
+    assert (ks_distance(z), ks_distance_uniform(u)) == expected
 
 
 def test_simulate_null_determinism_and_threads():
@@ -413,13 +426,15 @@ def test_slln_study_shape_and_determinism():
     sizes = (50, 100, 200, 400)
     res1 = slln_study("reg:d=6", sizes, 5, 31)
     res2 = slln_study("reg:d=6", sizes, 5, 31)
-    assert res1 == res2
-    assert len(res1.rows) == 5 * len(sizes)
+    assert np.array_equal(res1.values, res2.values)
+    assert (res1.sizes, res1.path_summaries, res1.decayed_paths, res1.paths) == (
+        res2.sizes, res2.path_summaries, res2.decayed_paths, res2.paths)
+    assert res1.values.shape == (5, len(sizes)) and res1.sizes == sizes
     assert res1.paths == 5
     assert 0 <= res1.decayed_paths <= 5
     for s in res1.path_summaries:
-        first = max(abs(r.value) for r in res1.rows if r.path == s.path and r.n in sizes[:2])
-        second = max(abs(r.value) for r in res1.rows if r.path == s.path and r.n in sizes[2:])
+        first = max(abs(v) for v in res1.values[s.path, :2].tolist())
+        second = max(abs(v) for v in res1.values[s.path, 2:].tolist())
         assert s.first_half_max == first
         assert s.second_half_max == second
         assert s.decayed == (second <= first)
@@ -432,16 +447,15 @@ def test_slln_values_match_direct_recomputation(paths, probs):
     sizes = (50, 100)
     d = ColorDistribution(probs)
     res = slln_study("reg:d=6", sizes, paths, 9, distribution=d)
-    assert [(r.path, r.n) for r in res.rows] == [(p, n) for p in range(paths) for n in sizes]
-    for n in sizes:
+    assert res.values.shape == (paths, len(sizes)) and res.sizes == sizes
+    for j, n in enumerate(sizes):
         size_master, graph_seed, sim_master = _size_seeds(9, n)
         g = gen_regular(n, 6, graph_seed)
         b_n = math.sqrt(g.m) / math.log(n) ** 2
         mu = null_moments(g, d).mu
-        for row in res.rows:
-            if row.n == n:
-                colors = d.sample_coloring(g.n, stream_seed(sim_master, row.path))
-                assert row.value == b_n * (modularity(g, colors) - mu)
+        for path, value in enumerate(res.values[:, j].tolist()):
+            colors = d.sample_coloring(g.n, stream_seed(sim_master, path))
+            assert value == b_n * (modularity(g, colors) - mu)
 
 
 def test_slln_validation():
