@@ -99,18 +99,15 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _study_distribution(args) -> ColorDistribution:
-    if getattr(args, "probs", None):
-        return parse_probability_text(_read(args.probs))
-    return ColorDistribution.uniform(args.K if args.K else 2)
-
-
-def _partition_distribution(args, colors) -> ColorDistribution:
-    if getattr(args, "probs", None):
-        dist = parse_probability_text(_read(args.probs))
-        validate_coloring(colors, K=dist.K)
-        return dist
-    return ColorDistribution.from_coloring(colors, K=args.K)
+def _distribution(args, g=None, colors=None) -> ColorDistribution:
+    """The null distribution: ``--probs``, else the frequencies of the
+    partition ``colors``, else uniform on ``--K`` colors (2 by default).
+    A partition must give one color in 1..K to each of ``g``'s vertices."""
+    dist = parse_probability_text(_read(args.probs)) if args.probs else None
+    if colors is None:
+        return dist or ColorDistribution.uniform(2 if args.K is None else args.K)
+    validate_coloring(colors, n=g.n, K=args.K if dist is None else dist.K)
+    return dist or ColorDistribution.from_coloring(colors, K=args.K)
 
 
 def _emit(args, payload: dict) -> None:
@@ -129,7 +126,7 @@ def _write_csv_with_summary(out: str, header, columns, summary: dict) -> None:
 def cmd_compute(args) -> int:
     g = _load_graph(args)
     colors = _load_partition(args.partition)
-    dist = _partition_distribution(args, colors)
+    dist = _distribution(args, g, colors)
     q = modularity(g, colors)
     mom = null_moments(g, dist)
     _emit(
@@ -159,7 +156,7 @@ def cmd_compute(args) -> int:
 def cmd_test(args) -> int:
     g = _load_graph(args)
     colors = _load_partition(args.partition)
-    dist = _partition_distribution(args, colors)
+    dist = _distribution(args, g, colors)
     report = significance_test(
         g, colors, dist, sided=args.sided, standardization=args.standardize
     )
@@ -193,10 +190,7 @@ def cmd_conditions(args) -> int:
 
 def cmd_null_sample(args) -> int:
     g = _load_graph(args)
-    if args.partition:
-        dist = _partition_distribution(args, _load_partition(args.partition))
-    else:
-        dist = _study_distribution(args)
+    dist = _distribution(args, g, _load_partition(args.partition) if args.partition else None)
     seed = _resolve_seed(args)
     sample = simulate_null(
         g, dist, args.reps, seed, standardization=args.standardize, threads=args.threads
@@ -228,7 +222,7 @@ def cmd_null_sample(args) -> int:
 
 def cmd_be_study(args) -> int:
     seed = _resolve_seed(args)
-    dist = _study_distribution(args)
+    dist = _distribution(args)
     spec = parse_generator_spec(args.model)
     rows = be_rate_study(spec, args.sizes, args.reps, seed, distribution=dist,
                          standardization=args.standardize, threads=args.threads)
@@ -256,7 +250,7 @@ def cmd_be_study(args) -> int:
 
 def cmd_slln_study(args) -> int:
     seed = _resolve_seed(args)
-    dist = _study_distribution(args)
+    dist = _distribution(args)
     spec = parse_generator_spec(args.model)
     result = slln_study(spec, args.sizes, args.reps, seed, distribution=dist)
     summary = {
@@ -306,7 +300,7 @@ def cmd_generate(args) -> int:
 
 def cmd_enumerate_check(args) -> int:
     g = _load_graph(args)
-    dist = _study_distribution(args)
+    dist = _distribution(args)
     mom = null_moments(g, dist)
     mu_enum, var_enum = exact_moments_by_enumeration(g, dist)
     rel_mu = _rel_err(mom.mu, mu_enum)

@@ -11,12 +11,13 @@ by edges with ``u < v`` in lexicographic order, newline terminated, so
 Ingest is linear in the input and runs on cache-sized temporaries.
 :func:`int_rows` reads the text as bytes (decoding only text that is not
 ASCII) and splits it into integer rows a block of whole lines at a time,
-within :data:`rng.BUDGET`, following ``str.splitlines``, ``str.split``
-and ``int`` exactly; digits are converted eight at a time.  Every check
-then runs once over whole arrays, and an error is reported at its source
-line by mapping the offending row back to it.  Degree statistics are
-exact int64 dot products (Python integers when they could overflow), and
-the common-neighbour Frobenius statistic counts 4-cycles in
+within the byte budget of :func:`rng.budget_rows`, following
+``str.splitlines``, ``str.split`` and ``int`` exactly; digits are
+converted eight at a time.  Every check then runs once over whole
+arrays, and an error is reported at its source line by mapping the
+offending row back to it.  Degree statistics are exact int64 dot
+products (Python integers when they could overflow), and the
+common-neighbour Frobenius statistic counts 4-cycles in
 O(m * arboricity) time without ever forming A^2, sorting uint32 keys of
 ranked wedges in blocks of the same budget.
 """
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError
-from .rng import BUDGET
+from .rng import budget_rows
 
 _DIRECTIVE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
@@ -54,19 +55,9 @@ _HIGH = _U64(0x8080808080808080)
 _KEEP_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * c)) for c in range(9)], dtype=np.uint64)
 # Line breaks of str.splitlines() in ASCII text, other than "\n".
 _OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
-# Bytes of text split into rows at once: the masks, token arrays and
-# digit words of a block take about 11 bytes per byte of an edge list,
-# and at most ~27 on text of one-digit tokens.
-_PARSE_BLOCK = BUDGET // 32
 _INT64_MAX = np.iinfo(np.int64).max
 # (lo << bits) | hi stays below 2**63 for ids of at most this many bits.
 _PACK_BITS = 31
-# Ranked wedges expanded at once by the 4-cycle count: a block's
-# temporaries take at most ~25 bytes per wedge.
-_WEDGE_BLOCK = BUDGET // 32
-# Edges written at once by write_edge_list: about 2 MB of temporaries,
-# small enough to stay in cache (fastest of 2^11..2^20 at m = 3e6).
-_WRITE_BLOCK = 1 << 14
 # 10 ** 1 .. 10 ** 18: an id v >= 0 has 1 + #{p <= v} decimal digits.
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -264,16 +255,19 @@ def int_rows(text: str | bytes, width: int) -> IntRows:
     int64, leaves its row malformed.  ``bytes`` are read as UTF-8, and
     only a text that is not ASCII is decoded and its Unicode spaces mapped
     to ASCII ones.  The text then goes through in blocks of whole lines of
-    about ``_PARSE_BLOCK`` bytes, so every temporary stays within
-    :data:`rng.BUDGET`; each block carries the count of line breaks before
-    it.  Plain digit strings are converted eight digits at a time (see
-    :func:`_token_ints`); only other tokens (signs, underscores, non-ASCII
-    digits, very long strings) go through ``int`` one by one.
+    about ``rng.budget_rows(32)`` bytes (64 KiB), so every temporary stays
+    within the byte budget; each block carries the count of line breaks
+    before it.  Plain digit strings are converted eight digits at a time
+    (see :func:`_token_ints`); only other tokens (signs, underscores,
+    non-ASCII digits, very long strings) go through ``int`` one by one.
     """
     data = _ascii_bytes(text)
     buf = np.frombuffer(data, dtype=np.uint8)
     parts, line0 = [], 0
-    for s, e in _line_blocks(data, _PARSE_BLOCK):
+    # The masks, token arrays and digit words of a block take about 11
+    # bytes per byte of an edge list, and at most ~27 on text of one-digit
+    # tokens.
+    for s, e in _line_blocks(data, budget_rows(32)):
         part, breaks = _block_rows(data, buf, s, e, width, line0)
         parts.append(part)
         line0 += breaks
@@ -502,10 +496,13 @@ def write_edge_list(g: Graph) -> str:
 
     The ASCII text is laid out in one byte buffer by array passes: an id's
     digit count fixes where it goes, and its digits are written one decimal
-    place at a time, in blocks of ``_WRITE_BLOCK`` edges.
+    place at a time, in blocks of ``rng.budget_rows(128)`` edges (16384).
     """
     head = f"# n={g.n}\n".encode()
-    blocks = [slice(s, s + _WRITE_BLOCK) for s in range(0, g.m, _WRITE_BLOCK)]
+    # About 128 bytes of temporaries per edge: 16384 edges at 2 MiB stay in
+    # cache (fastest of 2^11..2^20 at m = 3e6).
+    step = budget_rows(128)
+    blocks = [slice(s, s + step) for s in range(0, g.m, step)]
 
     def spans(b: slice) -> tuple[np.ndarray, np.ndarray]:
         # The ids of the block's edges, lo and hi interleaved, and the bytes
@@ -560,11 +557,11 @@ def four_cycles(g: Graph) -> int:
     the length of u's row prefix below v; sorting them again by (v, e)
     groups them by top vertex and lays out the lower part of every row.
     Each temporary is freed before the next one is made.  Wedges are then
-    expanded in blocks of about ``_WEDGE_BLOCK`` that never split a top
-    vertex and whose tops span at most 2^32 // n ranks, so every pair
-    (v, w) fits the uint32 key (v - v0) * n + w, v0 the block's first top.
-    A block's keys are sorted, and one compare of neighbouring keys finds
-    the runs of equal pairs.  All counts are exact integers.
+    expanded in blocks of about ``rng.budget_rows(32)`` (64Ki) that never
+    split a top vertex and whose tops span at most 2^32 // n ranks, so
+    every pair (v, w) fits the uint32 key (v - v0) * n + w, v0 the block's
+    first top.  A block's keys are sorted, and one compare of neighbouring
+    keys finds the runs of equal pairs.  All counts are exact integers.
     """
     n, m = g.n, g.m
     bits, ebits = max(1, (n - 1).bit_length()), max(1, (m - 1).bit_length())
@@ -622,7 +619,8 @@ def four_cycles(g: Graph) -> int:
     del below, above, bottom
     first = np.flatnonzero(np.r_[True, top[1:] != top[:-1]])
     per_top = np.add.reduceat(wedges, first)
-    new_block = (np.diff((np.cumsum(per_top) - per_top) // _WEDGE_BLOCK) > 0) | (
+    # A block's temporaries take at most ~25 bytes per wedge.
+    new_block = (np.diff((np.cumsum(per_top) - per_top) // budget_rows(32)) > 0) | (
         np.diff(top[first] // max(1, (1 << 32) // n)) > 0
     )
     cuts = first[np.r_[True, new_block]]

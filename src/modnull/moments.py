@@ -40,32 +40,25 @@ whose terms are of the size of V_j rather than L^2, so the result does not
 lose digits on high-degree vertices.  Per row, the keys j*K + c_i of the
 edges ordered by j are sorted; each run of equal keys is one (j, c) pair
 with cnt_c its length.  The cost is O(rows * m * log m) time whatever K
-is, and rows go through in blocks of about 2**17 keys, so the working
-memory stays O(m + n).  The row value is sum_j V_j / (m r1), whose
-expectation is 1.
+is, and rows go through in blocks of about ``rng.budget_rows(16)`` keys
+(2**17), so the working memory stays O(m + n).  The row value is
+sum_j V_j / (m r1), whose expectation is 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .colors import ColorDistribution, lane_dtype, validate_coloring
 from .errors import DomainError
 from .graph import Graph
+from .rng import budget_rows
 
 ENUMERATION_GUARD = 10 ** 7
-# Edge keys per block of rows in the martingale kernel: its temporaries stay
-# near 1 MB, cache-sized and reused, instead of large fresh arrays that
-# page-fault on every chunk.
-_V2_BLOCK = 1 << 17
-# Vertex and color slots per bincount of the degree-mass reduction: a block
-# of lanes takes at most 512 KB of slot indices, drawn from the Q kernel's
-# scratch, and its degree weights are tiled once per sampling call; few
-# calls for small graphs, bounded memory for any K.
-_MASS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,10 +101,14 @@ def _mass_lanes(n: int, K: int) -> int:
     """Lanes per bincount of the degree-mass reduction.
 
     A block of b lanes counts its colors in b * (K + 1) slots; the lanes
-    per block keep vertex and color slots near ``_MASS_BLOCK`` (one lane
-    at a time when K alone exceeds it).
+    per block keep vertex and color slots near ``rng.budget_rows(32)``
+    (64Ki; one lane at a time when K alone exceeds it).
     """
-    return max(1, _MASS_BLOCK // (n + K + 1))
+    # 32 bytes of budget per slot: a block takes at most 512 KB of slot
+    # indices, drawn from the Q kernel's scratch, and its degree weights are
+    # tiled once per sampling call; few calls for small graphs, bounded
+    # memory for any K.
+    return budget_rows(32 * (n + K + 1))
 
 
 def _q_work_words(g: Graph, rows: int, lanes: int, K: int) -> int:
@@ -303,7 +300,10 @@ def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.nda
     # Summed in color order, the order in which a vertex's runs accumulate,
     # so a vertex that sees every color gets an absent mass of exactly 0.
     p3 = float(np.cumsum(cube)[-1])
-    step = max(1, _V2_BLOCK // max(m, n))
+    # 16 bytes of budget per edge key keep a block's temporaries near 1 MB,
+    # cache-sized and reused, instead of large fresh arrays that page-fault
+    # on every chunk.
+    step = budget_rows(16 * max(m, n))
     out = []
     for start in range(0, colors_2d.shape[0], step):
         block = colors_2d[start:start + step]
@@ -357,7 +357,9 @@ def exact_moments_by_enumeration(
     if total > guard:
         raise DomainError(f"enumeration of {total} colorings exceeds guard {guard}")
     place = (dist.K ** np.arange(g.n - 1, -1, -1, dtype=np.int64))
-    chunk = 1 << 15
+    # 2**15 colorings a chunk at 2 MiB: the guard keeps n, and so a
+    # coloring's row of int64 colors, small.
+    chunk = budget_rows(64)
     w_parts: list[np.ndarray] = []
     q_parts: list[np.ndarray] = []
     for start in range(0, total, chunk):
@@ -365,12 +367,12 @@ def exact_moments_by_enumeration(
         colorings = (idx[:, None] // place[None, :]) % dist.K + 1
         w_parts.append(np.prod(dist.p[colorings - 1], axis=1))
         q_parts.append(_q_of_rows(colorings, g, dist.K))
-    total_w = math.fsum(math.fsum(w.tolist()) for w in w_parts)
-    mean = math.fsum(math.fsum((w * q).tolist()) for w, q in zip(w_parts, q_parts)) / total_w
-    var = (
-        math.fsum(
-            math.fsum((w * (q - mean) ** 2).tolist()) for w, q in zip(w_parts, q_parts)
-        )
-        / total_w
-    )
+
+    def fsum(parts) -> float:
+        # One exactly rounded sum over every coloring, whatever the chunks.
+        return math.fsum(chain.from_iterable(x.tolist() for x in parts))
+
+    total_w = fsum(w_parts)
+    mean = fsum(w * q for w, q in zip(w_parts, q_parts)) / total_w
+    var = fsum(w * (q - mean) ** 2 for w, q in zip(w_parts, q_parts)) / total_w
     return mean, var

@@ -16,8 +16,12 @@ for the uniform x_t * 2**-53.  No float is formed: consumers compare
 words with the thresholds ceil(q * 2**53) of :func:`word_threshold`,
 exact because scaling by a power of two is.  Word arrays are mixed in
 place with one scratch array, which callers may supply and reuse, so c
-words hold 16c bytes at their peak, and blocks of draws are sized to the
-one byte budget ``BUDGET``, small enough to stay in a core's cache.  The
+words hold 16c bytes at their peak.  Every blocked loop in the package
+(draws, sampling chunks, parsing, writing, the 4-cycle count, the
+martingale and degree-mass kernels, enumeration, KS and CSV output) takes
+its block size from the one 2 MiB byte budget ``BUDGET`` through
+:func:`budget_rows`, called when the loop starts: blocks stay small
+enough for a core's cache, and no block boundary changes a result.  The
 same seed gives the same draws everywhere, and replicate ``r`` of a
 Monte Carlo run depends only on ``(master, r)``, so any worker partition
 of the replicates reproduces the sequential result exactly.

@@ -406,3 +406,34 @@ def test_installed_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout == "# n=3\n0 1\n0 2\n1 2\n"
+
+
+@pytest.mark.parametrize("command", ["null-sample", "be-study", "slln-study", "enumerate-check"])
+def test_zero_colors_exit_2(tmp_path, capsys, command):
+    g = write(tmp_path, "g.txt", "0 1\n2 3\n")
+    out = str(tmp_path / "out.csv")
+    args = {
+        "null-sample": ["--graph", g, "--reps", "10", "--out", out],
+        "be-study": ["--model", "reg:d=2", "--sizes", "4,8", "--reps", "10", "--out", out],
+        "slln-study": ["--model", "reg:d=2", "--sizes", "4,8", "--reps", "2", "--out", out],
+        "enumerate-check": ["--graph", g],
+    }[command]
+    code, stdout, err = run_cli(capsys, command, *args, "--K", "0")
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    assert json.loads(err) == {"code": 2, "message": "need at least one color",
+                               "context": {"command": command}}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
+
+@pytest.mark.parametrize("lines", [2, 7])
+@pytest.mark.parametrize("command", ["compute", "test", "null-sample"])
+def test_partition_of_the_wrong_length_exits_2(tmp_path, capsys, command, lines):
+    g = write(tmp_path, "g.txt", "0 1\n2 3\n")
+    part = write(tmp_path, "part.txt", "1\n2\n" * (lines // 2) + "1\n" * (lines % 2))
+    out = str(tmp_path / "out.csv")
+    extra = ["--reps", "10", "--out", out] if command == "null-sample" else []
+    code, stdout, err = run_cli(capsys, command, "--graph", g, "--partition", part, *extra)
+    assert code == 2 and stdout == "" and err.count("\n") == 1
+    assert json.loads(err) == {"code": 2, "message": f"coloring has length {lines}, expected 4",
+                               "context": {"command": command}}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "part.txt"]

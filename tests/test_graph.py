@@ -25,6 +25,7 @@ from modnull import (
     InputError,
     common_neighbor_frobenius,
     parse_edge_list,
+    rng,
     write_edge_list,
 )
 
@@ -147,7 +148,7 @@ def _edge_arrays(n, edges):
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 14])
 def test_writer_matches_the_fstring_join(monkeypatch, block):
-    monkeypatch.setattr(graph_module, "_WRITE_BLOCK", block)
+    monkeypatch.setattr(rng, "BUDGET", 128 * block)
     graphs = [chung_lu(n, 4.0, 2.5, seed) for n, seed in ((12, 1), (150, 2), (2000, 3))]
     graphs += [Graph(2, [(0, 1)]), Graph(7, [(5, 6)]), complete_graph(12)]
     # Every digit count up to int64's 19, and no edges at all.
@@ -214,7 +215,7 @@ def test_four_cycles_independent_of_block_size(monkeypatch):
     assert g.summary.kmax >= 40
     expected = graph_module.four_cycles(g)
     for block in (1, 7, 1000):
-        monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", block)
+        monkeypatch.setattr(rng, "BUDGET", 32 * block)
         assert graph_module.four_cycles(g) == expected
 
 
@@ -395,7 +396,7 @@ def test_line_blocks_never_split_a_line(size):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7])
 def test_parser_independent_of_block_size(monkeypatch, size):
-    monkeypatch.setattr(graph_module, "_PARSE_BLOCK", size)
+    monkeypatch.setattr(rng, "BUDGET", 32 * size)
     for text in BLOCK_CASES:
         assert_parsers_agree(text)
 
@@ -406,7 +407,7 @@ def test_parser_independent_of_block_size(monkeypatch, size):
 )
 def test_parser_reports_deep_lines_independent_of_block_size(monkeypatch, bad, repeat):
     # About 80 lines a block: the bad and repeated lines sit deep in later blocks.
-    monkeypatch.setattr(graph_module, "_PARSE_BLOCK", 997)
+    monkeypatch.setattr(rng, "BUDGET", 32 * 997)
     test_parser_reports_deep_lines_like_oracle(bad, repeat)
 
 
@@ -414,7 +415,7 @@ def test_parser_reports_deep_lines_independent_of_block_size(monkeypatch, bad, r
 @given(edge_sets, st.randoms(use_true_random=False), st.sampled_from([1, 2, 3, 5, 8]))
 def test_roundtrip_property_independent_of_block_size(case, rnd, size):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_PARSE_BLOCK", size)
+        mp.setattr(rng, "BUDGET", 32 * size)
         test_roundtrip_and_free_form_text_property.hypothesis.inner_test(case, rnd)
 
 
@@ -450,7 +451,7 @@ def test_four_cycles_across_key_ranges(monkeypatch):
     # same uint32.
     n = 70_000
     assert (1 << 32) // n == 61356 and 61356 * n + 47296 == 1 << 32
-    monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", 1 << 40)
+    monkeypatch.setattr(rng, "BUDGET", 32 << 40)
     i = np.arange(n)
     g = Graph(n, np.concatenate([np.column_stack([i, (i + s) % n]) for s in (1, 2, 5, 14060)]))
     assert common_neighbor_frobenius(g) == frobenius_by_matrix_product(g)

@@ -29,7 +29,7 @@ from modnull import (
     rng,
     std_normal_cdf,
 )
-from modnull.moments import _V2_BLOCK, _q_of_rows
+from modnull.moments import _q_of_rows
 from modnull.rng import stream_seed
 from modnull.simulation import (
     _MAXLOG, _chunking, _erfc, _phi_array, _size_seeds, upper_p_value,
@@ -232,10 +232,10 @@ def test_martingale_variance_hook_matches_simulation_colorings():
     assert abs(big.mean() - 1.0) <= 4 * se
 
 
-def test_martingale_variance_samples_independent_of_chunks_and_threads():
+def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypatch):
     # The kernel splits a chunk into blocks of `step` rows.
     g = gen_regular(80, 4, 5)
-    step = _V2_BLOCK // g.m
+    step = rng.budget_rows(16 * g.m)
     assert 0 < step < 1024
     d = ColorDistribution([0.25, 0.3, 0.45])
     v2 = martingale_variance_samples(g, d, 1100, 31)
@@ -243,6 +243,11 @@ def test_martingale_variance_samples_independent_of_chunks_and_threads():
     for r in (0, step - 1, step, 1023, 1024, 1099):
         colors = d.sample_coloring(g.n, stream_seed(31, r))
         assert martingale_variance(g, colors, d) == v2[r]
+    # Budgets that leave blocks of 1, 2 and 3 rows, in chunks of one lane group.
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(rng, "BUDGET", rows * 16 * g.m)
+        assert rng.budget_rows(16 * g.m) == rows
+        assert np.array_equal(martingale_variance_samples(g, d, 1100, 31, threads=2), v2)
 
 
 @pytest.mark.parametrize("groups_per_chunk", [1, 7])
