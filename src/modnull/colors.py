@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError
-from .rng import MASK64, word_matrix, word_threshold
+from .rng import SplitMix64, word_threshold
 
 _SUM_TOL = 1e-12
 # Guide-table buckets: a word's top 16 of 53 bits.
@@ -169,7 +169,7 @@ class ColorDistribution:
             raise InputError("need at least one vertex to color")
         if self.is_degenerate:
             raise DomainError("degenerate color distribution (single color has mass 1)")
-        return self._colors_of_words(word_matrix([seed & MASK64], n)[0]).astype(np.int64)
+        return self._colors_of_words(SplitMix64(seed).words(n)).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"ColorDistribution({self.p.tolist()})"

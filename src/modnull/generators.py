@@ -4,7 +4,8 @@ Three models, chosen to bracket the regularity conditions:
 
 * ``er``  - Erdos-Renyi G(n, p); satisfies the conditions for moderate np.
 * ``reg`` - random d-regular via stub pairing with edge-switch repair;
-  kmax/sqrt(m) = sqrt(2d/n) decays at the critical rate.
+  kmax/sqrt(m) = sqrt(2d/n) decays at the critical rate.  Its edges stay
+  int64 keys lo * n + hi through the repair, so a repair adds little memory.
 * ``hub`` - ER base plus one vertex wired to ceil(sqrt(n-1)) others, so
   kmax grows like sqrt(n) and the max-degree condition fails by design.
 
@@ -21,6 +22,7 @@ grammar is "er:p=<float>", "reg:d=<int>", "hub:p=<float>".
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .graph import Graph
-from .rng import MASK64, SplitMix64, budget_rows, stream_seed, word_matrix
+from .rng import MASK64, SplitMix64, budget_rows, stream_seed
 
 _ER_RETRIES = 64
 _PAIRING_ROUNDS = 60
@@ -56,11 +58,11 @@ def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
     # Blocks a little longer than the expected m + 1 words, so one block is the rule.
     want = npairs * p
     block = min(budget_rows(_GAP_BYTES), int(want + 4.0 * math.sqrt(want)) + 16)
+    stream = SplitMix64(seed)
     found = []
-    last, drawn = -1, 0
+    last = -1
     while last < npairs - 1:
-        u = word_matrix([seed], block, drawn)[0].astype(np.float64)
-        drawn += block
+        u = stream.words(block).astype(np.float64)
         u += 1.0
         u *= 2.0 ** -53
         with np.errstate(over="ignore"):  # a gap beyond any double is clamped below
@@ -103,86 +105,93 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     )
 
 
-def _try_switch(
-    u: int,
-    v: int,
-    k: int,
-    edge_set: set[tuple[int, int]],
-    edge_list: list[tuple[int, int]],
-) -> bool:
-    """Replace edge ``edge_list[k]`` = (x, y) by (u, x) and (v, y) if both are new."""
-    x, y = edge_list[k]
+def _try_switch(u: int, v: int, k: int, n: int, edge_set: set[int], edge_list: array) -> bool:
+    """Replace edge ``edge_list[k]`` = (x, y) by (u, x) and (v, y) if both are new.
+
+    Edges are keys lo * n + hi.  ``edge_set`` need only hold the edges at u
+    and v: every key looked up or added names one of them.
+    """
+    x, y = divmod(edge_list[k], n)
     if x in (u, v) or y in (u, v):
         return False
-    for a, b in (((u, x), (v, y)), ((u, y), (v, x))):
-        ea = (min(a), max(a))
-        eb = (min(b), max(b))
-        if ea != eb and ea not in edge_set and eb not in edge_set:
-            edge_set.remove((x, y))
+    for a, b in ((x, y), (y, x)):
+        # Never equal: u and v are neither x nor y.
+        ea = min(u, a) * n + max(u, a)
+        eb = min(v, b) * n + max(v, b)
+        if ea not in edge_set and eb not in edge_set:
+            edge_set.discard(edge_list[k])
             edge_list[k] = edge_list[-1]
             edge_list.pop()
-            for e in (ea, eb):
-                edge_set.add(e)
-                edge_list.append(e)
+            edge_set.update((ea, eb))
+            edge_list.extend((ea, eb))
             return True
     return False
 
 
-def _switch_repair(
-    leftover: list[int],
-    edge_set: set[tuple[int, int]],
-    edge_list: list[tuple[int, int]],
-    rng: SplitMix64,
-) -> None:
+def _switch_repair(leftover: list[int], keys: np.ndarray, n: int, rng: SplitMix64) -> np.ndarray:
     """Place remaining stub pairs by splicing them into random existing edges.
 
     For stubs (u, v) pick an edge (x, y) disjoint from them; replacing it
     by (u, x) and (v, y) leaves the degrees of x and y unchanged while u
     and v each gain one.  A pair that no random edge takes hands every
-    stub left to :func:`_complete_stubs`.
+    stub left to :func:`_complete_stubs`.  The edges, keys lo * n + hi,
+    are one int64 array edited by swap-remove, and the membership set
+    holds only the edges at a stub holder, the only ones ever asked about.
     """
+    held = np.zeros(n, dtype=bool)
+    held[leftover] = True
+    edge_set = set(keys[held[keys // n] | held[keys % n]].tolist())
+    edge_list = array("q", keys.tobytes())
     for idx in range(0, len(leftover), 2):
         u, v = leftover[idx], leftover[idx + 1]
         for _ in range(_SWITCH_ATTEMPTS):
-            if _try_switch(u, v, rng.randbelow(len(edge_list)), edge_set, edge_list):
+            if _try_switch(u, v, rng.randbelow(len(edge_list)), n, edge_set, edge_list):
                 break
         else:
-            _complete_stubs(leftover[idx:], edge_set, edge_list)
-            return
+            _complete_stubs(leftover[idx:], n, edge_set, edge_list)
+            break
+    return np.frombuffer(edge_list, dtype=np.int64)
 
 
-def _complete_stubs(
-    stubs: list[int],
-    edge_set: set[tuple[int, int]],
-    edge_list: list[tuple[int, int]],
-) -> None:
+def _complete_stubs(stubs: list[int], n: int, edge_set: set[int], edge_list: array) -> None:
     """Give each vertex one edge per stub it holds, deterministically.
 
     Each step takes the smallest vertex a holding a stub.  If a is not
     adjacent to some other holder b, it adds (a, b).  Otherwise it splices
-    (a, b) into an edge (x, y), for b the next holder (or a again when a
-    holds every stub left).  Such an edge always exists: a and b have
-    degree below d < n, and every non-neighbour x of a has degree d (the
-    other holders are all a's neighbours), so if no neighbour of x were a
-    non-neighbour of b, x would have fewer than d neighbours.  So every
-    input with n*d even and d < n is completed.
+    (a, b) into the first edge (x, y) that takes it, for b the next holder
+    (or a again when a holds every stub left).  Such an edge always
+    exists: a and b have degree below d < n, and every non-neighbour x of
+    a has degree d (the other holders are all a's neighbours), so if no
+    neighbour of x were a non-neighbour of b, x would have fewer than d
+    neighbours.  So every input with n*d even and d < n is completed.
     """
     need = Counter(stubs)
     while need:
         held = sorted(need)
         a = held[0]
-        b = next((w for w in held[1:] if (a, w) not in edge_set), None)
+        b = next((w for w in held[1:] if a * n + w not in edge_set), None)
         if b is not None:
-            edge_set.add((a, b))
-            edge_list.append((a, b))
+            edge_set.add(a * n + b)
+            edge_list.append(a * n + b)
         else:
             b = held[1] if len(held) > 1 else a
-            for k in range(len(edge_list)):
-                if _try_switch(a, b, k, edge_set, edge_list):
-                    break
-            else:  # unreachable by the argument above
-                raise DomainError("regular-graph repair failed")
+            _try_switch(a, b, _first_splice(a, b, n, edge_list), n, edge_set, edge_list)
         need -= Counter((a, b))
+
+
+def _first_splice(a: int, b: int, n: int, edge_list: array) -> int:
+    """Position of the first edge (x, y) that :func:`_try_switch` can replace
+    by (a, x), (b, y) or by (a, y), (b, x)."""
+    x, y = np.divmod(np.frombuffer(edge_list, dtype=np.int64), n)
+    near = np.zeros((2, n), dtype=bool)  # the neighbours of a and of b
+    for row, w in enumerate((a, b)):
+        near[row, y[x == w]] = True
+        near[row, x[y == w]] = True
+    ok = (x != a) & (x != b) & (y != a) & (y != b)
+    ok &= ~(near[0, x] | near[1, y]) | ~(near[0, y] | near[1, x])
+    if not ok.any():  # unreachable, see _complete_stubs
+        raise DomainError("regular-graph repair failed")
+    return int(ok.argmax())
 
 
 def _stable_order(words: np.ndarray) -> np.ndarray:
@@ -236,11 +245,9 @@ def gen_regular(n: int, d: int, seed: int) -> Graph:
         if stalls >= 3:
             break
     keys = np.concatenate(passes)
-    if len(work) == 0:
-        return Graph(n, np.column_stack([keys // n, keys % n]))
-    edge_list = [divmod(k, n) for k in keys.tolist()]
-    _switch_repair(work.tolist(), set(edge_list), edge_list, rng)
-    return Graph(n, edge_list)
+    if len(work):
+        keys = _switch_repair(work.tolist(), keys, n, rng)
+    return Graph(n, np.column_stack([keys // n, keys % n]))
 
 
 def gen_hub(n: int, p: float, seed: int) -> Graph:

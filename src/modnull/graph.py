@@ -15,8 +15,9 @@ within the byte budget of :func:`rng.budget_rows`, following
 ``str.splitlines``, ``str.split`` and ``int`` exactly; digits are
 converted eight at a time.  Every check then runs once over whole
 arrays, and an error is reported at its source line by mapping the
-offending row back to it.  Degree statistics are exact int64 dot
-products (Python integers when they could overflow), and the
+offending row back to it.  Degree statistics are exact integers: power
+sums over the distinct degrees, and int64 dot products over blocks of
+edges that cannot overflow, added as Python integers.  The
 common-neighbour Frobenius statistic counts 4-cycles in
 O(m * arboricity) time without ever forming A^2, sorting uint32 keys of
 ranked wedges in blocks of the same budget.
@@ -66,8 +67,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     Edges are stored canonically as parallel arrays ``edge_lo < edge_hi``
-    sorted lexicographically.  Instances are safe to share across
-    threads; all derived indices are cached on first use.
+    sorted lexicographically, the one edge order every consumer reads.
+    Instances are safe to share across threads; degrees and degree sums
+    are cached on first use.
     """
 
     def __init__(self, n: int, edges):
@@ -100,43 +102,35 @@ class Graph:
         return d
 
     @cached_property
-    def _lower_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges ordered by (edge_hi, edge_lo): the lower-neighbour lists in CSR order.
-
-        The first array holds, for j = 0, 1, ..., the neighbours of j below
-        j in ascending order; the second repeats j along each such run.
-        Drives the martingale variance, which reveals vertices in id order.
-        """
-        order = np.argsort(self.edge_hi, kind="stable")
-        lo = self.edge_lo[order]
-        hi = self.edge_hi[order]
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return lo, hi
-
-    @cached_property
     def _edge_degree_product_sum(self) -> int:
-        """Exact sum of k_u * k_v over edges (int64 when m * kmax^2 < 2**63)."""
-        deg = self.degrees
-        if _fits_int64(self.m, self.summary.kmax ** 2):
-            return int(np.dot(deg[self.edge_lo], deg[self.edge_hi]))
-        ks = deg.tolist()
-        return sum(ks[u] * ks[v] for u, v in zip(self.edge_lo.tolist(), self.edge_hi.tolist()))
+        """Exact sum of k_u * k_v over edges.
+
+        int64 dot products over blocks of edges short enough that a block's
+        sum stays below 2**63, added up as Python integers.
+        """
+        deg, lo, hi = self.degrees, self.edge_lo, self.edge_hi
+        # 16 bytes per edge: the two gathered degrees.
+        step = min(budget_rows(16), _INT64_MAX // self.summary.kmax ** 2)
+        return sum(
+            int(np.dot(deg[lo[s:s + step]], deg[hi[s:s + step]])) for s in range(0, self.m, step)
+        )
 
     @cached_property
     def summary(self) -> "DegreeSummary":
-        """Exact integer summary (n, m, S2, S4, kmax) of the degree sequence."""
+        """Exact integer summary (n, m, S2, S4, kmax) of the degree sequence.
+
+        The power sums run over the distinct degrees, at most ~2 sqrt(m) of
+        them, as Python integers weighted by how many vertices have each.
+        """
         deg = self.degrees
         if int(deg.sum()) != 2 * self.m:
             raise AssertionError("degree sum does not equal twice the edge count")
-        kmax = int(deg.max())
-        if _fits_int64(self.n, kmax ** 4):
-            sq = deg * deg
-            s2, s4 = int(sq.sum()), int(np.dot(sq, sq))
-        else:
-            sq = [k * k for k in deg.tolist()]
-            s2, s4 = sum(sq), sum(k * k for k in sq)
-        return DegreeSummary(n=self.n, m=self.m, S2=s2, S4=s4, kmax=kmax)
+        count = np.bincount(deg)
+        ks = np.flatnonzero(count)
+        pairs = list(zip(ks.tolist(), count[ks].tolist()))
+        s2 = sum(c * k ** 2 for k, c in pairs)
+        s4 = sum(c * k ** 4 for k, c in pairs)
+        return DegreeSummary(n=self.n, m=self.m, S2=s2, S4=s4, kmax=int(ks[-1]))
 
     def edges(self) -> list[tuple[int, int]]:
         return list(zip(self.edge_lo.tolist(), self.edge_hi.tolist()))
@@ -192,11 +186,6 @@ def _checked_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
             raise InputError(f"duplicate edge {u} {v}")
         raise InputError(f"edge endpoint outside 0..{n - 1}")
     return lo, hi
-
-
-def _fits_int64(count: int, bound: int) -> bool:
-    """Whether a sum of ``count`` terms, each at most ``bound``, fits in int64."""
-    return count * bound <= _INT64_MAX
 
 
 def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):

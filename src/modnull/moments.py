@@ -38,11 +38,11 @@ evaluates the same quantity in centered form,
 
 whose terms are of the size of V_j rather than L^2, so the result does not
 lose digits on high-degree vertices.  Per row, the keys j*K + c_i of the
-edges ordered by j are sorted; each run of equal keys is one (j, c) pair
-with cnt_c its length.  The cost is O(rows * m * log m) time whatever K
-is, and rows go through in blocks of about ``rng.budget_rows(16)`` keys
-(2**17), so the working memory stays O(m + n).  The row value is
-sum_j V_j / (m r1), whose expectation is 1.
+edges, i below j, are sorted, so the edges may come in any order; each
+run of equal keys is one (j, c) pair with cnt_c its length.  The cost is
+O(rows * m * log m) time whatever K is, and rows go through in blocks of
+about ``rng.budget_rows(16)`` keys (2**17), so the working memory stays
+O(m + n).  The row value is sum_j V_j / (m r1), whose expectation is 1.
 """
 
 from __future__ import annotations
@@ -290,9 +290,9 @@ def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.nda
     thread count.
     """
     n, m, K = g.n, g.m, dist.K
-    hi = g._lower_edges[1]
+    hi = g.edge_hi
     # A writeable copy: np.take copies a read-only index array on every call.
-    lo = g._lower_edges[0].copy()
+    lo = g.edge_lo.copy()
     lower_deg = np.bincount(hi, minlength=n).astype(np.float64)
     base = hi * K - 1
     p = dist.p
@@ -357,22 +357,25 @@ def exact_moments_by_enumeration(
     if total > guard:
         raise DomainError(f"enumeration of {total} colorings exceeds guard {guard}")
     place = (dist.K ** np.arange(g.n - 1, -1, -1, dtype=np.int64))
-    # 2**15 colorings a chunk at 2 MiB: the guard keeps n, and so a
-    # coloring's row of int64 colors, small.
-    chunk = budget_rows(64)
-    w_parts: list[np.ndarray] = []
-    q_parts: list[np.ndarray] = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    # A chunk's digits and color lookups hold about two int64 rows of n
+    # per coloring at once.
+    chunk = budget_rows(16 * g.n)
+    # The weights and Q values, 16 bytes per coloring; the sums below
+    # form their products a chunk at a time.
+    w = np.empty(total)
+    q = np.empty(total)
+    blocks = [slice(start, min(start + chunk, total)) for start in range(0, total, chunk)]
+    for b in blocks:
+        idx = np.arange(b.start, b.stop, dtype=np.int64)
         colorings = (idx[:, None] // place[None, :]) % dist.K + 1
-        w_parts.append(np.prod(dist.p[colorings - 1], axis=1))
-        q_parts.append(_q_of_rows(colorings, g, dist.K))
+        w[b] = np.prod(dist.p[colorings - 1], axis=1)
+        q[b] = _q_of_rows(colorings, g, dist.K)
 
-    def fsum(parts) -> float:
+    def fsum(term) -> float:
         # One exactly rounded sum over every coloring, whatever the chunks.
-        return math.fsum(chain.from_iterable(x.tolist() for x in parts))
+        return math.fsum(chain.from_iterable(term(b).tolist() for b in blocks))
 
-    total_w = fsum(w_parts)
-    mean = fsum(w * q for w, q in zip(w_parts, q_parts)) / total_w
-    var = fsum(w * (q - mean) ** 2 for w, q in zip(w_parts, q_parts)) / total_w
+    total_w = fsum(lambda b: w[b])
+    mean = fsum(lambda b: w[b] * q[b]) / total_w
+    var = fsum(lambda b: w[b] * (q[b] - mean) ** 2) / total_w
     return mean, var

@@ -17,11 +17,12 @@ words with the thresholds ceil(q * 2**53) of :func:`word_threshold`,
 exact because scaling by a power of two is.  Word arrays are mixed in
 place with one scratch array, which callers may supply and reuse, so c
 words hold 16c bytes at their peak.  Every blocked loop in the package
-(draws, sampling chunks, parsing, writing, the 4-cycle count, the
-martingale and degree-mass kernels, enumeration, KS and CSV output) takes
-its block size from the one 2 MiB byte budget ``BUDGET`` through
-:func:`budget_rows`, called when the loop starts: blocks stay small
-enough for a core's cache, and no block boundary changes a result.  The
+(draws, sampling chunks, parsing, writing, the degree-product sum, the
+4-cycle count, the martingale and degree-mass kernels, enumeration, KS
+and CSV output) takes its block size from the one 2 MiB byte budget
+``BUDGET`` through :func:`budget_rows`, called when the loop starts:
+blocks stay small enough for a core's cache, and no block boundary
+changes a result.  The
 same seed gives the same draws everywhere, and replicate ``r`` of a
 Monte Carlo run depends only on ``(master, r)``, so any worker partition
 of the replicates reproduces the sequential result exactly.
@@ -93,9 +94,9 @@ def stream_seed_array(master: int, indices: np.ndarray) -> np.ndarray:
     return _mix64_array(_U64(master & MASK64) ^ ((idx + _U64(1)) * _G))
 
 
-def stream_steps(count: int, offset: int = 0) -> np.ndarray:
-    """t * GOLDEN for t = offset+1 .. offset+count: added to a stream seed, the states of its words."""
-    t = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+def stream_steps(count: int) -> np.ndarray:
+    """t * GOLDEN for t = 1 .. count: added to a stream seed, the states of its words."""
+    t = np.arange(1, count + 1, dtype=np.uint64)
     t *= _G
     return t
 
@@ -105,16 +106,6 @@ def mix_words(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     _mix64_array(z, tmp)
     z >>= _S11
     return z
-
-
-def word_matrix(seeds, count: int, offset: int = 0) -> np.ndarray:
-    """Row ``r`` holds the 53-bit words x_{offset+1} .. x_{offset+count} of stream ``seeds[r]``.
-
-    The words are uint64 values in [0, 2**53); word x is the uniform
-    x * 2**-53.
-    """
-    s = np.asarray(seeds, dtype=np.uint64)
-    return mix_words(np.add(s[:, None], stream_steps(count, offset)[None, :]))
 
 
 class SplitMix64:
@@ -136,7 +127,9 @@ class SplitMix64:
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` 53-bit words of the stream, as a uint64 array."""
-        out = word_matrix([self._state], count)[0]
+        out = stream_steps(count)
+        out += _U64(self._state)
+        mix_words(out)
         self._state = (self._state + count * GOLDEN) & MASK64
         return out
 

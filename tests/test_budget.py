@@ -5,12 +5,13 @@ The pipeline below runs the README commands in-process twice, at the
 default 2 MiB budget and at 4 KiB, where every input spans many blocks:
 128-byte parse blocks, 32-edge write blocks, 128-wedge 4-cycle blocks,
 one lane group per sampling chunk, one row per martingale block, one to
-five lanes per degree-mass block, 64 colorings per enumeration chunk, 32
-values per KS block and 7 to 21 rows per CSV block.  The martingale kernel has no
-command of its own, so its samples on the hub graph are one more
-artifact.  Two runs that fail on purpose report lines deep in their
-files, which the parser finds only by counting the line breaks of every
-block before them.
+five lanes per degree-mass block, 256-edge blocks of the degree-product
+sum, 36 colorings per enumeration chunk, 32 values per KS block and 7 to
+21 rows per CSV block.  One ``reg`` graph takes the stub-switch repair.
+The martingale kernel has no command of its own, so its samples on the
+hub graph are one more artifact.  Two runs that fail on purpose report
+lines deep in their files, which the parser finds only by counting the
+line breaks of every block before them.
 """
 
 import ast
@@ -29,6 +30,8 @@ SMALL = "# n=7\n0 1\n0 4\n0 5\n1 3\n2 4\n3 5\n4 5\n"
 
 GENERATE = [
     ["generate", "--model", "reg:d=6", "--n", "300", "--seed", "1", "--out", "reg.txt"],
+    # Seed 4 leaves stubs to the switch repair (see tests/test_generators.py).
+    ["generate", "--model", "reg:d=6", "--n", "300", "--seed", "4", "--out", "regrepair.txt"],
     ["generate", "--model", "hub:p=0.05", "--n", "200", "--seed", "2", "--out", "hub.txt"],
     ["generate", "--model", "er:p=0.05", "--n", "300", "--seed", "3", "--out", "er.txt"],
 ]
@@ -89,6 +92,8 @@ def test_pipeline_artifacts_do_not_depend_on_the_budget(tmp_path, monkeypatch, c
     assert "line 902: self-loop at vertex 7" in streams[-2]
     assert "badpart.txt line 201: colors must be integers" in streams[-1]
     assert small_digests == digests
+    # compute and test sum k_u k_v over several blocks of the hub's edges.
+    assert parse_edge_list((tmp_path / "4096" / "hub.txt").read_bytes()).m > 3 * 4096 // 16
 
 
 SRC = Path(modnull.__file__).parent

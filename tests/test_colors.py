@@ -5,7 +5,7 @@ import pytest
 
 from conftest import colors_by_float_lookup, random_distribution
 from modnull import ColorDistribution, DomainError, InputError, parse_probability_text
-from modnull.rng import stream_seed, word_matrix
+from modnull.rng import SplitMix64, stream_seed
 
 
 def kernel_oracle(dist, a, b):
@@ -234,7 +234,7 @@ def test_word_lookup_matches_float_inverse_cdf(case):
     special = np.concatenate([thresholds, edges, [0, 1, top]])
     special = np.concatenate([special - 1, special, special + 1])
     special = special[(special >= 0) & (special <= top)].astype(np.uint64)
-    words = np.concatenate([special, word_matrix([stream_seed(5, len(d.p))], 50_000)[0]])
+    words = np.concatenate([special, SplitMix64(stream_seed(5, len(d.p))).words(50_000)])
     got = d._colors_of_words(words)
     assert got.dtype == (np.uint8 if d.K < 2 ** 8 else np.uint16 if d.K < 2 ** 16 else np.uint32)
     assert np.array_equal(got, colors_by_float_lookup(d, words * 2.0 ** -53))
@@ -243,7 +243,7 @@ def test_word_lookup_matches_float_inverse_cdf(case):
     seed = stream_seed(9, 1)
     coloring = d.sample_coloring(1000, seed)
     assert coloring.dtype == np.int64
-    assert np.array_equal(coloring, colors_by_float_lookup(d, word_matrix([seed], 1000)[0] * 2.0 ** -53))
+    assert np.array_equal(coloring, colors_by_float_lookup(d, SplitMix64(seed).words(1000) * 2.0 ** -53))
 
 
 def test_probability_file_parsing():

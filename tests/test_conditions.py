@@ -13,7 +13,7 @@ from modnull import (
     gen_regular,
     tail_bound,
 )
-from modnull.rng import stream_seed, word_matrix
+from modnull.rng import SplitMix64, stream_seed
 
 
 def test_regular_graphs_have_constant_stat31():
@@ -75,8 +75,8 @@ def test_empirical_tail_never_exceeds_bound():
     g = gen_regular(60, 4, 21)
     dist = ColorDistribution.uniform(2)
     reps = 4000
-    seeds = np.array([stream_seed(777, r) for r in range(reps)], dtype=np.uint64)
-    colors = colors_by_float_lookup(dist, word_matrix(seeds, g.n) * 2.0 ** -53)
+    words = np.stack([SplitMix64(stream_seed(777, r)).words(g.n) for r in range(reps)])
+    colors = colors_by_float_lookup(dist, words * 2.0 ** -53)
     c_lo = colors[:, g.edge_lo]
     c_hi = colors[:, g.edge_hi]
     kern = (

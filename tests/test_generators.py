@@ -1,4 +1,6 @@
 import math
+from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ def er_by_pair_scan(n, p, seed):
     is an edge when word x_{t+1} of stream ``seed`` is below ceil(p * 2**53).
     """
     lo, hi = np.triu_indices(n, 1)
-    keep = rng.word_matrix([seed], len(lo))[0] < rng.word_threshold(p)
+    keep = SplitMix64(seed).words(len(lo)) < rng.word_threshold(p)
     return Graph(n, np.column_stack([lo[keep], hi[keep]]))
 
 
@@ -159,11 +161,62 @@ def test_regular_degrees_exact():
         assert np.all(g.degrees == d)
 
 
+def oracle_try_switch(u, v, k, edge_set, edge_list):
+    """Replace edge_list[k] = (x, y) by (u, x), (v, y), else by (u, y), (v, x), if both are new."""
+    x, y = edge_list[k]
+    if x in (u, v) or y in (u, v):
+        return False
+    for a, b in (((u, x), (v, y)), ((u, y), (v, x))):
+        ea = (min(a), max(a))
+        eb = (min(b), max(b))
+        if ea != eb and ea not in edge_set and eb not in edge_set:
+            edge_set.remove((x, y))
+            edge_list[k] = edge_list[-1]
+            edge_list.pop()
+            for e in (ea, eb):
+                edge_set.add(e)
+                edge_list.append(e)
+            return True
+    return False
+
+
+def oracle_complete_stubs(stubs, edge_set, edge_list):
+    """Join the smallest holder a to the next holder it is not adjacent to,
+    else splice (a, b) into the first edge that takes it."""
+    need = Counter(stubs)
+    while need:
+        held = sorted(need)
+        a = held[0]
+        b = next((w for w in held[1:] if (a, w) not in edge_set), None)
+        if b is not None:
+            edge_set.add((a, b))
+            edge_list.append((a, b))
+        else:
+            b = held[1] if len(held) > 1 else a
+            assert any(oracle_try_switch(a, b, k, edge_set, edge_list)
+                       for k in range(len(edge_list)))
+        need -= Counter((a, b))
+
+
+def oracle_switch_repair(leftover, edge_set, edge_list, rng):
+    """Splice each stub pair into random edges; hand the rest to the completion
+    after _SWITCH_ATTEMPTS failures.  Returns the stage it ended in."""
+    for idx in range(0, len(leftover), 2):
+        u, v = leftover[idx], leftover[idx + 1]
+        if not any(oracle_try_switch(u, v, rng.randbelow(len(edge_list)), edge_set, edge_list)
+                   for _ in range(generators._SWITCH_ATTEMPTS)):
+            oracle_complete_stubs(leftover[idx:], edge_set, edge_list)
+            return "completed"
+    return "switched"
+
+
 def regular_by_pairing_loop(n, d, seed):
-    """Reference for gen_regular: the same passes, one pair at a time.
+    """Reference for gen_regular: the same passes and repair, one pair at a time.
 
     Stubs are shuffled by the float images of the words, and each pair is
     placed unless it is a loop or an edge already placed, this pass included.
+    The repair keeps every edge as a tuple in one list and one set.  Returns
+    the graph and the last stage reached: "paired", "switched" or "completed".
     """
     rng = SplitMix64(seed)
     edge_set, edge_list = set(), []
@@ -185,15 +238,37 @@ def regular_by_pairing_loop(n, d, seed):
         if stalls >= 3:
             break
         work = np.array(leftover, dtype=np.int64)
+    stage = "paired"
     if len(work):
-        generators._switch_repair(work.tolist(), edge_set, edge_list, rng)
-    return Graph(n, edge_list)
+        stage = oracle_switch_repair(work.tolist(), edge_set, edge_list, rng)
+    return Graph(n, edge_list), stage
 
 
-@pytest.mark.parametrize("n, d", [(4, 1), (10, 3), (64, 2), (300, 6), (50, 47), (20, 17), (30, 26)])
+# (n, d) -> how many of seeds 1-10 reach the random switches, and how many
+# of those go on to the deterministic completion.
+REPAIRS_REACHED = {
+    (4, 1): (0, 0),
+    (10, 3): (4, 0),
+    (64, 2): (3, 0),
+    (300, 6): (4, 0),
+    (50, 47): (10, 3),
+    (20, 17): (9, 0),
+    (30, 26): (10, 0),
+    (9, 8): (1, 1),
+}
+
+
+@pytest.mark.parametrize("n, d", list(REPAIRS_REACHED))
 def test_regular_matches_the_pairing_loop(n, d):
-    for seed in range(1, 6):
-        assert gen_regular(n, d, seed) == regular_by_pairing_loop(n, d, seed), seed
+    stages = Counter()
+    for seed in range(1, 11):
+        g, stage = regular_by_pairing_loop(n, d, seed)
+        assert gen_regular(n, d, seed) == g, seed
+        stages[stage] += 1
+    # The comparison covers the repair, not just the pairing passes.
+    repaired, completed = REPAIRS_REACHED[n, d]
+    assert stages["switched"] + stages["completed"] >= repaired, stages
+    assert stages["completed"] >= completed, stages
 
 
 def test_dense_regular_graphs_complete_on_every_seed():
@@ -211,16 +286,22 @@ def test_dense_regular_graphs_complete_on_every_seed():
 
 def test_stub_completion_adds_or_splices():
     # Path 0-1-2-3 with stubs 0, 3 (non-adjacent: added) and then 1, 1 on a
-    # graph where 1's only non-neighbours 3 and 4 are joined: spliced.
-    edge_list = [(0, 1), (1, 2), (2, 3)]
-    edge_set = set(edge_list)
-    generators._complete_stubs([3, 0], edge_set, edge_list)
-    assert sorted(edge_list) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    edge_list = [(0, 1), (1, 2), (3, 4), (0, 2)]
-    edge_set = set(edge_list)
-    generators._complete_stubs([1, 1], edge_set, edge_list)
-    assert sorted(edge_list) == [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)]
-    assert edge_set == set(edge_list)
+    # graph where 1's only non-neighbours 3 and 4 are joined: spliced.  Edges
+    # are keys lo * n + hi, and the set needs only the edges at a holder.
+    n = 5
+    edge_list = array("q", [0 * n + 1, 1 * n + 2, 2 * n + 3])
+    edge_set = {0 * n + 1, 2 * n + 3}
+    generators._complete_stubs([3, 0], n, edge_set, edge_list)
+    assert sorted(divmod(k, n) for k in edge_list) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert edge_set == {0 * n + 1, 0 * n + 3, 2 * n + 3}
+    edge_list = array("q", [0 * n + 1, 1 * n + 2, 3 * n + 4, 0 * n + 2])
+    edge_set = {0 * n + 1, 1 * n + 2}
+    generators._complete_stubs([1, 1], n, edge_set, edge_list)
+    assert sorted(divmod(k, n) for k in edge_list) == [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)]
+    # (3, 4) was swap-removed: the last edge (0, 2) took its place, and
+    # (1, 3), (1, 4) were appended.
+    assert edge_list.tolist() == [0 * n + 1, 1 * n + 2, 0 * n + 2, 1 * n + 3, 1 * n + 4]
+    assert edge_set == {0 * n + 1, 1 * n + 2, 1 * n + 3, 1 * n + 4}
 
 
 def test_stub_order_is_the_stable_argsort():

@@ -219,18 +219,27 @@ def test_four_cycles_independent_of_block_size(monkeypatch):
         assert graph_module.four_cycles(g) == expected
 
 
-def test_degree_sums_fall_back_to_python_ints(monkeypatch):
-    # K_{1,60000}: sum k^4 exceeds 2**63, so int64 would wrap.
+def test_degree_sums_exact_beyond_int64(monkeypatch):
+    # K_{1,60000}: sum k^4 exceeds 2**63, so an int64 sum would wrap; the
+    # heavy-tailed graph has many distinct degrees.  Both against Python
+    # integer sums over vertices and over edges, also with the edge sum cut
+    # into blocks of 1 and 7 edges.
     hub = 60000
-    s = Graph(hub + 1, [(0, v) for v in range(1, hub + 1)]).summary
-    assert (s.S2, s.S4, s.kmax) == (hub ** 2 + hub, hub ** 4 + hub, hub)
-    g = chung_lu(500, 6, 2.0, seed=4)
-    fast = (g.summary, g._edge_degree_product_sum)
-    monkeypatch.setattr(graph_module, "_fits_int64", lambda count, bound: False)
-    slow = Graph(g.n, np.column_stack([g.edge_lo, g.edge_hi]))
-    assert (slow.summary, slow._edge_degree_product_sum) == fast
-    deg = g.degrees.tolist()
-    assert fast[1] == sum(deg[u] * deg[v] for u, v in g.edges())
+    star = Graph(hub + 1, [(0, v) for v in range(1, hub + 1)])
+    assert star.summary.S4 > 2 ** 63
+    assert (star.summary.S2, star.summary.S4) == (hub ** 2 + hub, hub ** 4 + hub)
+    cases = []
+    for g in (star, chung_lu(500, 6, 2.0, seed=4)):
+        deg = g.degrees.tolist()
+        s = g.summary
+        assert (s.S2, s.S4, s.kmax) == (sum(k ** 2 for k in deg), sum(k ** 4 for k in deg), max(deg))
+        cases.append((g, sum(deg[u] * deg[v] for u, v in g.edges())))
+        assert g._edge_degree_product_sum == cases[-1][1]
+    for block in (1, 7):
+        monkeypatch.setattr(rng, "BUDGET", 16 * block)
+        for g, expected in cases:
+            fresh = Graph(g.n, np.column_stack([g.edge_lo, g.edge_hi]))
+            assert fresh._edge_degree_product_sum == expected
 
 
 def outcome(parse, text):

@@ -1,4 +1,4 @@
-"""Peak memory and page faults of ``null-sample``, ``compute`` and ``generate`` stay bounded.
+"""Peak memory and page faults of the CLI commands stay bounded.
 
 Each case runs the CLI in a child interpreter and reads its high-water
 mark and minor page faults from ``os.wait4``.  The sampling kernel packs
@@ -21,7 +21,8 @@ written from them a block of rows at a time, and the KS distance scans
 the sorted sample in blocks, so a million replicates take tens of MB.
 The ER generator skips over vertex pairs and draws its gaps in blocks
 within the same byte budget, so generating a graph holds little more
-than its edges.
+than its edges, and the ``reg`` repair edits its edge keys in place.
+The enumeration oracle holds one weight and one Q value per coloring.
 """
 
 import json
@@ -121,6 +122,32 @@ def test_er_generation_memory_bounded_by_the_byte_budget(tmp_path):
     out = str(tmp_path / "er.txt")
     assert peak_rss_mb("generate", "--model", "er:p=0.00003", "--n", "200000", "--seed", "1",
                        "--out", out) < 80
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+def test_regular_repair_memory_matches_a_run_without_repair(tmp_path):
+    # reg:d=6 at n=2e5: seed 2 leaves one stub pair to the switch repair and
+    # seed 1 leaves none.  The repair edits the int64 edge keys in place and
+    # holds a set of only the stub holders' edges, so both runs peak near
+    # 91 MB; a list and a set of 6e5 edge tuples took seed 2 to 165 MB.
+    peaks = [
+        peak_rss_mb("generate", "--model", "reg:d=6", "--n", "200000", "--seed", seed,
+                    "--out", str(tmp_path / f"reg{seed}.txt"))
+        for seed in ("1", "2")
+    ]
+    assert peaks[1] < 1.1 * peaks[0], peaks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+def test_enumeration_memory_bounded_by_its_two_arrays(tmp_path):
+    # 2**20 colorings of a 20-vertex graph: the weights and Q values take
+    # 16 MB and chunks of about two int64 rows per coloring stay within the
+    # byte budget, so the run peaks near 50 MB.  Chunks of 2**15 colorings
+    # of 20 int64 colors each peaked at 70 MB.
+    graph = tmp_path / "cycle.txt"
+    graph.write_text("".join(f"{i} {(i + 1) % 20}\n" for i in range(20)) + "0 10\n")
+    assert peak_rss_mb("enumerate-check", "--graph", str(graph), "--K", "2",
+                       "--out", str(tmp_path / "e.json")) < 60
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc settings")

@@ -6,9 +6,10 @@ from modnull.rng import (
     MASK64,
     SplitMix64,
     mix64,
+    mix_words,
     stream_seed,
     stream_seed_array,
-    word_matrix,
+    stream_steps,
     word_threshold,
 )
 
@@ -23,7 +24,8 @@ def test_mix64_reference_values():
 def test_scalar_stream_matches_vector_block():
     rng = SplitMix64(987654321)
     scalar = [rng.next_u64() >> 11 for _ in range(64)]
-    block = word_matrix([987654321], 64)[0]
+    block = SplitMix64(987654321).words(64)
+    assert block.dtype == np.uint64
     assert scalar == block.tolist()
 
 
@@ -37,8 +39,9 @@ def test_words_method_advances_like_scalar_draws():
 
 
 def test_offset_blocks_tile_the_stream():
-    whole = word_matrix([314], 100)[0]
-    parts = np.concatenate([word_matrix([314], 37)[0], word_matrix([314], 63, offset=37)[0]])
+    whole = SplitMix64(314).words(100)
+    stream = SplitMix64(314)
+    parts = np.concatenate([stream.words(37), stream.words(63)])
     assert np.array_equal(whole, parts)
 
 
@@ -48,27 +51,27 @@ def test_stream_seed_scalar_vs_array():
     assert vec.tolist() == [stream_seed(123456789, int(i)) for i in idx]
 
 
-def test_word_matrix_rows_are_streams():
+def test_stream_states_give_the_words_of_every_stream():
+    # Seeds plus stream_steps, mixed by mix_words, are the words of each
+    # stream: the vector form the sampling kernel draws in place.
     seeds = stream_seed_array(77, np.arange(8))
-    words = word_matrix(seeds, 33)
+    words = mix_words(seeds[:, None] + stream_steps(33)[None, :])
     assert words.dtype == np.uint64 and words.shape == (8, 33)
     for r in range(8):
         rng = SplitMix64(int(seeds[r]))
         assert words[r].tolist() == [rng.next_u64() >> 11 for _ in range(33)]
         assert np.array_equal(words[r], SplitMix64(int(seeds[r])).words(33))
-    tail = word_matrix(seeds, 20, offset=13)
-    assert np.array_equal(tail, words[:, 13:])
 
 
 def test_determinism_and_range():
-    x1 = word_matrix([2024], 100000)[0]
-    x2 = word_matrix([2024], 100000)[0]
+    x1 = SplitMix64(2024).words(100000)
+    x2 = SplitMix64(2024).words(100000)
     assert np.array_equal(x1, x2)
     assert int(x1.max()) < 2 ** 53
     u1 = x1 * 2.0 ** -53
     # mean of 1e5 uniforms, 6 sigma band around 1/2
     assert abs(u1.mean() - 0.5) < 6 * np.sqrt(1 / 12 / 100000)
-    assert not np.array_equal(x1[:100], word_matrix([2025], 100)[0])
+    assert not np.array_equal(x1[:100], SplitMix64(2025).words(100))
 
 
 _K = 123456789
