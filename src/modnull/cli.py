@@ -21,6 +21,12 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+# modnull calls no BLAS routine, yet OpenBLAS starts one idle worker per
+# extra core when numpy loads, at ~0.1 s CPU each.  A value the caller
+# set wins, and a process that already holds numpy keeps its environment.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .colors import ColorDistribution, parse_probability_text, validate_coloring
