@@ -29,7 +29,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .colors import ColorDistribution, parse_probability_text, validate_coloring
+from .colors import ColorDistribution, parse_probability_text
 from .conditions import condition_statistics
 from .errors import DomainError, InputError
 from .generators import parse_generator_spec
@@ -66,31 +66,47 @@ def _sizes(text: str) -> tuple[int, ...]:
 
 
 def _read(path: str, table: bool = False) -> str | bytes:
-    """The text of ``path``.  A ``table`` of integer rows comes back as
-    bytes when it is ASCII, which the row reader splits without decoding;
-    any other file is read again as text."""
+    """The contents of ``path``, read once and decoded as UTF-8.  An ASCII
+    ``table`` of integer rows stays bytes, which the row reader splits
+    without decoding."""
     try:
-        if table:
-            data = Path(path).read_bytes()
-            if data.isascii():
-                return data
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    if table and data.isascii():
+        return data
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _load_graph(args):
     return parse_edge_list(_read(args.graph, table=True))
 
 
-def _load_partition(path: str) -> np.ndarray:
+def _load_partition(path: str, n: int, K: int | None) -> np.ndarray:
+    """The colors of a partition file: one integer in 1..K (K unbounded
+    when None) on each of ``n`` lines.  A refusal names the file and, for
+    a bad color, the first line that holds one."""
     rows = int_rows(_read(path, table=True), 1)
-    malformed = np.flatnonzero(~rows.well_formed)
-    if malformed.size:
-        raise InputError(f"{path} line {rows.line[malformed[0]]}: colors must be integers")
-    if rows.line.size == 0:
+    colors = rows.values[:, 0]
+    bad = ~rows.well_formed | (colors < 1)
+    if K is not None:
+        bad |= colors > K
+    if bad.any():
+        i = int(bad.argmax())
+        message = (
+            "colors must be integers" if not rows.well_formed[i]
+            else "colors must be integers >= 1" if colors[i] < 1
+            else f"color {colors[i]} exceeds K={K}"
+        )
+        raise InputError(f"{path} line {rows.line[i]}: {message}")
+    if colors.size == 0:
         raise InputError(f"{path}: partition file is empty")
-    return rows.values[:, 0]
+    if colors.size != n:
+        raise InputError(f"{path}: coloring has length {colors.size}, expected {n}")
+    return colors
 
 
 def _resolve_seed(args) -> int:
@@ -105,15 +121,17 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _distribution(args, g=None, colors=None) -> ColorDistribution:
-    """The null distribution: ``--probs``, else the frequencies of the
-    partition ``colors``, else uniform on ``--K`` colors (2 by default).
-    A partition must give one color in 1..K to each of ``g``'s vertices."""
+def _distribution(args, g=None) -> tuple[ColorDistribution, np.ndarray | None]:
+    """The null distribution and the ``--partition`` colors, if any: the
+    distribution is ``--probs``, else the partition's color frequencies,
+    else uniform on ``--K`` colors (2 by default).  A partition must give
+    one color in 1..K to each of ``g``'s vertices."""
     dist = parse_probability_text(_read(args.probs)) if args.probs else None
-    if colors is None:
-        return dist or ColorDistribution.uniform(2 if args.K is None else args.K)
-    validate_coloring(colors, n=g.n, K=args.K if dist is None else dist.K)
-    return dist or ColorDistribution.from_coloring(colors, K=args.K)
+    K = args.K if dist is None else dist.K
+    if not getattr(args, "partition", None):
+        return dist or ColorDistribution.uniform(2 if K is None else K), None
+    colors = _load_partition(args.partition, g.n, K)
+    return dist or ColorDistribution.from_coloring(colors, K=K), colors
 
 
 def _emit(args, payload: dict) -> None:
@@ -131,8 +149,7 @@ def _write_csv_with_summary(out: str, header, columns, summary: dict) -> None:
 
 def cmd_compute(args) -> int:
     g = _load_graph(args)
-    colors = _load_partition(args.partition)
-    dist = _distribution(args, g, colors)
+    dist, colors = _distribution(args, g)
     q = modularity(g, colors)
     mom = null_moments(g, dist)
     _emit(
@@ -161,8 +178,7 @@ def cmd_compute(args) -> int:
 
 def cmd_test(args) -> int:
     g = _load_graph(args)
-    colors = _load_partition(args.partition)
-    dist = _distribution(args, g, colors)
+    dist, colors = _distribution(args, g)
     report = significance_test(
         g, colors, dist, sided=args.sided, standardization=args.standardize
     )
@@ -196,7 +212,7 @@ def cmd_conditions(args) -> int:
 
 def cmd_null_sample(args) -> int:
     g = _load_graph(args)
-    dist = _distribution(args, g, _load_partition(args.partition) if args.partition else None)
+    dist, _ = _distribution(args, g)
     seed = _resolve_seed(args)
     sample = simulate_null(
         g, dist, args.reps, seed, standardization=args.standardize, threads=args.threads
@@ -228,7 +244,7 @@ def cmd_null_sample(args) -> int:
 
 def cmd_be_study(args) -> int:
     seed = _resolve_seed(args)
-    dist = _distribution(args)
+    dist, _ = _distribution(args)
     spec = parse_generator_spec(args.model)
     rows = be_rate_study(spec, args.sizes, args.reps, seed, distribution=dist,
                          standardization=args.standardize, threads=args.threads)
@@ -256,7 +272,7 @@ def cmd_be_study(args) -> int:
 
 def cmd_slln_study(args) -> int:
     seed = _resolve_seed(args)
-    dist = _distribution(args)
+    dist, _ = _distribution(args)
     spec = parse_generator_spec(args.model)
     result = slln_study(spec, args.sizes, args.reps, seed, distribution=dist)
     summary = {
@@ -306,7 +322,7 @@ def cmd_generate(args) -> int:
 
 def cmd_enumerate_check(args) -> int:
     g = _load_graph(args)
-    dist = _distribution(args)
+    dist, _ = _distribution(args)
     mom = null_moments(g, dist)
     mu_enum, var_enum = exact_moments_by_enumeration(g, dist)
     rel_mu = _rel_err(mom.mu, mu_enum)

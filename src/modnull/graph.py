@@ -3,7 +3,8 @@
 The edge-list text format is one edge per line (two whitespace-separated
 0-based vertex ids), ``#`` comment lines, and an optional ``# n=<count>``
 directive that declares the vertex count (the only way to get isolated
-vertices).  Self-loops and repeated edges are rejected as data bugs, not
+vertices); the first directive bounds every id in the file, wherever it
+sits.  Self-loops and repeated edges are rejected as data bugs, not
 cleaned up silently.  The canonical writer emits the directive followed
 by edges with ``u < v`` in lexicographic order, newline terminated, so
 ``parse_edge_list(write_edge_list(g))`` reproduces ``g`` byte for byte.
@@ -13,9 +14,10 @@ Ingest is linear in the input and runs on cache-sized temporaries.
 ASCII) and splits it into integer rows a block of whole lines at a time,
 within the byte budget of :func:`rng.budget_rows`, following
 ``str.splitlines``, ``str.split`` and ``int`` exactly; digits are
-converted eight at a time.  Every check then runs once over whole
-arrays, and an error is reported at its source line by mapping the
-offending row back to it.  Degree statistics are exact integers: power
+converted eight at a time.  The rows then go to the :class:`Graph`
+constructor, whose checks run once over whole arrays against one scalar
+vertex bound, and an error is reported at its source line by mapping
+the offending row back to it.  Degree statistics are exact integers: power
 sums over the distinct degrees, and int64 dot products over blocks of
 edges that cannot overflow, added as Python integers.  The
 common-neighbour Frobenius statistic counts 4-cycles in
@@ -68,17 +70,29 @@ class Graph:
 
     Edges are stored canonically as parallel arrays ``edge_lo < edge_hi``
     sorted lexicographically, the one edge order every consumer reads.
+    A refused edge raises :class:`EdgeError`, which names its input row.
     Instances are safe to share across threads; degrees and degree sums
     are cached on first use.
     """
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise InputError(f"vertex count must be positive, got {n}")
-        if isinstance(edges, _CheckedEdges):
-            lo, hi = edges
-        else:
-            lo, hi = _checked_edges(n, edges)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64)
+        if pairs.size == 0:
+            raise DomainError("graph has no edges (every statistic divides by m)")
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise InputError("edges must be pairs of vertex ids")
+        lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n)
+        if fault is not None:
+            row, kind = fault
+            u, v = sorted(pairs[row].tolist())
+            raise EdgeError(row, {
+                "negative": "vertex ids must be nonnegative",
+                "loop": f"self-loop at vertex {u}",
+                "limit": f"vertex id {v} >= n={n}",
+                "repeat": f"duplicate edge {u} {v}",
+            }[kind])
         for arr in (lo, hi):
             arr.setflags(write=False)
         self.n = int(n)
@@ -162,30 +176,12 @@ class DegreeSummary:
     kmax: int
 
 
-class _CheckedEdges(tuple):
-    """``(lo, hi)`` arrays that :func:`_canonical_edges` returned without a
-    fault: the constructor takes them as they are."""
+class EdgeError(InputError):
+    """An edge that :class:`Graph` refuses; ``row`` is its index in the input."""
 
-
-def _checked_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """Validate constructor input and return it in canonical order."""
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    pairs = np.asarray(edges, dtype=np.int64)
-    if pairs.size == 0:
-        raise DomainError("graph has no edges (every statistic divides by m)")
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InputError("edges must be pairs of vertex ids")
-    lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n)
-    if fault is not None:
-        row, kind = fault
-        u, v = sorted(int(x) for x in pairs[row])
-        if kind == "loop":
-            raise InputError(f"self-loop at vertex {u}")
-        if kind == "repeat":
-            raise InputError(f"duplicate edge {u} {v}")
-        raise InputError(f"edge endpoint outside 0..{n - 1}")
-    return lo, hi
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
 
 
 def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):
@@ -194,9 +190,9 @@ def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):
     Returns ``(lo, hi, fault)``: the edges as ``lo < hi`` sorted
     lexicographically, and ``None`` or ``(row, kind)`` for the first row,
     in input order, that fails a check.  Each row is checked, in this
-    order, for a "negative" id, a self-"loop", an id at or above ``limit``
-    ("limit"; a scalar or one bound per row), and a "repeat" of an earlier
-    row, which is reported at its second occurrence.
+    order, for a "negative" id, a self-"loop", an id at or above the
+    scalar ``limit`` ("limit"), and a "repeat" of an earlier row, which is
+    reported at its second occurrence.
     """
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
@@ -435,49 +431,35 @@ def parse_edge_list(text: str | bytes) -> Graph:
     Rejects self-loops, duplicate edges (in either order), ids at or
     above a declared vertex count, and zero-edge inputs, reporting the
     offending line number: the first line that fails, and for a repeated
-    edge the line that repeats it.  A directive bounds the ids on the
-    lines after it.
+    edge the line that repeats it.  The first directive declares the
+    vertex count of the whole file, wherever it sits.
     """
     rows = int_rows(text, 2)
-    declared_n, directive_line = None, 0
-    for ln, comment in rows.comments:
-        match = _DIRECTIVE.match(comment)
-        if match:
-            declared_n, directive_line = int(match.group(1)), ln
-            break
     if rows.line.size == 0:
         raise InputError("edge list contains no edges")
-    limit = _INT64_MAX
-    if declared_n is not None:
-        # A directive bounds the rows below it, often all of them.
-        limit = declared_n if rows.line[0] > directive_line else np.where(
-            rows.line > directive_line, declared_n, _INT64_MAX
-        )
-    lo, hi, fault = _canonical_edges(rows.values[:, 0], rows.values[:, 1], limit)
-    malformed = np.flatnonzero(~rows.well_formed)
-    if malformed.size and (fault is None or malformed[0] <= fault[0]):
+    directives = (_DIRECTIVE.match(comment) for _, comment in rows.comments)
+    n = next((int(match.group(1)) for match in directives if match), None)
+    if n is None:
+        # One past the largest id, but a vertex count must fit in int64.
+        n = min(int(rows.values.max()) + 1, _INT64_MAX)
+    fault = None
+    try:
+        g = Graph(n, rows.values)
+    except EdgeError as exc:
+        fault = exc
+    # A token that is not an integer reads 0, so a malformed row can also
+    # fault as an edge: one at or before the first fault is reported.
+    stop = rows.line.size if fault is None else fault.row + 1
+    malformed = np.flatnonzero(~rows.well_formed[:stop])
+    if malformed.size:
         ln = int(rows.line[malformed[0]])
         if not rows.fits[malformed[0]]:
             raw = (text.decode() if isinstance(text, bytes) else text).splitlines()[ln - 1]
             raise InputError(f"line {ln}: expected two vertex ids, got {raw!r}")
         raise InputError(f"line {ln}: vertex ids must be integers")
     if fault is not None:
-        row, kind = fault
-        u, v = (int(x) for x in rows.values[row])
-        message = {
-            "negative": "vertex ids must be nonnegative",
-            "loop": f"self-loop at vertex {u}",
-            "limit": f"vertex id {max(u, v)} >= declared n={declared_n}",
-            "repeat": f"duplicate edge {min(u, v)} {max(u, v)}",
-        }[kind]
-        raise InputError(f"line {rows.line[row]}: {message}")
-    top = int(hi.max())
-    n = declared_n if declared_n is not None else top + 1
-    if top >= n:
-        # A directive after the edges it should bound: the constructor
-        # reports the bad vertex count or endpoint.
-        return Graph(n, np.column_stack([lo, hi]))
-    return Graph(n, _CheckedEdges((lo, hi)))
+        raise InputError(f"line {rows.line[fault.row]}: {fault}")
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

@@ -47,7 +47,7 @@ def dumps(obj) -> str:
 def write_csv(path, header: list[str], columns) -> None:
     """Write ``header`` and one line per row of equal-length numpy ``columns``.
 
-    Floats take ``.17g`` and integers ``d``.  The first non-finite float
+    Floats take ``%.17g`` and integers ``%d``.  The first non-finite float
     in row order raises before the file is opened.  A block of rows takes
     ~64 bytes per cell (a Python number, a list slot, text) of ``rng.BUDGET``.
     """
@@ -58,10 +58,10 @@ def write_csv(path, header: list[str], columns) -> None:
             i = int(bad.argmax())
             x = float(floats[i % len(floats)][i // len(floats)])
             raise ValueError(f"non-finite value in output: {x!r}")
-    line = ",".join("{:.17g}" if c.dtype.kind == "f" else "{:d}" for c in columns) + "\n"
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns) + "\n"
     step = budget_rows(64 * len(columns))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for a in range(0, len(columns[0]), step):
             block = zip(*(c[a:a + step].tolist() for c in columns))
-            fh.write("".join(line.format(*row) for row in block))
+            fh.write("".join(line % row for row in block))

@@ -167,19 +167,16 @@ _DIRECTIVE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
 def parse_edge_list_by_lines(text):
     """Reference edge-list parser: one Python pass over the lines, a set of
-    seen edges, and the first ``# n=`` directive bounding later lines."""
-    declared_n = None
+    seen edges, and the first ``# n=`` directive bounding every line."""
+    lines = text.splitlines()
+    directives = (_DIRECTIVE.match(raw.strip()) for raw in lines)
+    declared_n = next((int(match.group(1)) for match in directives if match), None)
     edges = []
     seen = set()
     max_id = -1
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _DIRECTIVE.match(line)
-            if match and declared_n is None:
-                declared_n = int(match.group(1))
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -193,7 +190,7 @@ def parse_edge_list_by_lines(text):
         if u == v:
             raise InputError(f"line {ln}: self-loop at vertex {u}")
         if declared_n is not None and max(u, v) >= declared_n:
-            raise InputError(f"line {ln}: vertex id {max(u, v)} >= declared n={declared_n}")
+            raise InputError(f"line {ln}: vertex id {max(u, v)} >= n={declared_n}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise InputError(f"line {ln}: duplicate edge {key[0]} {key[1]}")

@@ -260,6 +260,46 @@ def test_partition_errors_name_their_line(tmp_path, capsys, text, line):
     assert json.loads(err)["message"] == f"{part} line {line}: colors must be integers"
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("1\n0\n2\n", 2, "colors must be integers >= 1"),
+    ("1\n2\n-3\n", 3, "colors must be integers >= 1"),
+    ("1\n2\nx\n0\n", 3, "colors must be integers"),
+])
+def test_partition_colors_below_one_name_their_line(tmp_path, capsys, text, line, message):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    part = write(tmp_path, "part.txt", text)
+    code, out, err = run_cli(capsys, "compute", "--graph", g, "--partition", part)
+    assert code == 2 and out == ""
+    assert json.loads(err)["message"] == f"{part} line {line}: {message}"
+
+
+def test_directive_below_the_edges_bounds_them(tmp_path, capsys):
+    g = write(tmp_path, "g.txt", "0 5\n# n=3\n")
+    code, out, err = run_cli(capsys, "conditions", "--graph", g)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["message"] == "line 1: vertex id 5 >= n=3"
+
+
+@pytest.mark.parametrize(
+    "command,flag,body",
+    [
+        ("conditions", "--graph", b"0 1\n1\xa02\n"),
+        ("compute", "--partition", b"1\n\xe9\n1\n"),
+        ("enumerate-check", "--probs", b"0.5\n\xe9\n"),
+    ],
+    ids=["graph", "partition", "probs"],
+)
+def test_undecodable_files_exit_2(tmp_path, capsys, command, flag, body):
+    g = write(tmp_path, "tri.txt", TRIANGLE)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(body)
+    args = ["--graph", str(bad)] if flag == "--graph" else ["--graph", g, flag, str(bad)]
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["code"] == 2 and doc["message"].startswith(f"cannot read {bad}: not UTF-8")
+
+
 def test_partition_reader_accepts_comments_blanks_and_signs(tmp_path, capsys):
     g = write(tmp_path, "tri.txt", TRIANGLE)
     part = write(tmp_path, "part.txt", "# colors\n+1\n\n 2 \r\n\t2\n")
@@ -382,7 +422,7 @@ def test_partition_color_beyond_probs_exits_2(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, command, "--graph", g, "--partition", part,
                              "--probs", probs)
     assert code == 2 and out == ""
-    assert json.loads(err)["message"] == "coloring uses color 5 but K=3"
+    assert json.loads(err)["message"] == f"{part} line 2: color 5 exceeds K=3"
 
 
 @pytest.mark.parametrize("text,line", [("0.5\ninf\n", 2), ("-inf\n1\n", 1),
@@ -434,6 +474,6 @@ def test_partition_of_the_wrong_length_exits_2(tmp_path, capsys, command, lines)
     extra = ["--reps", "10", "--out", out] if command == "null-sample" else []
     code, stdout, err = run_cli(capsys, command, "--graph", g, "--partition", part, *extra)
     assert code == 2 and stdout == "" and err.count("\n") == 1
-    assert json.loads(err) == {"code": 2, "message": f"coloring has length {lines}, expected 4",
-                               "context": {"command": command}}
+    message = f"{part}: coloring has length {lines}, expected 4"
+    assert json.loads(err) == {"code": 2, "message": message, "context": {"command": command}}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "part.txt"]

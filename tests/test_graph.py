@@ -77,6 +77,35 @@ def test_parse_rejects_garbage():
         parse_edge_list("a b\n")
 
 
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (4, [(0, 1), (-1, 2)], "vertex ids must be nonnegative"),
+        (4, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        (3, [(0, 1), (5, 1)], "vertex id 5 >= n=3"),
+        (4, [(0, 1), (1, 2), (1, 0)], "duplicate edge 0 1"),
+    ],
+    ids=["negative", "loop", "limit", "repeat"],
+)
+def test_constructor_and_parser_word_faults_alike(n, edges, message):
+    with pytest.raises(graph_module.EdgeError) as built:
+        Graph(n, edges)
+    assert (str(built.value), built.value.row) == (message, len(edges) - 1)
+    # The directive bounds every line, also those above it.
+    rows = "".join(f"{u} {v}\n" for u, v in edges)
+    for text, line in ((f"# n={n}\n{rows}", len(edges) + 1), (f"{rows}# n={n}\n", len(edges))):
+        with pytest.raises(InputError) as parsed:
+            parse_edge_list(text)
+        assert str(parsed.value) == f"line {line}: {message}"
+
+
+def test_constructor_refuses_empty_and_out_of_range_graphs():
+    with pytest.raises(DomainError, match="no edges"):
+        Graph(0, [])
+    with pytest.raises(InputError, match="^vertex id 1 >= n=1$"):
+        Graph(1, [(0, 1)])
+
+
 def test_directive_allows_isolated_vertices():
     g = parse_edge_list("# n=5\n0 1\n")
     assert g.n == 5
@@ -339,6 +368,13 @@ def test_parser_rejects_ids_beyond_int64():
         with pytest.raises(InputError, match="vertex ids must be integers"):
             parse_edge_list(text)
     assert parse_edge_list("0 000000000000000000000001\n") == Graph(2, [(0, 1)])
+
+
+def test_parser_vertex_count_fits_int64():
+    top = 2**63 - 1
+    assert parse_edge_list(f"0 {top - 1}\n").n == top
+    with pytest.raises(InputError, match=f"^line 2: vertex id {top} >= n={top}$"):
+        parse_edge_list(f"0 1\n{top} 0\n")
 
 
 def test_unicode_space_table_matches_str():
