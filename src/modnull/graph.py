@@ -59,6 +59,8 @@ _KEEP_HIGH = np.array([(1 << 64) - (1 << (64 - 8 * c)) for c in range(9)], dtype
 # Line breaks of str.splitlines() in ASCII text, other than "\n".
 _OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _INT64_MAX = np.iinfo(np.int64).max
+# The most int64 entries numpy can size: n * 8 bytes must fit in intp.
+_MAX_VERTICES = _INT64_MAX // 8
 # (lo << bits) | hi stays below 2**63 for ids of at most this many bits.
 _PACK_BITS = 31
 # 10 ** 1 .. 10 ** 18: an id v >= 0 has 1 + #{p <= v} decimal digits.
@@ -431,17 +433,21 @@ def parse_edge_list(text: str | bytes) -> Graph:
     Rejects self-loops, duplicate edges (in either order), ids at or
     above a declared vertex count, and zero-edge inputs, reporting the
     offending line number: the first line that fails, and for a repeated
-    edge the line that repeats it.  The first directive declares the
+    edge the line that repeats it.  A file with none of these faults is
+    still refused when its vertex count exceeds the int64 entries numpy
+    can size, at the line that sets the count.  The first directive declares the
     vertex count of the whole file, wherever it sits.
     """
     rows = int_rows(text, 2)
     if rows.line.size == 0:
         raise InputError("edge list contains no edges")
-    directives = (_DIRECTIVE.match(comment) for _, comment in rows.comments)
-    n = next((int(match.group(1)) for match in directives if match), None)
-    if n is None:
+    directive = next(((ln, int(match.group(1))) for ln, comment in rows.comments
+                      if (match := _DIRECTIVE.match(comment))), None)
+    if directive is None:
         # One past the largest id, but a vertex count must fit in int64.
         n = min(int(rows.values.max()) + 1, _INT64_MAX)
+    else:
+        n = directive[1]
     fault = None
     try:
         g = Graph(n, rows.values)
@@ -459,6 +465,11 @@ def parse_edge_list(text: str | bytes) -> Graph:
         raise InputError(f"line {ln}: vertex ids must be integers")
     if fault is not None:
         raise InputError(f"line {rows.line[fault.row]}: {fault}")
+    if n > _MAX_VERTICES:
+        # At the line that sets n: the directive's, or the first with the largest id.
+        ln = directive[0] if directive else rows.line[np.argmax(rows.values.max(axis=1))]
+        raise InputError(f"line {ln}: n={n} vertices, but an int64 array holds at most "
+                         f"{_MAX_VERTICES} entries")
     return g
 
 

@@ -37,11 +37,13 @@ evaluates the same quantity in centered form,
           - D_j^2,   D_j = sum_{i in L_j} (p_(2) - p_{c_i}),
 
 whose terms are of the size of V_j rather than L^2, so the result does not
-lose digits on high-degree vertices.  Per row, the keys j*K + c_i of the
-edges, i below j, are sorted, so the edges may come in any order; each
-run of equal keys is one (j, c) pair with cnt_c its length.  The cost is
+lose digits on high-degree vertices.  Per row, the keys j*K + c_i - 1 of
+the edges, i below j, are sorted, so the edges may come in any order; each
+run of equal keys is one (j, c) pair with cnt_c its length.  The keys lie
+below n*K and are uint32 when n*K <= 2**32, int64 otherwise; the key width
+changes no bit of the result.  The cost is
 O(rows * m * log m) time whatever K is, and rows go through in blocks of
-about ``rng.budget_rows(16)`` keys (2**17), so the working memory stays
+about ``rng.budget_rows(64)`` keys (2**15), so the working memory stays
 O(m + n).  The row value is sum_j V_j / (m r1), whose expectation is 1.
 """
 
@@ -294,35 +296,46 @@ def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.nda
     # A writeable copy: np.take copies a read-only index array on every call.
     lo = g.edge_lo.copy()
     lower_deg = np.bincount(hi, minlength=n).astype(np.float64)
-    base = hi * K - 1
+    # Keys lie below n * K, and uint32 sorts them in half the time of
+    # int64.  Wider keys stay int64: uint64 mixed with the int64 row index
+    # gives float64.  At hi = 0 the uint32 base wraps to 2**32 - 1, and
+    # adding a color >= 1 wraps back.
+    key_type = np.uint32 if n * K <= 1 << 32 else np.int64
+    base = (hi * K - 1).astype(key_type)
     p = dist.p
     cube = p * p * p
     # Summed in color order, the order in which a vertex's runs accumulate,
     # so a vertex that sees every color gets an absent mass of exactly 0.
     p3 = float(np.cumsum(cube)[-1])
-    # 16 bytes of budget per edge key keep a block's temporaries near 1 MB,
-    # cache-sized and reused, instead of large fresh arrays that page-fault
-    # on every chunk.
-    step = budget_rows(16 * max(m, n))
+    # A block's temporaries take 44 to 80 bytes per edge key (K = 2 to 300,
+    # by tracemalloc), so 64 bytes of budget per key keep them near the
+    # budget, cache-sized and reused, instead of large fresh arrays that
+    # page-fault on every chunk.
+    step = budget_rows(64 * max(m, n))
+    run_length = np.empty(min(step, colors_2d.shape[0]) * m, np.int64)
     out = []
     for start in range(0, colors_2d.shape[0], step):
         block = colors_2d[start:start + step]
         rows = block.shape[0]
-        keys = np.take(block, lo, axis=1).astype(np.int64)
+        keys = np.take(block, lo, axis=1).astype(key_type)
         keys += base
         keys.sort(axis=1)
         first = np.empty(keys.shape, dtype=bool)
         first[:, 0] = True
         np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
         starts = np.flatnonzero(first)
-        cnt = np.diff(starts, append=keys.size)
-        j, c = np.divmod(keys.ravel()[starts], K)
+        cnt = run_length[:starts.size]
+        np.subtract(starts[1:], starts[:-1], out=cnt[:-1])
+        cnt[-1] = keys.size - starts[-1]
+        key = np.take(keys, starts)
+        j = key // K
+        c = key - j * K
         row = starts // m
-        pc = p[c]
-        e = cnt - lower_deg[j] * pc
+        pc = np.take(p, c)
+        e = cnt - np.take(lower_deg, j) * pc
         seen = np.bincount(row, weights=pc * e * e, minlength=rows)
         cell = row * n + j
-        s3 = np.bincount(cell, weights=cube[c], minlength=rows * n).reshape(rows, n)
+        s3 = np.bincount(cell, weights=np.take(cube, c), minlength=rows * n).reshape(rows, n)
         d = np.bincount(cell, weights=cnt * (dist.p2 - pc), minlength=rows * n)
         d = d.reshape(rows, n)
         out.append(seen + (lower_deg * lower_deg * (p3 - s3) - d * d).sum(axis=1))

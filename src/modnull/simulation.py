@@ -49,10 +49,10 @@ from .graph import Graph
 from .moments import (
     NullMoments,
     _q_lanes,
+    _q_of_rows,
     _q_tables,
     _q_work_words,
     _v2_rows,
-    modularity,
     null_moments,
 )
 from .rng import budget_rows, mix_words, stream_seed, stream_seed_array, stream_steps
@@ -356,13 +356,16 @@ def significance_test(
         sided = "two_sided"
     if sided not in ("upper", "two_sided"):
         raise InputError(f"sidedness must be 'upper' or 'two_sided', got {sided!r}")
+    # The colors are checked once, the length after the distribution.
+    c = validate_coloring(colors, K=None if dist is None else dist.K)
     if dist is None:
-        dist = ColorDistribution.from_coloring(colors)
-    else:
-        validate_coloring(colors, K=dist.K)
+        # The observed frequencies, as ColorDistribution.from_coloring gives them.
+        dist = ColorDistribution(np.bincount(c)[1:] / c.size)
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: z-score undefined")
-    q = modularity(g, colors)
+    if c.size != g.n:
+        raise InputError(f"coloring has length {c.size}, expected {g.n}")
+    q = float(_q_of_rows(c[None, :], g, int(c.max()))[0])
     mom = null_moments(g, dist)
     z_sigma = (q - mom.mu) / mom.sigma
     z_delta = (q - mom.mu) / mom.delta

@@ -9,6 +9,7 @@ from scipy import sparse
 
 import modnull
 from modnull import ColorDistribution, Graph, InputError, gen_er
+from modnull.rng import budget_rows
 from modnull.serialize import _atom
 
 
@@ -112,6 +113,54 @@ def martingale_variance_by_wedges(g, colors, dist):
     return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)
 
 
+def v2_rows_by_int64_keys(colors_2d, g, dist):
+    """Reference martingale variance per coloring row: the library kernel
+    before its sort keys narrowed to uint32.
+
+    Keys j*K + c - 1 as int64, split by ``np.divmod``, run lengths by
+    ``np.diff``, lookups by fancy indexing; the arithmetic and its
+    summation order are the ones the kernel must keep bit for bit.
+    """
+    n, m, K = g.n, g.m, dist.K
+    hi = g.edge_hi
+    # A writeable copy: np.take copies a read-only index array on every call.
+    lo = g.edge_lo.copy()
+    lower_deg = np.bincount(hi, minlength=n).astype(np.float64)
+    base = hi * K - 1
+    p = dist.p
+    cube = p * p * p
+    # Summed in color order, the order in which a vertex's runs accumulate,
+    # so a vertex that sees every color gets an absent mass of exactly 0.
+    p3 = float(np.cumsum(cube)[-1])
+    # 16 bytes of budget per edge key keep a block's temporaries near 1 MB,
+    # cache-sized and reused, instead of large fresh arrays that page-fault
+    # on every chunk.
+    step = budget_rows(16 * max(m, n))
+    out = []
+    for start in range(0, colors_2d.shape[0], step):
+        block = colors_2d[start:start + step]
+        rows = block.shape[0]
+        keys = np.take(block, lo, axis=1).astype(np.int64)
+        keys += base
+        keys.sort(axis=1)
+        first = np.empty(keys.shape, dtype=bool)
+        first[:, 0] = True
+        np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
+        starts = np.flatnonzero(first)
+        cnt = np.diff(starts, append=keys.size)
+        j, c = np.divmod(keys.ravel()[starts], K)
+        row = starts // m
+        pc = p[c]
+        e = cnt - lower_deg[j] * pc
+        seen = np.bincount(row, weights=pc * e * e, minlength=rows)
+        cell = row * n + j
+        s3 = np.bincount(cell, weights=cube[c], minlength=rows * n).reshape(rows, n)
+        d = np.bincount(cell, weights=cnt * (dist.p2 - pc), minlength=rows * n)
+        d = d.reshape(rows, n)
+        out.append(seen + (lower_deg * lower_deg * (p3 - s3) - d * d).sum(axis=1))
+    return np.concatenate(out) / (m * dist.r1)
+
+
 def q_by_rows(colors_2d, g, mass_block=1 << 16):
     """Reference Q of each row of a (rows x n) coloring array, row-major.
 
@@ -167,10 +216,13 @@ _DIRECTIVE = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 
 def parse_edge_list_by_lines(text):
     """Reference edge-list parser: one Python pass over the lines, a set of
-    seen edges, and the first ``# n=`` directive bounding every line."""
+    seen edges, and the first ``# n=`` directive bounding every line.  A
+    vertex count beyond the int64 entries numpy can size is refused at
+    the line that sets it: the directive's, or the first with the largest id."""
     lines = text.splitlines()
-    directives = (_DIRECTIVE.match(raw.strip()) for raw in lines)
-    declared_n = next((int(match.group(1)) for match in directives if match), None)
+    directives = ((ln, _DIRECTIVE.match(raw.strip())) for ln, raw in enumerate(lines, start=1))
+    n_line, declared_n = next(((ln, int(match.group(1))) for ln, match in directives if match),
+                              (None, None))
     edges = []
     seen = set()
     max_id = -1
@@ -196,11 +248,17 @@ def parse_edge_list_by_lines(text):
             raise InputError(f"line {ln}: duplicate edge {key[0]} {key[1]}")
         seen.add(key)
         edges.append(key)
-        max_id = max(max_id, u, v)
+        if max(u, v) > max_id:
+            max_id, max_line = max(u, v), ln
     if not edges:
         raise InputError("edge list contains no edges")
-    n = declared_n if declared_n is not None else max_id + 1
-    return Graph(n, edges)
+    if declared_n is None:
+        n_line, declared_n = max_line, max_id + 1
+    most = (2**63 - 1) // 8
+    if declared_n > most:
+        raise InputError(f"line {n_line}: n={declared_n} vertices, but an int64 array holds "
+                         f"at most {most} entries")
+    return Graph(declared_n, edges)
 
 
 def write_edge_list_by_lines(g):

@@ -281,6 +281,27 @@ def test_directive_below_the_edges_bounds_them(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text,line",
+    [
+        ("0 4611686018427387904\n", 1),
+        ("# n=4611686018427387905\n0 1\n", 1),
+        ("0 1\n2 4611686018427387904\n1 2\n", 2),
+        ("0 1\n# n=4611686018427387905\n", 2),
+    ],
+    ids=["largest-id", "directive", "largest-id-below", "directive-below"],
+)
+def test_vertex_count_beyond_any_array_exits_2(tmp_path, capsys, text, line):
+    # n int64s need 8n bytes, more than numpy can size: refused at the line
+    # that sets n, the directive's or the largest id's.
+    g = write(tmp_path, "g.txt", text)
+    code, out, err = run_cli(capsys, "conditions", "--graph", g)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err)["message"] == (
+        f"line {line}: n=4611686018427387905 vertices, but an int64 array holds at most "
+        "1152921504606846975 entries")
+
+
+@pytest.mark.parametrize(
     "command,flag,body",
     [
         ("conditions", "--graph", b"0 1\n1\xa02\n"),

@@ -372,7 +372,11 @@ def test_parser_rejects_ids_beyond_int64():
 
 def test_parser_vertex_count_fits_int64():
     top = 2**63 - 1
-    assert parse_edge_list(f"0 {top - 1}\n").n == top
+    # n int64 degrees take 8n bytes, which numpy sizes up to n = top // 8.
+    assert parse_edge_list(f"0 {top // 8 - 1}\n").n == top // 8
+    with pytest.raises(InputError, match=f"^line 1: n={top} vertices, but an int64 array "
+                                         f"holds at most {top // 8} entries$"):
+        parse_edge_list(f"0 {top - 1}\n")
     with pytest.raises(InputError, match=f"^line 2: vertex id {top} >= n={top}$"):
         parse_edge_list(f"0 1\n{top} 0\n")
 

@@ -194,3 +194,19 @@ def test_null_sample_refuses_unallocatable_reps_at_once(tmp_path):
     error = json.loads(lines[0])
     assert error["code"] == 4 and error["message"].startswith("MemoryError")
     assert not (tmp_path / "q.csv").exists()
+
+
+@pytest.mark.skipif(not overcommit_heuristic(), reason="needs heuristic overcommit (mode 0)")
+@pytest.mark.parametrize("largest", [1099511627776, 1152921504606846974])
+def test_vertex_count_numpy_can_size_but_not_allocate_exits_4(tmp_path, largest):
+    # 8 TiB and 8 EiB of degrees: numpy sizes the array, the allocation
+    # fails at once, and the run ends under the JSON contract.
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"0 {largest}\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "modnull.cli", "conditions", "--graph", str(graph)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 4
+    error = json.loads(result.stderr)
+    assert error["code"] == 4 and error["message"].startswith("MemoryError")

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from conftest import (
     martingale_variance_by_wedges,
     random_distribution,
     standard_distributions,
+    v2_rows_by_int64_keys,
 )
 from modnull import (
     ColorDistribution,
@@ -28,7 +30,10 @@ from modnull import (
     modularity,
     null_moments,
     null_q_samples,
+    rng,
 )
+from modnull.colors import lane_dtype
+from modnull.generators import parse_generator_spec
 from modnull.moments import _v2_rows
 
 
@@ -299,6 +304,54 @@ def test_martingale_variance_matches_wedge_oracle(graph_name, dist_name):
     v2 = _v2_rows(colors, g, d)
     for row, value in zip(colors, v2):
         assert rel_err(value, martingale_variance_by_wedges(g, row, d)) < 1e-12
+
+
+KERNEL_GRAPHS = {"er:p=0.05": 300, "hub:p=0.01": 500, "reg:d=6": 400, "er:p=0.5": 120}
+# Five edges on many vertices: n * K passes 2**32 (int64 keys) or meets it
+# exactly (the largest uint32 key is 2**32 - 1).
+WIDE_KEY_GRAPHS = {
+    70000: Graph(70000, [(0, 69999), (1, 69999), (5, 69998), (69997, 69999), (2, 3)]),
+    65536: Graph(65536, [(0, 65535), (1, 65535), (5, 65534), (65533, 65535), (2, 3)]),
+}
+
+
+@functools.cache
+def kernel_graph(spec, n):
+    return parse_generator_spec(spec).build(n, 4)
+
+
+def kernel_distribution(K, kind):
+    if kind == "uniform":
+        return ColorDistribution.uniform(K)
+    raw = np.random.default_rng(K).random(K) + 1e-3
+    return ColorDistribution(raw / math.fsum(raw.tolist()))
+
+
+def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch):
+    """Bit-identical rows, both for colors as the sampler hands them over (a
+    transposed view of an n x rows lane array) and as int64 rows."""
+    monkeypatch.setattr(rng, "BUDGET", budget)
+    lanes = np.stack([d.sample_coloring(g.n, seed) for seed in range(24)], axis=1)
+    for colors in (lanes.astype(lane_dtype(d.K)).T, np.ascontiguousarray(lanes.T)):
+        assert np.array_equal(_v2_rows(colors, g, d), v2_rows_by_int64_keys(colors, g, d))
+
+
+@pytest.mark.parametrize("budget", [2 << 20, 4096])
+@pytest.mark.parametrize("kind", ["uniform", "random"])
+@pytest.mark.parametrize("K", [2, 3, 5, 32, 255, 256, 300])
+@pytest.mark.parametrize("spec", KERNEL_GRAPHS)
+def test_v2_kernel_is_bit_identical_to_int64_key_oracle(spec, K, kind, budget, monkeypatch):
+    g = kernel_graph(spec, KERNEL_GRAPHS[spec])
+    assert_v2_kernel_matches_oracle(g, kernel_distribution(K, kind), budget, monkeypatch)
+
+
+@pytest.mark.parametrize("budget", [2 << 20, 4096])
+@pytest.mark.parametrize("kind", ["uniform", "random"])
+@pytest.mark.parametrize("n", WIDE_KEY_GRAPHS)
+def test_v2_kernel_is_bit_identical_at_the_key_width_switch(n, kind, budget, monkeypatch):
+    d = kernel_distribution(n, kind)
+    assert (n * d.K > 2 ** 32) == (n == 70000)
+    assert_v2_kernel_matches_oracle(WIDE_KEY_GRAPHS[n], d, budget, monkeypatch)
 
 
 def test_martingale_variance_errors(triangle):

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -29,6 +30,7 @@ from modnull import (
     rng,
     std_normal_cdf,
 )
+from modnull.colors import validate_coloring
 from modnull.moments import _q_of_rows
 from modnull.rng import stream_seed
 from modnull.simulation import (
@@ -373,6 +375,38 @@ def test_significance_sidedness_and_options(triangle):
 def test_significance_refuses_colors_beyond_the_distribution(triangle):
     with pytest.raises(InputError, match="uses color 5 but K=3"):
         significance_test(triangle, [1, 5, 2], ColorDistribution([0.2, 0.3, 0.5]))
+
+
+@pytest.mark.parametrize("colors,K,error,message", [
+    # A coloring of the wrong length that also holds a 0 is refused for the 0.
+    ([1, 0], None, InputError, "colors must be integers >= 1"),
+    ([1, 0], 2, InputError, "colors must be integers >= 1"),
+    ([1, 5], 3, InputError, "coloring uses color 5 but K=3"),
+    ([[1, 2, 2]], None, InputError, "coloring must be a nonempty vector"),
+    # The distribution is judged before the length.
+    ([1, 1], None, DomainError, "degenerate color distribution: z-score undefined"),
+    ([1, 2], None, InputError, "coloring has length 2, expected 3"),
+    ([1, 2, 2, 1], 2, InputError, "coloring has length 4, expected 3"),
+])
+def test_significance_checks_the_coloring_once_in_a_fixed_order(
+        triangle, monkeypatch, colors, K, error, message):
+    import modnull.colors
+    import modnull.moments
+    import modnull.simulation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_coloring(*args, **kwargs)
+
+    for module in (modnull.colors, modnull.moments, modnull.simulation):
+        monkeypatch.setattr(module, "validate_coloring", counted)
+    dist = None if K is None else ColorDistribution.uniform(K)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        significance_test(triangle, colors, dist)
+    significance_test(triangle, [1, 2, 2], dist)
+    assert len(calls) == 2
 
 
 def test_null_p_values_roughly_uniform():
