@@ -29,7 +29,7 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-from .colors import ColorDistribution, parse_probability_text
+from .colors import ColorDistribution, ColoringError, parse_probability_text, validate_coloring
 from .conditions import condition_statistics
 from .errors import DomainError, InputError
 from .generators import parse_generator_spec
@@ -86,27 +86,21 @@ def _load_graph(args):
 
 
 def _load_partition(path: str, n: int, K: int | None) -> np.ndarray:
-    """The colors of a partition file: one integer in 1..K (K unbounded
-    when None) on each of ``n`` lines.  A refusal names the file and, for
-    a bad color, the first line that holds one."""
+    """The colors of a partition file, one on each of ``n`` lines, as
+    :func:`validate_coloring` with ``K`` accepts them.  A refusal carries
+    its message after the file's name and, for a bad color, its line."""
     rows = int_rows(_read(path, table=True), 1)
-    colors = rows.values[:, 0]
-    bad = ~rows.well_formed | (colors < 1)
-    if K is not None:
-        bad |= colors > K
-    if bad.any():
-        i = int(bad.argmax())
-        message = (
-            "colors must be integers" if not rows.well_formed[i]
-            else "colors must be integers >= 1" if colors[i] < 1
-            else f"color {colors[i]} exceeds K={K}"
-        )
-        raise InputError(f"{path} line {rows.line[i]}: {message}")
-    if colors.size == 0:
+    if rows.line.size == 0:
         raise InputError(f"{path}: partition file is empty")
-    if colors.size != n:
-        raise InputError(f"{path}: coloring has length {colors.size}, expected {n}")
-    return colors
+    try:
+        return validate_coloring(rows.values[:, 0], n, K)
+    except ColoringError as exc:
+        # A malformed token reads 0, so the first fault is at or before it.
+        if not rows.well_formed[exc.index]:
+            exc = ColoringError(exc.index, "integer")
+        raise InputError(f"{path} line {rows.line[exc.index]}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -126,12 +120,14 @@ def _distribution(args, g=None) -> tuple[ColorDistribution, np.ndarray | None]:
     distribution is ``--probs``, else the partition's color frequencies,
     else uniform on ``--K`` colors (2 by default).  A partition must give
     one color in 1..K to each of ``g``'s vertices."""
+    if args.K is not None and args.K < 1:
+        raise InputError("need at least one color")
     dist = parse_probability_text(_read(args.probs)) if args.probs else None
     K = args.K if dist is None else dist.K
     if not getattr(args, "partition", None):
         return dist or ColorDistribution.uniform(2 if K is None else K), None
     colors = _load_partition(args.partition, g.n, K)
-    return dist or ColorDistribution.from_coloring(colors, K=K), colors
+    return dist or ColorDistribution._observed(colors, K), colors
 
 
 def _emit(args, payload: dict) -> None:

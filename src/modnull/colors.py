@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, InputError
+from .graph import int64_entries
 from .rng import SplitMix64, word_threshold
 
 _SUM_TOL = 1e-12
@@ -68,18 +69,19 @@ class ColorDistribution:
     @classmethod
     def from_coloring(cls, colors, K: int | None = None) -> "ColorDistribution":
         """Empirical frequencies of an observed coloring (colors in 1..K)."""
-        c = validate_coloring(colors, K=K)
-        counts = np.bincount(c, minlength=0 if K is None else K + 1)[1:]
-        return cls(counts / c.size)
+        return cls._observed(validate_coloring(colors, K=K), K)
+
+    @classmethod
+    def _observed(cls, c: np.ndarray, K: int | None = None) -> "ColorDistribution":
+        """Frequencies of the colors 1..K (1..max when None) in a checked coloring ``c``."""
+        return cls(np.bincount(c, minlength=0 if K is None else K + 1)[1:] / c.size)
 
     @property
     def is_degenerate(self) -> bool:
         return self.r1 <= 0.0
 
     def _check_color(self, a: int) -> int:
-        if not 1 <= a <= self.K:
-            raise InputError(f"color {a} outside 1..{self.K}")
-        return int(a)
+        return int(validate_coloring([a], K=self.K)[0])
 
     def centered_kernel(self, a: int, b: int) -> float:
         """Same-color indicator of (a, b), centered to zero conditional mean.
@@ -175,18 +177,45 @@ class ColorDistribution:
         return f"ColorDistribution({self.p.tolist()})"
 
 
+class ColoringError(InputError):
+    """An entry that :func:`validate_coloring` refuses, at position ``index``."""
+
+    def __init__(self, index: int, kind: str, color: int = 0, K: int | None = None):
+        super().__init__({
+            "integer": "colors must be integers",
+            "below": "colors must be integers >= 1",
+            "above": f"color {color} exceeds K={K}",
+        }[kind])
+        self.index = index
+
+
 def validate_coloring(colors, n: int | None = None, K: int | None = None) -> np.ndarray:
-    """Check entries are in 1..K (and length n if given); return int64 array."""
-    c = np.asarray(colors, dtype=np.int64)
+    """The coloring as an int64 array, after the package's one coloring check.
+
+    Refuses, in this order: anything but a nonempty vector; the first entry
+    that is no integer (see :func:`graph.int64_entries`), below 1 or above
+    ``K``, as a :class:`ColoringError` at its index; a length other than ``n``.
+    """
+    c, kept = int64_entries(colors)
     if c.ndim != 1 or c.size == 0:
         raise InputError("coloring must be a nonempty vector")
-    if n is not None and c.size != n:
-        raise InputError(f"coloring has length {c.size}, expected {n}")
-    if c.min() < 1:
-        raise InputError("colors must be integers >= 1")
-    if K is not None and int(c.max()) > K:
-        raise InputError(f"coloring uses color {int(c.max())} but K={K}")
+    bad = ~kept
+    bad |= c < 1
+    if K is not None:
+        bad |= c > K
+    if bad.any():
+        i = int(bad.argmax())
+        raise ColoringError(i, "integer" if not kept[i] else "below" if c[i] < 1 else "above",
+                            c[i], K)
+    if n is not None:
+        check_length(c, n)
     return c
+
+
+def check_length(c: np.ndarray, n: int) -> None:
+    """Refuse a coloring ``c`` that does not give one color to each of ``n`` vertices."""
+    if c.size != n:
+        raise InputError(f"coloring has length {c.size}, expected {n}")
 
 
 def parse_probability_text(text: str) -> ColorDistribution:

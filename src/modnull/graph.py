@@ -78,18 +78,26 @@ class Graph:
     """
 
     def __init__(self, n: int, edges):
+        try:
+            whole = int(n) == n
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise InputError(f"vertex count must be an integer, got {n!r}")
+        n = int(n)
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64)
+        pairs, kept = int64_entries(edges)
         if pairs.size == 0:
             raise DomainError("graph has no edges (every statistic divides by m)")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise InputError("edges must be pairs of vertex ids")
-        lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n)
+        lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n, kept[:, 0] & kept[:, 1])
         if fault is not None:
             row, kind = fault
             u, v = sorted(pairs[row].tolist())
             raise EdgeError(row, {
+                "integer": "vertex ids must be integers",
                 "negative": "vertex ids must be nonnegative",
                 "loop": f"self-loop at vertex {u}",
                 "limit": f"vertex id {v} >= n={n}",
@@ -97,7 +105,7 @@ class Graph:
             }[kind])
         for arr in (lo, hi):
             arr.setflags(write=False)
-        self.n = int(n)
+        self.n = n
         self.m = int(lo.shape[0])
         self.edge_lo = lo
         self.edge_hi = hi
@@ -186,19 +194,20 @@ class EdgeError(InputError):
         self.row = row
 
 
-def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):
+def _canonical_edges(u: np.ndarray, v: np.ndarray, limit: int, whole: np.ndarray):
     """Sort edges canonically and find the first invalid one.
 
     Returns ``(lo, hi, fault)``: the edges as ``lo < hi`` sorted
     lexicographically, and ``None`` or ``(row, kind)`` for the first row,
     in input order, that fails a check.  Each row is checked, in this
-    order, for a "negative" id, a self-"loop", an id at or above the
-    scalar ``limit`` ("limit"), and a "repeat" of an earlier row, which is
-    reported at its second occurrence.
+    order, for an id that is no "integer" (``whole`` is False), a
+    "negative" id, a self-"loop", an id at or above the scalar ``limit``
+    ("limit"), and a "repeat" of an earlier row, which is reported at its
+    second occurrence.
     """
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
-    bad = (lo < 0) | (lo == hi) | (hi >= limit)
+    bad = ~whole | (lo < 0) | (lo == hi) | (hi >= limit)
     bits = int(hi.max()).bit_length()
     if bits <= _PACK_BITS and not bad.any():
         key = lo << bits
@@ -214,11 +223,29 @@ def _canonical_edges(u: np.ndarray, v: np.ndarray, limit):
     rows = []
     if bad.any():
         r = int(np.argmax(bad))
-        rows.append((r, "negative" if lo[r] < 0 else "loop" if lo[r] == hi[r] else "limit"))
+        rows.append((r, "integer" if not whole[r] else "negative" if lo[r] < 0
+                     else "loop" if lo[r] == hi[r] else "limit"))
     if repeat.any():
         rows.append((int(order[1:][repeat].min()), "repeat"))
     # A row fails its own checks before it is compared with earlier rows.
     return slo, shi, (min(rows, key=lambda f: (f[0], f[1] == "repeat")) if rows else None)
+
+
+def int64_entries(values) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` as an int64 array, and whether numpy's conversion kept each
+    entry: it fails on or changes 1.7, nan, inf, 2.0**63 or None, whose
+    places then hold arbitrary values.  An int64 array is returned as is.
+    """
+    a = np.asarray(values)
+    try:
+        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, marked below
+            c = a.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        if a.size == 1:
+            return np.zeros(a.shape, np.int64), np.zeros(a.shape, bool)
+        c, kept = zip(*map(int64_entries, a.reshape(-1)))
+        return np.array(c, np.int64).reshape(a.shape), np.array(kept).reshape(a.shape)
+    return c, np.ones(a.shape, bool) if a.dtype.kind in "biSU" else c == a
 
 
 @dataclass(frozen=True)

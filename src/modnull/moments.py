@@ -356,19 +356,17 @@ def martingale_variance(g: Graph, colors, dist: ColorDistribution) -> float:
     return float(_v2_rows(c[None, :], g, dist)[0])
 
 
-def exact_moments_by_enumeration(
-    g: Graph, dist: ColorDistribution, guard: int = ENUMERATION_GUARD
-) -> tuple[float, float]:
+def exact_moments_by_enumeration(g: Graph, dist: ColorDistribution) -> tuple[float, float]:
     """Exact (mean, variance) of Q by weighted enumeration of all K^n colorings.
 
     Independent oracle for :func:`null_moments`: no moment algebra, just
     the probability-weighted sum with exactly rounded accumulation and a
     second centered pass for the variance.  Refuses instances with more
-    than ``guard`` colorings.
+    than ``ENUMERATION_GUARD`` colorings.
     """
     total = dist.K ** g.n
-    if total > guard:
-        raise DomainError(f"enumeration of {total} colorings exceeds guard {guard}")
+    if total > ENUMERATION_GUARD:
+        raise DomainError(f"enumeration of {total} colorings exceeds guard {ENUMERATION_GUARD}")
     place = (dist.K ** np.arange(g.n - 1, -1, -1, dtype=np.int64))
     # A chunk's digits and color lookups hold about two int64 rows of n
     # per coloring at once.

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colors import ColorDistribution, lane_dtype, validate_coloring
+from .colors import ColorDistribution, check_length, lane_dtype, validate_coloring
 from .errors import DomainError, InputError
 from .generators import GeneratorSpec, parse_generator_spec
 from .graph import Graph
@@ -359,12 +359,10 @@ def significance_test(
     # The colors are checked once, the length after the distribution.
     c = validate_coloring(colors, K=None if dist is None else dist.K)
     if dist is None:
-        # The observed frequencies, as ColorDistribution.from_coloring gives them.
-        dist = ColorDistribution(np.bincount(c)[1:] / c.size)
+        dist = ColorDistribution._observed(c)
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: z-score undefined")
-    if c.size != g.n:
-        raise InputError(f"coloring has length {c.size}, expected {g.n}")
+    check_length(c, g.n)
     q = float(_q_of_rows(c[None, :], g, int(c.max()))[0])
     mom = null_moments(g, dist)
     z_sigma = (q - mom.mu) / mom.sigma

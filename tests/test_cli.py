@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from modnull import InputError, validate_coloring
 from modnull.cli import main
 
 TRIANGLE = "0 1\n0 2\n1 2\n"
@@ -469,21 +470,80 @@ def test_installed_entry_point(tmp_path):
     assert result.stdout == "# n=3\n0 1\n0 2\n1 2\n"
 
 
-@pytest.mark.parametrize("command", ["null-sample", "be-study", "slln-study", "enumerate-check"])
+@pytest.mark.parametrize("command", ["null-sample", "be-study", "slln-study", "enumerate-check",
+                                     "compute", "test", "null-sample --partition"])
 def test_zero_colors_exit_2(tmp_path, capsys, command):
     g = write(tmp_path, "g.txt", "0 1\n2 3\n")
     out = str(tmp_path / "out.csv")
+    # A flag fault, found before the partition (which does not exist) is read.
+    part = ["--partition", str(tmp_path / "missing.txt")]
     args = {
         "null-sample": ["--graph", g, "--reps", "10", "--out", out],
         "be-study": ["--model", "reg:d=2", "--sizes", "4,8", "--reps", "10", "--out", out],
         "slln-study": ["--model", "reg:d=2", "--sizes", "4,8", "--reps", "2", "--out", out],
         "enumerate-check": ["--graph", g],
+        "compute": ["--graph", g, *part],
+        "test": ["--graph", g, *part],
+        "null-sample --partition": ["--graph", g, *part, "--reps", "10", "--out", out],
     }[command]
-    code, stdout, err = run_cli(capsys, command, *args, "--K", "0")
-    assert code == 2 and stdout == "" and err.count("\n") == 1
-    assert json.loads(err) == {"code": 2, "message": "need at least one color",
-                               "context": {"command": command}}
+    command = command.split()[0]
+    for K in ("0", "-3"):
+        code, stdout, err = run_cli(capsys, command, *args, "--K", K)
+        assert code == 2 and stdout == "" and err.count("\n") == 1
+        assert json.loads(err) == {"code": 2, "message": "need at least one color",
+                                   "context": {"command": command}}
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
+
+@pytest.mark.parametrize("command", ["compute", "test"])
+@pytest.mark.parametrize("text,K,line,values", [
+    ("1\n0\n2\n1\n", None, 2, [1, 0, 2, 1]),
+    ("1\n2\n-3\n1\n", None, 3, [1, 2, -3, 1]),
+    ("1\n4\n2\n1\n", 3, 2, [1, 4, 2, 1]),
+    ("1\n2\n1.5\n1\n", None, 3, [1, 2, 1.5, 1]),
+    ("1\n2\n", None, None, [1, 2]),
+    ("# no colors\n", None, None, None),
+], ids=["zero", "negative", "K+1", "malformed", "length", "empty"])
+def test_partition_refusals_are_the_library_message_at_a_line(
+        tmp_path, capsys, command, text, K, line, values):
+    g = write(tmp_path, "g.txt", "0 1\n2 3\n")
+    part = write(tmp_path, "part.txt", text)
+    flags = [] if K is None else ["--K", str(K)]
+    code, out, err = run_cli(capsys, command, "--graph", g, "--partition", part, *flags)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if values is None:
+        message = "partition file is empty"
+    else:
+        with pytest.raises(InputError) as refused:
+            validate_coloring(values, n=4, K=K)
+        message = str(refused.value)
+        assert getattr(refused.value, "index", None) == (None if line is None else line - 1)
+    where = f"{part}: " if line is None else f"{part} line {line}: "
+    assert json.loads(err)["message"] == where + message
+
+
+@pytest.mark.parametrize("command", ["compute", "test"])
+def test_cli_checks_a_partition_twice(tmp_path, capsys, monkeypatch, command):
+    # Once as a file, once in the library call that uses it.
+    import modnull.cli
+    import modnull.colors
+    import modnull.moments
+    import modnull.simulation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate_coloring(*args, **kwargs)
+
+    for module in (modnull.cli, modnull.colors, modnull.moments, modnull.simulation):
+        monkeypatch.setattr(module, "validate_coloring", counted)
+    g = write(tmp_path, "g.txt", "0 1\n2 3\n")
+    part = write(tmp_path, "part.txt", "1\n2\n1\n2\n")
+    for flags in ([], ["--K", "3"], ["--probs", write(tmp_path, "p.txt", "0.5\n0.5\n")]):
+        calls.clear()
+        code, _, err = run_cli(capsys, command, "--graph", g, "--partition", part, *flags)
+        assert code == 0 and err == "" and len(calls) == 2
 
 
 @pytest.mark.parametrize("lines", [2, 7])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import colors_by_float_lookup, random_distribution
-from modnull import ColorDistribution, DomainError, InputError, parse_probability_text
+from modnull import (ColorDistribution, DomainError, InputError, modularity,
+                     parse_probability_text, validate_coloring)
+from modnull.colors import ColoringError
 from modnull.rng import SplitMix64, stream_seed
 
 
@@ -45,8 +47,48 @@ def test_from_coloring_validation():
         ColorDistribution.from_coloring([])
     with pytest.raises(InputError, match="^colors must be integers >= 1$"):
         ColorDistribution.from_coloring([0, 1])
-    with pytest.raises(InputError, match="^coloring uses color 3 but K=2$"):
+    with pytest.raises(InputError, match="^color 3 exceeds K=2$"):
         ColorDistribution.from_coloring([1, 3], K=2)
+
+
+@pytest.mark.parametrize("colors,index", [
+    ([1.7, 2, 1], 0), ([1, math.nan, 2], 1), ([1, math.inf, 2], 1), ([2.0 ** 63, 1, 2], 0),
+    ([1, None, 2], 1), ([1, 2, 2 ** 64], 2), (["1", "x", "2"], 1),
+])
+def test_non_integer_colors_are_refused_at_their_index(colors, index):
+    # int64 conversion used to truncate 1.7 to 1, and failed with a bare
+    # numpy error on nan, inf and 2.0**63.
+    for check in (validate_coloring, ColorDistribution.from_coloring):
+        with pytest.raises(ColoringError, match="^colors must be integers$") as exc:
+            check(colors)
+        assert exc.value.index == index and isinstance(exc.value, InputError)
+
+
+@pytest.mark.parametrize("colors,K,index,message", [
+    ([1, 0, 5], 3, 1, "colors must be integers >= 1"),
+    ([1, 5, 0], 3, 1, "color 5 exceeds K=3"),
+    ([1, 4, 5], 3, 1, "color 4 exceeds K=3"),
+    ([-3, 1.5], None, 0, "colors must be integers >= 1"),
+])
+def test_coloring_faults_name_the_first_entry(colors, K, index, message):
+    with pytest.raises(ColoringError, match=f"^{message}$") as exc:
+        validate_coloring(colors, n=1, K=K)
+    assert exc.value.index == index
+
+
+def test_integral_float_colors_are_integers(triangle):
+    colors = validate_coloring([1.0, 2.0, 1.0], n=3, K=2)
+    assert colors.dtype == np.int64 and colors.tolist() == [1, 2, 1]
+    assert modularity(triangle, [1.0, 2.0, 1.0]) == modularity(triangle, [1, 2, 1])
+
+
+def test_scalar_colors_go_through_the_coloring_check():
+    u2 = ColorDistribution.uniform(2)
+    with pytest.raises(InputError, match="^colors must be integers$"):
+        u2.centered_kernel(1.5, 1)
+    with pytest.raises(InputError, match="^color 3 exceeds K=2$"):
+        u2.cond_cross_moment(1, 3)
+    assert u2.cond_second_moment(2.0) == u2.cond_second_moment(2)
 
 
 def test_constructor_validation():

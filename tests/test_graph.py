@@ -84,8 +84,9 @@ def test_parse_rejects_garbage():
         (4, [(0, 1), (2, 2)], "self-loop at vertex 2"),
         (3, [(0, 1), (5, 1)], "vertex id 5 >= n=3"),
         (4, [(0, 1), (1, 2), (1, 0)], "duplicate edge 0 1"),
+        (4, [(0, 1), (0.5, 1.7)], "vertex ids must be integers"),
     ],
-    ids=["negative", "loop", "limit", "repeat"],
+    ids=["negative", "loop", "limit", "repeat", "integer"],
 )
 def test_constructor_and_parser_word_faults_alike(n, edges, message):
     with pytest.raises(graph_module.EdgeError) as built:
@@ -104,6 +105,24 @@ def test_constructor_refuses_empty_and_out_of_range_graphs():
         Graph(0, [])
     with pytest.raises(InputError, match="^vertex id 1 >= n=1$"):
         Graph(1, [(0, 1)])
+
+
+def test_constructor_refuses_non_integers():
+    # n = 2.7 used to bound the ids by 2.7 but build a graph on 2 vertices.
+    for n in (2.7, math.nan, math.inf, "3"):
+        with pytest.raises(InputError, match="^vertex count must be an integer, got "):
+            Graph(n, [(0, 1), (1, 2)])
+    # A non-integer id used to be truncated (0.5 -> 0) or to fail in numpy (nan);
+    # it fails its row before the row is compared with earlier ones.
+    for edges, row in (([(0.5, 1.7)], 0), ([(0, math.nan)], 0), ([(0, 1), (0.5, 1)], 1),
+                       ([(0, 1), (1, 2**63)], 1), ([(0, 1), (1, None)], 1)):
+        with pytest.raises(graph_module.EdgeError, match="^vertex ids must be integers$") as exc:
+            Graph(3, edges)
+        assert exc.value.row == row
+    # Integral floats are integers.
+    g = Graph(3.0, [(0.0, 1.0), (1, 2)])
+    assert g == Graph(3, [(0, 1), (1, 2)]) and type(g.n) is int
+    assert g.degrees.tolist() == [1, 2, 1]
 
 
 def test_directive_allows_isolated_vertices():

@@ -373,7 +373,7 @@ def test_significance_sidedness_and_options(triangle):
 
 
 def test_significance_refuses_colors_beyond_the_distribution(triangle):
-    with pytest.raises(InputError, match="uses color 5 but K=3"):
+    with pytest.raises(InputError, match="^color 5 exceeds K=3$"):
         significance_test(triangle, [1, 5, 2], ColorDistribution([0.2, 0.3, 0.5]))
 
 
@@ -381,7 +381,7 @@ def test_significance_refuses_colors_beyond_the_distribution(triangle):
     # A coloring of the wrong length that also holds a 0 is refused for the 0.
     ([1, 0], None, InputError, "colors must be integers >= 1"),
     ([1, 0], 2, InputError, "colors must be integers >= 1"),
-    ([1, 5], 3, InputError, "coloring uses color 5 but K=3"),
+    ([1, 5], 3, InputError, "color 5 exceeds K=3"),
     ([[1, 2, 2]], None, InputError, "coloring must be a nonempty vector"),
     # The distribution is judged before the length.
     ([1, 1], None, DomainError, "degenerate color distribution: z-score undefined"),
