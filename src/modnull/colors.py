@@ -22,12 +22,11 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .graph import int64_entries
-from .rng import SplitMix64, word_threshold
+from .rng import SplitMix64, finish_words, word_threshold
 
 _SUM_TOL = 1e-12
-# Guide-table buckets: a word's top 16 of 53 bits.
-_BUCKET_SHIFT = np.uint64(37)
-_BUCKETS = 1 << 16
+# Guide-table buckets: a word's top 16 bits.
+_BUCKET_BITS = 16
 
 
 def lane_dtype(K: int) -> np.dtype:
@@ -118,48 +117,64 @@ class ColorDistribution:
         )
 
     @cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer thresholds and guide table of the inverse-CDF lookup.
+    def _guide(self) -> tuple[np.ndarray, int, np.ndarray | None]:
+        """Integer thresholds, the bits a color is read from, and the guide
+        table of the inverse-CDF lookup.
 
         The float lookup ``searchsorted(cumsum(p), u, side="right")`` at
         u = x * 2**-53 counts the cumulative sums c_k <= u.  Scaling by a
         power of two is exact, so for an integer word x that count equals
         the number of thresholds ceil(c_k * 2**53) <= x; the last sum is
-        left out, which stands for +inf and absorbs its rounding.  The
-        table maps each word's top 16 bits to its color when every word
-        with those bits gets the same one, and to 0 otherwise; at most
-        K - 1 of the 65536 buckets are ambiguous (Chen & Asau, AIIE Trans.
-        6(2), 1974; Devroye, Non-Uniform Random Variate Generation, 1986,
-        III.2.4).
+        left out, which stands for +inf and absorbs its rounding.  When p
+        is uniform on K = 2**b colors (1 <= b <= 16), every threshold is
+        k * 2**(53 - b), so the count is the word's top b bits and no
+        table is built.  Otherwise the table maps each word's top 16 bits
+        to its color when every word with those bits gets the same one,
+        and to 0 otherwise; at most K - 1 of the 65536 buckets are
+        ambiguous (Chen & Asau, AIIE Trans. 6(2), 1974; Devroye,
+        Non-Uniform Random Variate Generation, 1986, III.2.4).
         """
         thresholds = word_threshold(np.cumsum(self.p)[:-1])
+        bits = self.K.bit_length() - 1
+        if self.K == 1 << bits and 1 <= bits <= _BUCKET_BITS and np.all(self.p == 2.0 ** -bits):
+            return thresholds, bits, None
         # Bucket b holds the words in [edges[b], edges[b + 1]).
-        edges = np.arange(_BUCKETS + 1, dtype=np.uint64) << _BUCKET_SHIFT
+        edges = np.arange((1 << _BUCKET_BITS) + 1, dtype=np.uint64) << np.uint64(53 - _BUCKET_BITS)
         lo = np.searchsorted(thresholds, edges[:-1], side="right")
         hi = np.searchsorted(thresholds, edges[1:], side="left")
         table = np.where(lo == hi, lo + 1, 0).astype(lane_dtype(self.K))
-        return thresholds, table
+        return thresholds, _BUCKET_BITS, table
 
-    def _colors_of_words(self, words: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """Colors 1..K of 53-bit words (uniform = word * 2**-53); see :attr:`_guide`.
+    def _colors_of_states(self, z2: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """Colors 1..K of the words whose half-mixed states are ``z2``; see
+        :attr:`_guide` and :func:`rng.half_mix`.
 
-        The result has the shape of ``words`` and dtype ``lane_dtype(K)``.
-        ``out`` (that shape and dtype) receives it and ``scratch`` (a uint64
-        array of that shape) holds the bucket indices; both are allocated
-        when not given, and ``words`` is left unchanged.
+        A word's top b bits are z2's, so the color is read from z2 >> (64 - b):
+        plus one when p is uniform on 2**b colors, else through the guide
+        table, and only the words of ambiguous buckets are finished and
+        compared with the thresholds.  The result has the shape of ``z2``
+        and dtype ``lane_dtype(K)``.  ``out`` (that shape and dtype)
+        receives it and ``scratch`` (a uint64 array of that shape) holds
+        the shifted states; both are allocated when not given, and ``z2``
+        is left unchanged.
         """
-        thresholds, table = self._guide
-        x = words.reshape(-1)
-        bucket = np.right_shift(x, _BUCKET_SHIFT, out=None if scratch is None else scratch.reshape(-1))
-        colors = np.take(table, bucket.view(np.int64), out=None if out is None else out.reshape(-1),
-                         mode="clip")
-        # The ambiguous buckets' mask reuses the bucket indices' memory.
-        open_ = np.flatnonzero(np.equal(colors, 0, out=bucket.view(bool)[:x.size]))
+        thresholds, bits, table = self._guide
+        x = z2.reshape(-1)
+        top = np.right_shift(x, np.uint64(64 - bits),
+                             out=None if scratch is None else scratch.reshape(-1))
+        colors = np.empty(x.size, lane_dtype(self.K)) if out is None else out.reshape(-1)
+        if table is None:
+            np.copyto(colors, top, casting="unsafe")
+            colors += 1
+            return colors.reshape(z2.shape)
+        np.take(table, top.view(np.int64), out=colors, mode="clip")
+        # The ambiguous buckets' mask reuses the shifted states' memory.
+        open_ = np.flatnonzero(np.equal(colors, 0, out=top.view(bool)[:x.size]))
         if open_.size:
-            pick = np.searchsorted(thresholds, x[open_], side="right")
+            pick = np.searchsorted(thresholds, finish_words(x[open_]), side="right")
             pick += 1
             colors[open_] = pick
-        return colors.reshape(words.shape)
+        return colors.reshape(z2.shape)
 
     def sample_coloring(self, n: int, seed: int) -> np.ndarray:
         """n i.i.d. int64 colors via inverse-CDF lookup on the stream ``seed``.
@@ -171,7 +186,7 @@ class ColorDistribution:
             raise InputError("need at least one vertex to color")
         if self.is_degenerate:
             raise DomainError("degenerate color distribution (single color has mass 1)")
-        return self._colors_of_words(SplitMix64(seed).words(n)).astype(np.int64)
+        return self._colors_of_states(SplitMix64(seed).half_mixed(n)).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"ColorDistribution({self.p.tolist()})"

@@ -91,18 +91,12 @@ class Graph:
         if pairs.size == 0:
             raise DomainError("graph has no edges (every statistic divides by m)")
         if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InputError("edges must be pairs of vertex ids")
+            raise EdgeError(_first_non_pair(edges), "pairs")
         lo, hi, fault = _canonical_edges(pairs[:, 0], pairs[:, 1], n, kept[:, 0] & kept[:, 1])
         if fault is not None:
             row, kind = fault
             u, v = sorted(pairs[row].tolist())
-            raise EdgeError(row, {
-                "integer": "vertex ids must be integers",
-                "negative": "vertex ids must be nonnegative",
-                "loop": f"self-loop at vertex {u}",
-                "limit": f"vertex id {v} >= n={n}",
-                "repeat": f"duplicate edge {u} {v}",
-            }[kind])
+            raise EdgeError(row, kind, u, v, n)
         for arr in (lo, hi):
             arr.setflags(write=False)
         self.n = n
@@ -187,11 +181,31 @@ class DegreeSummary:
 
 
 class EdgeError(InputError):
-    """An edge that :class:`Graph` refuses; ``row`` is its index in the input."""
+    """An edge that :class:`Graph` refuses, worded by ``kind`` from the one
+    table of edge faults; ``row`` is its index in the input."""
 
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
+    def __init__(self, row: int, kind: str, u: int = 0, v: int = 0, n: int = 0):
+        super().__init__({
+            "pairs": "edges must be pairs of vertex ids",
+            "integer": "vertex ids must be integers",
+            "negative": "vertex ids must be nonnegative",
+            "loop": f"self-loop at vertex {u}",
+            "limit": f"vertex id {v} >= n={n}",
+            "repeat": f"duplicate edge {u} {v}",
+        }[kind])
         self.row = row
+
+
+def _first_non_pair(edges) -> int:
+    """Index of the first entry of ``edges`` that is not a pair; 0 when
+    ``edges`` has no entries to scan."""
+    for i, e in enumerate(np.atleast_1d(edges) if isinstance(edges, np.ndarray) else edges):
+        try:
+            if np.shape(e) != (2,):
+                return i
+        except ValueError:  # ragged
+            return i
+    return 0
 
 
 def _canonical_edges(u: np.ndarray, v: np.ndarray, limit: int, whole: np.ndarray):
@@ -235,8 +249,13 @@ def int64_entries(values) -> tuple[np.ndarray, np.ndarray]:
     """``values`` as an int64 array, and whether numpy's conversion kept each
     entry: it fails on or changes 1.7, nan, inf, 2.0**63 or None, whose
     places then hold arbitrary values.  An int64 array is returned as is.
+    Ragged ``values``, which no array holds, come back as one unkept entry
+    of shape (), which is neither a vector nor a table of pairs.
     """
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        return np.zeros((), np.int64), np.zeros((), bool)
     try:
         with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, marked below
             c = a.astype(np.int64, copy=False)
@@ -485,11 +504,12 @@ def parse_edge_list(text: str | bytes) -> Graph:
     stop = rows.line.size if fault is None else fault.row + 1
     malformed = np.flatnonzero(~rows.well_formed[:stop])
     if malformed.size:
-        ln = int(rows.line[malformed[0]])
-        if not rows.fits[malformed[0]]:
+        row = int(malformed[0])
+        ln = int(rows.line[row])
+        if not rows.fits[row]:
             raw = (text.decode() if isinstance(text, bytes) else text).splitlines()[ln - 1]
             raise InputError(f"line {ln}: expected two vertex ids, got {raw!r}")
-        raise InputError(f"line {ln}: vertex ids must be integers")
+        fault = EdgeError(row, "integer")
     if fault is not None:
         raise InputError(f"line {rows.line[fault.row]}: {fault}")
     if n > _MAX_VERTICES:

@@ -99,8 +99,14 @@ class Decomposition:
     reconstructed_Q: float
 
 
+# Rows of colors 0..2 whose byte sums cannot carry (2 * 127 < 256), and
+# rows of 0/1 bools likewise.
+_PLANE_ROWS = 127
+_BOOL_ROWS = 255
+
+
 def _mass_lanes(n: int, K: int) -> int:
-    """Lanes per bincount of the degree-mass reduction.
+    """Lanes per bincount of the degree-mass reduction for K >= 3.
 
     A block of b lanes counts its colors in b * (K + 1) slots; the lanes
     per block keep vertex and color slots near ``rng.budget_rows(32)``
@@ -114,18 +120,66 @@ def _mass_lanes(n: int, K: int) -> int:
 
 
 def _q_work_words(g: Graph, rows: int, lanes: int, K: int) -> int:
-    """uint64 words of scratch that :func:`_q_lanes` needs for ``rows`` replicates."""
-    return max(2 * g.m * (rows // lanes), g.n * min(rows, _mass_lanes(g.n, K)))
+    """uint64 words of scratch that :func:`_q_lanes` needs for ``rows`` replicates.
+
+    Both ends of every edge, and, for K <= 2, the largest degree plane and
+    its byte sums: a plane that misses a vertex holds at most the vertices
+    of positive degree.
+    """
+    groups = rows // lanes
+    if K <= 2:
+        touched = int(np.count_nonzero(g.degrees))
+        return groups * max(2 * g.m, touched + touched // _PLANE_ROWS)
+    return max(2 * g.m * groups, g.n * min(rows, _mass_lanes(g.n, K)))
 
 
-def _q_tables(g: Graph, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _degree_planes(degrees: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
+    """(2**k summed over the planes, vertices) of the degrees' bit planes.
+
+    Plane k holds the vertices whose degree has bit k set.  Planes that
+    hold every vertex share one entry with no index (no gather needed),
+    and empty planes are left out.
+    """
+    planes, full = [], 0
+    for k in range(int(degrees.max()).bit_length()):
+        members = np.flatnonzero(degrees >> k & 1)
+        if members.size == degrees.size:
+            full += 1 << k
+        elif members.size:
+            planes.append((1 << k, members))
+    return planes + [(full, None)] if full else planes
+
+
+def _q_tables(g: Graph, K: int) -> tuple:
     """What :func:`_q_lanes` reads besides the colors, for colors up to K.
 
     Writeable copies of the edge ends (``np.take`` copies read-only index
-    arrays, such as the graph's own, on every call) and the degrees tiled
-    over the lanes of one bincount.
+    arrays, such as the graph's own, on every call), then for K <= 2 the
+    degree bit planes and for K >= 3 the degrees tiled over the lanes of
+    one bincount.
     """
-    return g.edge_lo.copy(), g.edge_hi.copy(), np.tile(g._deg_float, _mass_lanes(g.n, K))
+    lo, hi = g.edge_lo.copy(), g.edge_hi.copy()
+    if K <= 2:
+        return lo, hi, _degree_planes(g.degrees), None
+    return lo, hi, None, np.tile(g._deg_float, _mass_lanes(g.n, K))
+
+
+def _byte_column_sums(a: np.ndarray, rows: int, spare: np.ndarray) -> np.ndarray:
+    """int64 column sums of a C-contiguous (N, r) uint8 array.
+
+    ``rows`` rows at a time add up without leaving a byte.  A block of
+    ``rows * q`` rows is viewed as ``rows`` contiguous rows of q * r bytes
+    and reduced over them in one pass, into ``spare`` (uint8, at least
+    ``N // rows * r`` bytes, apart from ``a``); those sums and the last
+    N % rows rows are then added up per column.
+    """
+    N, r = a.shape
+    q = N // rows
+    head = spare[:q * r]
+    np.add.reduce(a[:rows * q].reshape(rows, q * r), axis=0, dtype=np.uint8, out=head)
+    sums = head.reshape(q, r).sum(axis=0, dtype=np.int64)
+    sums += np.add.reduce(a[rows * q:], axis=0, dtype=np.uint8)
+    return sums
 
 
 def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.ndarray:
@@ -134,66 +188,70 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     ``colors`` is a C-contiguous n x r array of unsigned lanes, r a
     multiple of the lanes per uint64 word, so row v packs vertex v's
     colors into r / lanes words; the columns from ``count`` on only pad
-    the last word.  ``tables`` is :func:`_q_tables` for a K
-    at least every color, and ``work`` is uint64 scratch of
-    :func:`_q_work_words`; no other array the size of the graph is made.
+    the last word (with colors of their own or with zeros).  ``tables``
+    is :func:`_q_tables` for a K at least every color, and ``work`` is
+    uint64 scratch of :func:`_q_work_words`; no other array the size of
+    the graph is made.
 
     Same-color edges: the words at both ends of every edge are gathered
-    and XORed, so a lane is zero exactly where the colors agree.  With L
-    the low bits of every lane (0x7F.. for bytes), ~(((x & L) + L) | x | L)
-    keeps a lane's top bit exactly when the lane is zero (Warren, *Hacker's
-    Delight*, 2nd ed., 2013, sec. 6-1), and a shift moves it to the lane's
-    lowest bit.  Words of at most 2**bits - 1 edges are summed as integers
-    without carrying out of a lane, then the lanes of the block sums are
-    added up.
+    and XORed, and ``np.equal`` compares each lane with zero, writing one
+    bool per lane over the gathered words of the other end.  The bools
+    are added up as bytes, at most 255 edges to a byte.
 
     Degree mass: a color's mass is a sum of integer degrees, at most 2m,
     so the masses and the sum of their squares (at most 4m^2) are exact
-    in float64 while 4m^2 < 2**53, i.e. m < 4.7e7.  Summation order is
-    then free: lanes are reduced in blocks of ``_mass_lanes``, with
-    one bincount per block.  Every count is an exact integer, so a
-    replicate's Q does not depend on the lanes beside it.
+    in float64 while 4m^2 < 2**53, i.e. m < 4.7e7, and any exact method
+    gives the same Q.  For K <= 2, with colors 1 and 2,
+    mass_2 = sum_v k_v c_v - 2m and mass_1 = 2m - mass_2, and sum_v k_v c_v
+    is sum_k 2**k times the color sum over degree bit plane k (see
+    :func:`_degree_planes`): the plane's rows of packed colors are added
+    as bytes, at most 127 rows to a byte, and a plane that holds every
+    vertex is read in place, with no gather.  For K >= 3 lanes are
+    reduced in blocks of ``_mass_lanes``, with one weighted bincount per
+    block.  Every count is an exact integer, so a replicate's Q does not
+    depend on the lanes beside it.
     """
     n, r = colors.shape
-    lo, hi, weights = tables
+    lo, hi, planes, weights = tables
     m = lo.size
-    bits = 8 * colors.itemsize
     groups = r * colors.itemsize // 8
     packed = colors.view(np.uint64)
     x = work[:m * groups].reshape(m, groups)
-    zero = work[m * groups:2 * m * groups].reshape(m, groups)
+    y = work[m * groups:2 * m * groups].reshape(m, groups)
     np.take(packed, lo, axis=0, out=x, mode="clip")
-    np.take(packed, hi, axis=0, out=zero, mode="clip")
-    x ^= zero
-    low = np.full(8 // colors.itemsize, np.iinfo(colors.dtype).max >> 1, colors.dtype)
-    low = low.view(np.uint64)[0]
-    np.bitwise_and(x, low, out=zero)
-    zero += low
-    zero |= x
-    zero |= low
-    np.invert(zero, out=zero)
-    zero >>= np.uint64(bits - 1)
-    # Block sums reuse the XOR's memory; each row covers at least one edge.
-    full, rest = divmod(m, min(m, (1 << bits) - 1))
-    sums = work[:(full + (rest > 0)) * groups].reshape(-1, groups)
-    np.add.reduce(zero[:m - rest].reshape(full, -1, groups), axis=1, out=sums[:full])
-    if rest:
-        np.add.reduce(zero[m - rest:], axis=0, out=sums[full])
-    same = sums.view(colors.dtype)[:, :count].sum(axis=0, dtype=np.int64)
+    np.take(packed, hi, axis=0, out=y, mode="clip")
+    x ^= y
+    equal = np.equal(x.view(colors.dtype), 0, out=y.reshape(-1).view(bool)[:m * r].reshape(m, r))
+    same = _byte_column_sums(equal.view(np.uint8), _BOOL_ROWS, x.reshape(-1).view(np.uint8))
 
-    step = weights.size // n
-    width = int(colors.max()) + 1
-    # Lane i of a block counts its colors in slots i*width .. i*width + width - 1.
-    offsets = np.arange(0, step * width, width, dtype=np.int64)[:, None]
-    sumd2 = np.empty(count)
-    for a in range(0, count, step):
-        b = min(step, count - a)
-        slots = work[:b * n].view(np.int64).reshape(b, n)
-        np.add(colors[:, a:a + b].T, offsets[:b], out=slots)
-        mass = np.bincount(slots.reshape(-1), weights=weights[:b * n], minlength=b * width)
-        mass = mass.reshape(b, width)
-        sumd2[a:a + b] = np.einsum("ij,ij->i", mass, mass)
-    return same / m - sumd2 / (4.0 * m * m)
+    if planes is not None:
+        spare = work.view(np.uint8)
+        total = np.zeros(r, np.int64)
+        for weight, members in planes:
+            if members is None:
+                total += weight * _byte_column_sums(colors, _PLANE_ROWS, spare)
+                continue
+            rows = work[:members.size * groups].reshape(-1, groups)
+            np.take(packed, members, axis=0, out=rows, mode="clip")
+            total += weight * _byte_column_sums(rows.view(np.uint8), _PLANE_ROWS,
+                                                spare[rows.nbytes:])
+        mass2 = (total[:count] - 2 * m).astype(np.float64)
+        mass1 = 2.0 * m - mass2
+        sumd2 = mass1 * mass1 + mass2 * mass2
+    else:
+        step = weights.size // n
+        width = int(colors.max()) + 1
+        # Lane i of a block counts its colors in slots i*width .. i*width + width - 1.
+        offsets = np.arange(0, step * width, width, dtype=np.int64)[:, None]
+        sumd2 = np.empty(count)
+        for a in range(0, count, step):
+            b = min(step, count - a)
+            slots = work[:b * n].view(np.int64).reshape(b, n)
+            np.add(colors[:, a:a + b].T, offsets[:b], out=slots)
+            mass = np.bincount(slots.reshape(-1), weights=weights[:b * n], minlength=b * width)
+            mass = mass.reshape(b, width)
+            sumd2[a:a + b] = np.einsum("ij,ij->i", mass, mass)
+    return same[:count] / m - sumd2 / (4.0 * m * m)
 
 
 def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:

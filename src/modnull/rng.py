@@ -14,9 +14,15 @@ golden-ratio constant.  A stream with seed ``s`` then emits the words
 and every draw is the top 53 bits of a word, x_t = w_t >> 11, standing
 for the uniform x_t * 2**-53.  No float is formed: consumers compare
 words with the thresholds ceil(q * 2**53) of :func:`word_threshold`,
-exact because scaling by a power of two is.  Word arrays are mixed in
+exact because scaling by a power of two is.  The finalizer ends with
+z ^= z >> 31, which leaves the top 31 bits of its input z2 unchanged
+(Steele, Lea & Flood, *Fast splittable pseudorandom number generators*,
+OOPSLA 2014).  So the top b <= 31 bits of a word are z2 >> (64 - b), and
+a consumer that needs only those (the color lookup) stops at the
+half-mixed state z2 of :func:`half_mix` and finishes only the words it
+must compare in full (:func:`finish_words`).  State arrays are mixed in
 place with one scratch array, which callers may supply and reuse, so c
-words hold 16c bytes at their peak.  Every blocked loop in the package
+states hold 16c bytes at their peak.  Every blocked loop in the package
 (draws, sampling chunks, parsing, writing, the degree-product sum, the
 4-cycle count, the martingale and degree-mass kernels, enumeration, KS
 and CSV output) takes its block size from the one 2 MiB byte budget
@@ -72,8 +78,9 @@ def stream_seed(master: int, index: int) -> int:
     return mix64((master ^ ((index + 1) * GOLDEN)) & MASK64)
 
 
-def _mix64_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 finalizer of a uint64 array, in place; returns ``z``.
+def half_mix(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """The finalizer's first two rounds, in place: the state z2 after its
+    second multiply; returns ``z``.
 
     ``tmp`` is scratch of the shape of ``z``, allocated when not given.
     """
@@ -83,8 +90,20 @@ def _mix64_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         z *= mul
-    np.right_shift(z, _S31, out=tmp)
-    z ^= tmp
+    return z
+
+
+def finish_words(z2: np.ndarray) -> np.ndarray:
+    """The 53-bit words (z2 ^ z2 >> 31) >> 11 of half-mixed states, in place; returns ``z2``."""
+    z2 ^= z2 >> _S31
+    z2 >>= _S11
+    return z2
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of a uint64 array, in place; returns ``z``."""
+    half_mix(z)
+    z ^= z >> _S31
     return z
 
 
@@ -99,13 +118,6 @@ def stream_steps(count: int) -> np.ndarray:
     t = np.arange(1, count + 1, dtype=np.uint64)
     t *= _G
     return t
-
-
-def mix_words(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """Turn stream states into their 53-bit words, in place; returns ``z``."""
-    _mix64_array(z, tmp)
-    z >>= _S11
-    return z
 
 
 class SplitMix64:
@@ -125,13 +137,17 @@ class SplitMix64:
         self._state = (self._state + GOLDEN) & MASK64
         return mix64(self._state)
 
-    def words(self, count: int) -> np.ndarray:
-        """The next ``count`` 53-bit words of the stream, as a uint64 array."""
+    def half_mixed(self, count: int) -> np.ndarray:
+        """The half-mixed states (see :func:`half_mix`) of the next ``count``
+        words, as a uint64 array; the stream advances past those words."""
         out = stream_steps(count)
         out += _U64(self._state)
-        mix_words(out)
         self._state = (self._state + count * GOLDEN) & MASK64
-        return out
+        return half_mix(out)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` 53-bit words of the stream, as a uint64 array."""
+        return finish_words(self.half_mixed(count))
 
     def randbelow(self, bound: int) -> int:
         # Modulo reduction; the bias is < bound / 2**64, far below any

@@ -12,19 +12,25 @@ Every sampling command draws its replicates through one chunked kernel.
 A chunk's colorings are packed side by side: an n x r array of unsigned
 lanes, the narrowest of uint8, uint16 and uint32 that holds K, with one
 column per replicate, so each vertex owns r / lanes uint64 words and a
-lane group is the lanes of one word (8, 4 or 2 replicates).  Words are
-drawn and turned into colors in blocks of vertices, and the Q kernel
-(:func:`moments._q_lanes`) counts same-color edges on the packed words.
-Each worker allocates its buffers once and reuses them for every chunk:
-the chunk's colors, and one scratch array that holds a block of words
-and their mixing scratch, then the words gathered at both ends of every
-edge, then the degree-mass slots.  They fit the byte budget
-``rng.BUDGET`` (2 MiB, see :func:`_chunking`), or one lane group's worth
-when a group is larger, so a chunk's boundaries depend on the graph's n
-and m and on the lane width but never on the worker count; a row's value
-does not depend on them at all.  The output is allocated before any word
-is drawn, and workers take chunks in turn and write each into it in
-place, which makes the output identical for any worker count.
+lane group is the lanes of one word (8, 4 or 2 replicates).  Stream
+states are drawn and mixed in blocks of vertices, but only up to the
+half-mixed state of :func:`rng.half_mix`, whose top bits are the word's:
+the colors are read from those (:meth:`ColorDistribution._colors_of_states`),
+and only words that a guide bucket leaves ambiguous are finished.  The Q
+kernel (:func:`moments._q_lanes`) compares the packed words gathered at
+both ends of every edge lane by lane, and for K <= 2 adds the packed
+colors over the degrees' bit planes.  Each worker allocates its buffers
+once and reuses them for every chunk: the chunk's colors, and one
+scratch array that holds a block of states and their mixing scratch,
+then the words gathered at both ends of every edge and their equality
+bools, then the gathered degree planes or the degree-mass slots.  They
+fit the byte budget ``rng.BUDGET`` (2 MiB, see :func:`_chunking`), or
+one lane group's worth when a group is larger, so a chunk's boundaries
+depend on the graph's n and m and on the lane width but never on the
+worker count; a row's value does not depend on them at all.  The output
+is allocated before any state is drawn, and workers take chunks in turn
+and write each into it in place, which makes the output identical for
+any worker count.
 
 Standardization
 ---------------
@@ -55,7 +61,7 @@ from .moments import (
     _v2_rows,
     null_moments,
 )
-from .rng import budget_rows, mix_words, stream_seed, stream_seed_array, stream_steps
+from .rng import budget_rows, half_mix, stream_seed, stream_seed_array, stream_steps
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -186,13 +192,13 @@ def _ks_against(x: np.ndarray, cdf) -> float:
 
 
 def _chunking(g: Graph, lanes: int) -> tuple[int, int]:
-    """Replicates per chunk and vertices per block of words, for ``lanes`` lanes per word.
+    """Replicates per chunk and vertices per block of states, for ``lanes`` lanes per word.
 
     Half of ``rng.BUDGET`` holds a chunk's colors and the words gathered
     at both ends of every edge, 8n + 16m bytes per lane group; the other
-    half holds one block of words and their mixing scratch, 16 bytes per
-    replicate and vertex.  A chunk has at least one lane group and a
-    block at least one vertex.
+    half holds one block of stream states and their mixing scratch, 16
+    bytes per replicate and vertex.  A chunk has at least one lane group
+    and a block at least one vertex.
     """
     rows = lanes * budget_rows(2 * (8 * g.n + 16 * g.m))
     return rows, min(g.n, budget_rows(32 * rows))
@@ -242,10 +248,11 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
             colors = color_buffer[:n * r].reshape(n, r)
             for v in range(0, n, block):
                 size = min(block, n - v) * r
-                words = scratch[:size].reshape(-1, r)
+                states = scratch[:size].reshape(-1, r)
                 mix = scratch[size:2 * size].reshape(-1, r)
-                np.add(steps[v:v + block, None], seeds, out=words)
-                dist._colors_of_words(mix_words(words, mix), out=colors[v:v + block], scratch=mix)
+                np.add(steps[v:v + block, None], seeds, out=states)
+                dist._colors_of_states(half_mix(states, mix), out=colors[v:v + block],
+                                       scratch=mix)
             out[a:a + count] = kernel(colors, count, scratch)
 
     if len(buffers) == 1:

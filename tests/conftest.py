@@ -189,6 +189,71 @@ def q_by_rows(colors_2d, g, mass_block=1 << 16):
     return within / m - sumd2 / (4.0 * m * m)
 
 
+def words_by_full_mix(states):
+    """Reference 53-bit words of stream states: the whole splitmix64
+    finalizer, then the top 53 bits, on a copy of ``states``."""
+    z = np.array(states, dtype=np.uint64)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mul)
+    z ^= z >> np.uint64(31)
+    return z >> np.uint64(11)
+
+
+def states_of_words(words, low=0):
+    """Half-mixed states (``rng.half_mix``) whose 53-bit words are ``words``,
+    with the 11 bits a word drops set to ``low``: the finalizer's last step
+    z ^= z >> 31 is undone by z ^ z >> 31 ^ z >> 62."""
+    w = (np.asarray(words, dtype=np.uint64) << np.uint64(11)) | np.uint64(low)
+    return w ^ (w >> np.uint64(31)) ^ (w >> np.uint64(62))
+
+
+def colors_by_guide_table(dist, words):
+    """Reference color lookup on 53-bit words: the library's before colors
+    were read from half-mixed states.  A guide table maps each word's top
+    16 bits to its color when the whole bucket gets one, else to 0, and
+    the words of those ambiguous buckets are searched in the thresholds."""
+    thresholds = np.ceil(np.cumsum(dist.p)[:-1] * 2.0 ** 53).astype(np.uint64)
+    edges = np.arange(2 ** 16 + 1, dtype=np.uint64) << np.uint64(37)
+    lo = np.searchsorted(thresholds, edges[:-1], side="right")
+    hi = np.searchsorted(thresholds, edges[1:], side="left")
+    table = np.where(lo == hi, lo + 1, 0)
+    colors = table[(words >> np.uint64(37)).astype(np.int64)]
+    open_ = colors == 0
+    colors[open_] = np.searchsorted(thresholds, words[open_], side="right") + 1
+    return colors
+
+
+def q_lanes_by_warren(colors, count, g):
+    """Reference Q of the first ``count`` columns of a packed n x r lane array
+    (``moments._q_lanes``'s input): the library's kernel before lanes were
+    compared by equality and K=2 masses read from degree bit planes.
+
+    The words at both ends of every edge are XORed, and with L the low bits
+    of every lane, ~(((x & L) + L) | x | L) keeps a lane's top bit exactly
+    when the lane is zero (Warren, *Hacker's Delight*, 2nd ed., 2013,
+    sec. 6-1); lane sums of blocks of at most 2**bits - 1 edges, then one
+    weighted bincount of the degree masses per replicate.
+    """
+    m = g.m
+    bits = 8 * colors.itemsize
+    packed = colors.view(np.uint64)
+    x = packed[g.edge_lo] ^ packed[g.edge_hi]
+    low = np.full(8 // colors.itemsize, np.iinfo(colors.dtype).max >> 1, colors.dtype)
+    low = low.view(np.uint64)[0]
+    zero = ~(((x & low) + low) | x | low) >> np.uint64(bits - 1)
+    block = (1 << bits) - 1
+    same = np.zeros(colors.shape[1], np.int64)
+    for a in range(0, m, block):
+        sums = zero[a:a + block].sum(axis=0, dtype=np.uint64)
+        same += sums.view(colors.dtype).astype(np.int64)
+    width = int(colors.max()) + 1
+    mass = np.stack([np.bincount(colors[:, j], weights=g._deg_float, minlength=width)
+                     for j in range(count)])
+    sumd2 = np.einsum("ij,ij->i", mass, mass)
+    return same[:count] / m - sumd2 / (4.0 * m * m)
+
+
 def colors_by_float_lookup(dist, u):
     """Reference color lookup: float inverse CDF on uniforms ``u`` in [0, 1).
 

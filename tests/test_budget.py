@@ -8,6 +8,9 @@ one lane group per sampling chunk, one row per martingale block, one to
 five lanes per degree-mass block, 256-edge blocks of the degree-product
 sum, 36 colorings per enumeration chunk, 32 values per KS block and 7 to
 21 rows per CSV block.  One ``reg`` graph takes the stub-switch repair.
+Colors come from the states' top bits (``--K 2`` and ``--K 4``) and from
+the guide table, and two-color degree masses from degree planes that
+hold every vertex (``reg``) and from many that miss some (``hub``).
 The martingale kernel has no command of its own, so its samples on the
 hub graph are one more artifact.  Two runs that fail on purpose report
 lines deep in their files, which the parser finds only by counting the
@@ -46,6 +49,12 @@ COMMANDS = [
      "--reps", "150", "--seed", "4", "--threads", "1", "--out", "null.csv"],
     ["be-study", "--model", "reg:d=4", "--sizes", "40,80", "--reps", "200", "--seed", "5",
      "--threads", "2", "--out", "be.csv"],
+    # Colors as the states' top two bits; K=2 degree masses from many
+    # degree planes, each missing some vertices.
+    ["null-sample", "--graph", "er.txt", "--K", "4", "--reps", "150", "--seed", "8",
+     "--threads", "2", "--out", "null4.csv"],
+    ["be-study", "--model", "hub:p=0.05", "--sizes", "150,300", "--reps", "200", "--seed", "9",
+     "--threads", "2", "--out", "behub.csv"],
     ["slln-study", "--model", "er:p=0.2", "--sizes", "20,40", "--reps", "60", "--seed", "6",
      "--probs", "probs.txt", "--out", "slln.csv"],
     ["enumerate-check", "--graph", "small.txt", "--probs", "probs.txt", "--out", "enum.json"],

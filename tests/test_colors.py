@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import colors_by_float_lookup, random_distribution
+from conftest import (colors_by_float_lookup, colors_by_guide_table, random_distribution,
+                      states_of_words)
 from modnull import (ColorDistribution, DomainError, InputError, modularity,
                      parse_probability_text, validate_coloring)
 from modnull.colors import ColoringError
@@ -43,8 +44,11 @@ def test_from_coloring_degenerate_and_uniform():
 
 
 def test_from_coloring_validation():
-    with pytest.raises(InputError, match="^coloring must be a nonempty vector$"):
-        ColorDistribution.from_coloring([])
+    # Ragged input used to fail with numpy's bare "setting an array element
+    # with a sequence".
+    for colors in ([], [1, [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(InputError, match="^coloring must be a nonempty vector$"):
+            ColorDistribution.from_coloring(colors)
     with pytest.raises(InputError, match="^colors must be integers >= 1$"):
         ColorDistribution.from_coloring([0, 1])
     with pytest.raises(InputError, match="^color 3 exceeds K=2$"):
@@ -263,6 +267,10 @@ LOOKUP_CASES = {
     "sum_above_one": [0.6, 0.4 + 4e-13, 0.0, 1e-13],
     # more colors than the 65536 buckets, so no bucket is unambiguous
     "more_colors_than_buckets": [1.0 / 70000] * 70000,
+    # uniform on 2**b colors: the color is the word's top b bits plus one
+    "uniform_2": [0.5, 0.5],
+    "uniform_256": [2.0 ** -8] * 256,
+    "uniform_65536": [2.0 ** -16] * 65536,
 }
 
 
@@ -277,15 +285,58 @@ def test_word_lookup_matches_float_inverse_cdf(case):
     special = np.concatenate([special - 1, special, special + 1])
     special = special[(special >= 0) & (special <= top)].astype(np.uint64)
     words = np.concatenate([special, SplitMix64(stream_seed(5, len(d.p))).words(50_000)])
-    got = d._colors_of_words(words)
-    assert got.dtype == (np.uint8 if d.K < 2 ** 8 else np.uint16 if d.K < 2 ** 16 else np.uint32)
-    assert np.array_equal(got, colors_by_float_lookup(d, words * 2.0 ** -53))
-    block = d._colors_of_words(words[:60].reshape(3, 20))
+    # The states of these words, with the 11 bits a word drops set two ways.
+    lane = np.uint8 if d.K < 2 ** 8 else np.uint16 if d.K < 2 ** 16 else np.uint32
+    for low in (0, 2 ** 11 - 1):
+        got = d._colors_of_states(states_of_words(words, low))
+        assert got.dtype == lane
+        assert np.array_equal(got, colors_by_float_lookup(d, words * 2.0 ** -53))
+    block = d._colors_of_states(states_of_words(words[:60].reshape(3, 20)))
     assert np.array_equal(block.ravel(), got[:60])
     seed = stream_seed(9, 1)
     coloring = d.sample_coloring(1000, seed)
     assert coloring.dtype == np.int64
     assert np.array_equal(coloring, colors_by_float_lookup(d, SplitMix64(seed).words(1000) * 2.0 ** -53))
+
+
+TOP_BITS_CASES = [
+    # uniform on 2**b colors, b = 1 .. 16: the color is the top b bits plus one
+    ([0.5, 0.5], True),
+    ([0.25] * 4, True),
+    ([2.0 ** -8] * 256, True),
+    ([2.0 ** -16] * 2 ** 16, True),
+    # uniform on 2**17 colors: more bits than a guide bucket
+    ([2.0 ** -17] * 2 ** 17, False),
+    ([1 / 3] * 3, False),
+    ([0.5, 0.5 - 2.0 ** -53, 2.0 ** -53], False),
+    ([0.25, 0.25, 0.5], False),
+    ([0.25, 0.25, 0.25 - 2.0 ** -50, 0.25 + 2.0 ** -50], False),
+    # not uniform, although its one threshold is uniform's, 2**52
+    ([0.5 - 2.0 ** -54, 0.5 + 2.0 ** -54], False),
+    ([1.0], False),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TOP_BITS_CASES)))
+def test_colors_come_from_the_top_bits_exactly_when_uniform_on_a_power_of_two(case):
+    p, top_bits = TOP_BITS_CASES[case]
+    d = ColorDistribution(p)
+    assert (d._guide[2] is None) == top_bits
+    thresholds = d._guide[0].astype(np.int64)
+    special = np.concatenate([thresholds - 1, thresholds, thresholds + 1, [0, 2 ** 53 - 1]])
+    special = special[(special >= 0) & (special < 2 ** 53)].astype(np.uint64)
+    words = np.concatenate([special, SplitMix64(4).words(20_000)])
+    assert np.array_equal(d._colors_of_states(states_of_words(words, 2 ** 11 - 1)),
+                          colors_by_guide_table(d, words))
+
+
+def test_an_observed_partition_split_in_half_takes_the_top_bits():
+    assert ColorDistribution.from_coloring([1, 2] * 500)._guide[2] is None
+    assert parse_probability_text("0.5\n0.5\n")._guide[2] is None
+    assert ColorDistribution.from_coloring([1, 2, 3, 4] * 7)._guide[2] is None
+    assert ColorDistribution.from_coloring([1, 2, 2])._guide[2] is not None
+    # K is the largest label: an unused color breaks uniformity.
+    assert ColorDistribution.from_coloring([1, 2] * 5, K=4)._guide[2] is not None
 
 
 def test_probability_file_parsing():

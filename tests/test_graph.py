@@ -125,6 +125,18 @@ def test_constructor_refuses_non_integers():
     assert g.degrees.tolist() == [1, 2, 1]
 
 
+@pytest.mark.parametrize("edges,row", [
+    ([(0, 1), (2,)], 1), ([(0, 1), (1, [2])], 1), ([(0, 1), (1, 2, 0)], 1), ([0, 1], 0),
+    (np.zeros((2, 3)), 0), (np.array(5), 0),
+])
+def test_edges_that_are_not_pairs_fault_at_their_row(edges, row):
+    # Ragged input used to fail with numpy's bare "setting an array element
+    # with a sequence".
+    with pytest.raises(graph_module.EdgeError, match="^edges must be pairs of vertex ids$") as exc:
+        Graph(3, edges)
+    assert exc.value.row == row
+
+
 def test_directive_allows_isolated_vertices():
     g = parse_edge_list("# n=5\n0 1\n")
     assert g.n == 5

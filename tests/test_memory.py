@@ -5,8 +5,9 @@ mark and minor page faults from ``os.wait4``.  The sampling kernel packs
 the colorings of a chunk of replicates side by side into unsigned lanes,
 one uint64 word per vertex and lane group.  Each worker allocates its
 buffers once: the chunk's colors, and one scratch array that holds a
-block of words and their mixing scratch, then the words gathered at both
-ends of every edge, then the degree-mass slots.  Together they take
+block of stream states and their mixing scratch, then the words gathered
+at both ends of every edge and their equality bools, then the gathered
+degree planes (K <= 2) or the degree-mass slots.  Together they take
 ``rng.BUDGET`` (2 MiB), or one lane group's worth when a group is
 larger, and the output arrays are allocated before any word is drawn.
 So what remains is the interpreter, the parsed graph and the color
@@ -113,6 +114,18 @@ def test_null_sample_memory_bounded_in_the_number_of_colors(tmp_path):
     out = str(tmp_path / "q.csv")
     assert peak_rss_mb("null-sample", "--graph", graph, "--K", "1000000", "--reps", "64",
                        "--seed", "1", "--out", out) < LIMIT_MB
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+def test_two_color_study_memory_stays_within_the_worker_buffers(tmp_path):
+    # K=2 on two threads: the lane equality writes its bools over the
+    # gathered words and the degree planes are gathered into the same
+    # scratch, so the run peaks near 35.4 MB (2-vCPU VM, numpy 2.4.6).  The
+    # XOR/Warren kernel with a degree-mass bincount peaked at 38.2-38.3 MB,
+    # and a prototype with its own equality buffer rose above it.
+    out = str(tmp_path / "be.csv")
+    assert peak_rss_mb("be-study", "--model", "reg:d=6", "--sizes", "250,500,1000,2000",
+                       "--reps", "2000", "--seed", "1", "--threads", "2", "--out", out) < 38
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")

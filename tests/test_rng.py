@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import words_by_full_mix
+
 from modnull.rng import (
     GOLDEN,
     MASK64,
     SplitMix64,
+    finish_words,
+    half_mix,
     mix64,
-    mix_words,
     stream_seed,
     stream_seed_array,
     stream_steps,
@@ -52,15 +55,26 @@ def test_stream_seed_scalar_vs_array():
 
 
 def test_stream_states_give_the_words_of_every_stream():
-    # Seeds plus stream_steps, mixed by mix_words, are the words of each
-    # stream: the vector form the sampling kernel draws in place.
+    # Seeds plus stream_steps, half-mixed in place and finished, are the
+    # words of each stream: the vector form the sampling kernel draws.
     seeds = stream_seed_array(77, np.arange(8))
-    words = mix_words(seeds[:, None] + stream_steps(33)[None, :])
-    assert words.dtype == np.uint64 and words.shape == (8, 33)
+    states = seeds[:, None] + stream_steps(33)[None, :]
+    want = words_by_full_mix(states)
+    z2 = half_mix(states)
+    assert z2 is states and z2.dtype == np.uint64 and z2.shape == (8, 33)
+    # The last xor-shift keeps the top 31 bits: a word's top bits are z2's.
+    for b in (1, 16, 31):
+        assert np.array_equal(z2 >> np.uint64(64 - b), want >> np.uint64(53 - b))
+    words = finish_words(z2.copy())
+    assert np.array_equal(words, want)
     for r in range(8):
         rng = SplitMix64(int(seeds[r]))
         assert words[r].tolist() == [rng.next_u64() >> 11 for _ in range(33)]
         assert np.array_equal(words[r], SplitMix64(int(seeds[r])).words(33))
+        stream = SplitMix64(int(seeds[r]))
+        assert np.array_equal(stream.half_mixed(33), z2[r])
+        # half_mixed advances the stream past its words, as words does.
+        assert stream.next_u64() >> 11 == SplitMix64(int(seeds[r])).words(34)[-1]
 
 
 def test_determinism_and_range():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import ks_by_full_grids, q_by_rows
+from conftest import (colors_by_guide_table, ks_by_full_grids, q_by_rows, q_lanes_by_warren,
+                      states_of_words, words_by_full_mix)
 
 from modnull import (
     ColorDistribution,
@@ -16,6 +17,8 @@ from modnull import (
     Graph,
     InputError,
     be_rate_study,
+    gen_er,
+    gen_hub,
     gen_regular,
     ks_distance,
     ks_distance_uniform,
@@ -30,9 +33,9 @@ from modnull import (
     rng,
     std_normal_cdf,
 )
-from modnull.colors import validate_coloring
+from modnull.colors import lane_dtype, validate_coloring
 from modnull.moments import _q_of_rows
-from modnull.rng import stream_seed
+from modnull.rng import stream_seed, stream_seed_array, stream_steps
 from modnull.simulation import (
     _MAXLOG, _chunking, _erfc, _phi_array, _size_seeds, upper_p_value,
 )
@@ -291,7 +294,9 @@ def test_workers_take_every_chunk_once(monkeypatch):
 
 RING = np.arange(300)
 # Edge counts on and off the byte-lane block of 255 edges, isolated
-# vertices (40..99 of the "isolated" graph have no edges), and a regular graph.
+# vertices (40..99 of the "isolated" graph have no edges), a regular graph
+# (degree planes that hold every vertex), and ER, hub and matching graphs
+# (planes that miss vertices, many of them on the hub).
 LANE_GRAPHS = {
     "m255": Graph(300, np.column_stack([RING[:255], RING[1:256]])),
     "m256": Graph(300, np.column_stack([RING[:256], RING[1:257]])),
@@ -299,30 +304,78 @@ LANE_GRAPHS = {
                                         np.r_[RING[1:257], (RING[:255] + 2) % 300]])),
     "isolated": Graph(100, [(i, j) for i in range(40) for j in range(i + 1, 40) if (i + j) % 3]),
     "reg": gen_regular(80, 4, 5),
+    "er": gen_er(300, 0.05, 3),
+    "hub": gen_hub(200, 0.05, 2),
+    # One vertex of degree 2 and a matching: degree plane 0 misses one
+    # vertex and holds 2m - 2, more than the edge ends' scratch with its sums.
+    "matching": Graph(601, [(0, 1), (0, 2)] + [(v, v + 1) for v in range(3, 601, 2)]),
 }
 
 
-@pytest.mark.parametrize("K", [2, 32, 255, 256, 40000, 70000])
+def zipf(K):
+    """p_k proportional to 1/k: its thresholds fall inside guide buckets,
+    which are then ambiguous."""
+    raw = 1.0 / np.arange(1, K + 1)
+    return ColorDistribution(raw / math.fsum(raw.tolist()))
+
+
+def q_by_the_word_chain(g, d, reps, seed):
+    """The sampler's Q of replicates 0..reps-1 by the library's earlier
+    chain: whole words, the guide-table colors and the XOR/Warren/bincount
+    kernel, on lanes padded by the next replicates' colors as the sampler
+    pads them."""
+    dtype = lane_dtype(d.K)
+    lanes = 8 // dtype.itemsize
+    r = -(-reps // lanes) * lanes
+    seeds = stream_seed_array(seed, np.arange(r, dtype=np.uint64))
+    states = stream_steps(g.n)[:, None] + seeds[None, :]
+    colors = colors_by_guide_table(d, words_by_full_mix(states)).astype(dtype)
+    return q_lanes_by_warren(colors, reps, g)
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 8, 32, 255, 256, 257, 40000, 70000])
 @pytest.mark.parametrize("graph_name", sorted(LANE_GRAPHS))
 def test_lane_kernel_matches_the_row_major_oracle(monkeypatch, graph_name, K):
     # Every lane width (uint8 up to K=255, uint16 up to 65535, uint32 beyond),
-    # replicate counts around one 8-lane group, ragged last groups.
+    # the top-bits colors (K = 2, 4, 8, 256) and the guide table, replicate
+    # counts around one 8-lane group, ragged last groups, the byte budget at
+    # 2 MiB, 4 KiB and one lane group per chunk, and 1 to 3 threads: every
+    # Q is bit-identical to the row-major oracle and to the earlier chain.
     g = LANE_GRAPHS[graph_name]
-    d = ColorDistribution.uniform(K)
-    colorings = np.array([d.sample_coloring(g.n, stream_seed(17, r)) for r in range(103)])
-    want = q_by_rows(colorings, g)
-    for reps in (1, 7, 8, 9, 103):
-        for threads in (1, 2, 3):
-            assert np.array_equal(null_q_samples(g, d, reps, 17, threads=threads), want[:reps])
-    # Constant colorings fill every lane sum to its block length.
-    rows = np.vstack([colorings, np.ones((1, g.n), np.int64), np.full((1, g.n), K)])
-    assert np.array_equal(_q_of_rows(rows, g, K), q_by_rows(rows, g))
-    # One lane group per chunk.
-    monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
-    lanes = {2: 8, 32: 8, 255: 8, 256: 4, 40000: 4, 70000: 2}[K]
-    assert _chunking(g, lanes)[0] == lanes
-    for threads in (1, 3):
-        assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
+    lanes = {1: 8, 2: 4, 4: 2}[lane_dtype(K).itemsize]
+    default = rng.BUDGET
+    for d in (ColorDistribution.uniform(K), zipf(K)):
+        monkeypatch.setattr(rng, "BUDGET", default)
+        colorings = np.array([d.sample_coloring(g.n, stream_seed(17, r)) for r in range(103)])
+        want = q_by_rows(colorings, g)
+        assert np.array_equal(q_by_the_word_chain(g, d, 103, 17), want)
+        for reps in (1, 7, 8, 9, 103):
+            for threads in (1, 2, 3):
+                assert np.array_equal(null_q_samples(g, d, reps, 17, threads=threads),
+                                      want[:reps])
+        # Zero padding lanes; constant colorings fill every lane sum to its
+        # block length.
+        rows = np.vstack([colorings, np.ones((1, g.n), np.int64), np.full((1, g.n), K)])
+        for count in (1, 5, rows.shape[0]):
+            padded = np.zeros((g.n, -(-count // lanes) * lanes), lane_dtype(K))
+            padded[:, :count] = rows[:count].T
+            assert np.array_equal(_q_of_rows(rows[:count], g, K), q_by_rows(rows[:count], g))
+            assert np.array_equal(q_lanes_by_warren(padded, count, g), q_by_rows(rows[:count], g))
+        # Words forced into every ambiguous guide bucket, from states whose
+        # dropped bits are set.
+        thresholds = d._guide[0].astype(np.int64)
+        special = np.concatenate([thresholds - 1, thresholds, thresholds + 1])
+        special = special[(special >= 0) & (special < 2 ** 53)].astype(np.uint64)
+        assert np.array_equal(d._colors_of_states(states_of_words(special, 2 ** 11 - 1)),
+                              colors_by_guide_table(d, special))
+        monkeypatch.setattr(rng, "BUDGET", 4096)
+        for threads in (1, 2):
+            assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
+        # One lane group per chunk.
+        monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
+        assert _chunking(g, lanes)[0] == lanes
+        for threads in (1, 3):
+            assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
 
 
 def test_lane_kernel_block_sums_of_16_bit_lanes():
