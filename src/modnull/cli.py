@@ -16,16 +16,23 @@ failed runs print a single-line JSON object {"code", "message",
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 # modnull calls no BLAS routine, yet OpenBLAS starts one idle worker per
-# extra core when numpy loads, at ~0.1 s CPU each.  A value the caller
-# set wins, and a process that already holds numpy keeps its environment.
-if "numpy" not in sys.modules:
+# extra core when numpy loads, at ~0.1 s CPU each; a value the caller set
+# wins.  The imports below leave ~31k objects that live until exit, which
+# the cyclic GC would only scan again and again: it is off while they
+# load, and they are then frozen out of its generations (gc.freeze).  A
+# process that already holds numpy keeps its environment and its GC.
+_FRESH = "numpy" not in sys.modules
+_GC_WAS_ON = gc.isenabled()
+if _FRESH:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
 
 import numpy as np
 
@@ -37,6 +44,11 @@ from .graph import int_rows, parse_edge_list, write_edge_list
 from .moments import exact_moments_by_enumeration, modularity, null_moments
 from .serialize import dumps, write_csv
 from .simulation import RateRow, be_rate_study, significance_test, simulate_null, slln_study
+
+if _FRESH:
+    gc.freeze()
+    if _GC_WAS_ON:
+        gc.enable()
 
 SEED_ENV = "MODNULL_SEED"
 

@@ -164,6 +164,9 @@ class ColorDistribution:
                              out=None if scratch is None else scratch.reshape(-1))
         colors = np.empty(x.size, lane_dtype(self.K)) if out is None else out.reshape(-1)
         if table is None:
+            # Two contiguous passes: one np.add of uint64 into the narrow
+            # lanes takes numpy's buffered cast, 0.5-0.7 against 0.3-0.4 ns
+            # per state.
             np.copyto(colors, top, casting="unsafe")
             colors += 1
             return colors.reshape(z2.shape)

@@ -119,18 +119,26 @@ def _mass_lanes(n: int, K: int) -> int:
     return budget_rows(32 * (n + K + 1))
 
 
+def _edge_block(m: int, groups: int) -> int:
+    """Edges per block of :func:`_q_lanes`'s same-color count: the words of
+    ``groups`` lane groups at both ends of a block fit ``rng.BUDGET``."""
+    return min(m, budget_rows(16 * groups))
+
+
 def _q_work_words(g: Graph, rows: int, lanes: int, K: int) -> int:
     """uint64 words of scratch that :func:`_q_lanes` needs for ``rows`` replicates.
 
-    Both ends of every edge, and, for K <= 2, the largest degree plane and
-    its byte sums: a plane that misses a vertex holds at most the vertices
-    of positive degree.
+    Both ends of a block of edges, and, for K <= 2, the largest degree
+    plane and its byte sums (a plane that misses a vertex holds at most
+    the vertices of positive degree), or, for K >= 3, the slots of one
+    degree-mass block.
     """
     groups = rows // lanes
+    edges = 2 * groups * _edge_block(g.m, groups)
     if K <= 2:
         touched = int(np.count_nonzero(g.degrees))
-        return groups * max(2 * g.m, touched + touched // _PLANE_ROWS)
-    return max(2 * g.m * groups, g.n * min(rows, _mass_lanes(g.n, K)))
+        return max(edges, groups * (touched + touched // _PLANE_ROWS))
+    return max(edges, g.n * min(rows, _mass_lanes(g.n, K)))
 
 
 def _degree_planes(degrees: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
@@ -193,10 +201,11 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     uint64 scratch of :func:`_q_work_words`; no other array the size of
     the graph is made.
 
-    Same-color edges: the words at both ends of every edge are gathered
-    and XORed, and ``np.equal`` compares each lane with zero, writing one
-    bool per lane over the gathered words of the other end.  The bools
-    are added up as bytes, at most 255 edges to a byte.
+    Same-color edges, in blocks of :func:`_edge_block` edges: the words at
+    both ends of each edge are gathered and XORed, and ``np.equal``
+    compares each lane with zero, writing one bool per lane over the
+    gathered words of the other end.  The bools are added up as bytes, at
+    most 255 edges to a byte, and the blocks' counts as int64.
 
     Degree mass: a color's mass is a sum of integer degrees, at most 2m,
     so the masses and the sum of their squares (at most 4m^2) are exact
@@ -216,13 +225,18 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     m = lo.size
     groups = r * colors.itemsize // 8
     packed = colors.view(np.uint64)
-    x = work[:m * groups].reshape(m, groups)
-    y = work[m * groups:2 * m * groups].reshape(m, groups)
-    np.take(packed, lo, axis=0, out=x, mode="clip")
-    np.take(packed, hi, axis=0, out=y, mode="clip")
-    x ^= y
-    equal = np.equal(x.view(colors.dtype), 0, out=y.reshape(-1).view(bool)[:m * r].reshape(m, r))
-    same = _byte_column_sums(equal.view(np.uint8), _BOOL_ROWS, x.reshape(-1).view(np.uint8))
+    step = _edge_block(m, groups)
+    same = np.zeros(r, np.int64)
+    for a in range(0, m, step):
+        b = min(step, m - a)
+        x = work[:b * groups].reshape(b, groups)
+        y = work[b * groups:2 * b * groups].reshape(b, groups)
+        np.take(packed, lo[a:a + b], axis=0, out=x, mode="clip")
+        np.take(packed, hi[a:a + b], axis=0, out=y, mode="clip")
+        x ^= y
+        equal = np.equal(x.view(colors.dtype), 0,
+                         out=y.reshape(-1).view(bool)[:b * r].reshape(b, r))
+        same += _byte_column_sums(equal.view(np.uint8), _BOOL_ROWS, x.reshape(-1).view(np.uint8))
 
     if planes is not None:
         spare = work.view(np.uint8)

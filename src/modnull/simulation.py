@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,10 +256,30 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
 
     if len(buffers) == 1:
         worker(*buffers[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(buffers)) as pool:
-            for done in [pool.submit(worker, *b) for b in buffers]:
-                done.result()
+        return out
+    # Plain threads: a thread pool would import concurrent.futures and
+    # logging into every process.  Each thread keeps what it raised, and
+    # the lowest worker's error is raised once all have been joined.
+    errors = [None] * len(buffers)
+
+    def guarded(i: int) -> None:
+        try:
+            worker(*buffers[i])
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(len(buffers)):
+            thread = threading.Thread(target=guarded, args=(i,))
+            thread.start()
+            started.append(thread)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out
 
 

@@ -24,15 +24,20 @@ The ER generator skips over vertex pairs and draws its gaps in blocks
 within the same byte budget, so generating a graph holds little more
 than its edges, and the ``reg`` repair edits its edge keys in place.
 The enumeration oracle holds one weight and one Q value per coloring.
+One case runs in process under ``tracemalloc``: the Q of one observed
+coloring counts its same-color edges in blocks within ``rng.BUDGET``.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from modnull import Graph, rng, significance_test
 
 LIMIT_MB = 250
 
@@ -126,6 +131,31 @@ def test_two_color_study_memory_stays_within_the_worker_buffers(tmp_path):
     out = str(tmp_path / "be.csv")
     assert peak_rss_mb("be-study", "--model", "reg:d=6", "--sizes", "250,500,1000,2000",
                        "--reps", "2000", "--seed", "1", "--threads", "2", "--out", out) < 38
+
+
+@pytest.mark.parametrize("K", [2, 100])
+def test_one_coloring_q_holds_no_edge_sized_scratch(K):
+    # n=2.4e5, m=6e5, degrees 4 and 6 (one gathered degree plane for K=2).
+    # Beside the edge-end copies (9.2 MB), the coloring, its lanes and the
+    # degree planes or weights take a few vertex-sized arrays and the
+    # same-color count 2 MiB: 17.6 MB for K=2, 14.9 MB for K=100.  Gathering
+    # both ends of every edge at once took 2m words more, 24.7 and 22.0 MB.
+    n = 240_000
+    v = np.arange(n)
+    even = v[::2]
+    g = Graph(n, np.concatenate([np.column_stack([v, (v + 1) % n]),
+                                 np.column_stack([v, (v + 2) % n]),
+                                 np.column_stack([even, (even + 4) % n])]))
+    assert g.m == 600_000
+    colors = 1 + v * 7919 % K
+    significance_test(g, colors)  # fills the graph's cached degree statistics
+    tracemalloc.start()
+    try:
+        significance_test(g, colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * g.m + 32 * n + 2 * rng.BUDGET
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")

@@ -371,6 +371,8 @@ def test_lane_kernel_matches_the_row_major_oracle(monkeypatch, graph_name, K):
         monkeypatch.setattr(rng, "BUDGET", 4096)
         for threads in (1, 2):
             assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
+        # Same-color edges in blocks of 256 edges.
+        assert np.array_equal(_q_of_rows(rows, g, K), q_by_rows(rows, g))
         # One lane group per chunk.
         monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
         assert _chunking(g, lanes)[0] == lanes

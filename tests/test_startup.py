@@ -5,6 +5,8 @@ library user's process gets no numpy and no new environment variable
 until it asks for them.  The CLI runs numpy's OpenBLAS on one thread
 unless the caller set ``OPENBLAS_NUM_THREADS``, since no modnull code
 calls a BLAS routine; the artifacts must not depend on that setting.
+It also loads with the cyclic GC off and freezes what it loaded, and
+``--threads`` runs plain threads, so no command imports a thread pool.
 """
 
 import hashlib
@@ -13,10 +15,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
 import modnull
+from modnull import ColorDistribution, gen_regular, rng, simulation
 
 BLAS = "OPENBLAS_NUM_THREADS"
 
@@ -53,14 +58,14 @@ def test_cli_process_runs_one_thread_unless_the_caller_sets_openblas():
 
 
 def test_import_modnull_loads_no_numpy_and_keeps_the_environment():
-    loaded, same_env = child_json("""
-import json, os, sys
+    loaded, same_env, gc_state = child_json("""
+import gc, json, os, sys
 before = dict(os.environ)
 import modnull
 print(json.dumps([sorted(m for m in sys.modules if m == "numpy" or m.startswith("modnull.")),
-                  dict(os.environ) == before]))
+                  dict(os.environ) == before, [gc.isenabled(), gc.get_freeze_count()]]))
 """)
-    assert loaded == [] and same_env
+    assert loaded == [] and same_env and gc_state == [True, 0]
 
 
 def test_every_public_name_is_its_home_submodules_object():
@@ -99,6 +104,76 @@ import numpy
 import modnull.cli
 print(json.dumps(os.environ.get({BLAS!r})))
 """) is None
+
+
+# Each collection records whether numpy had started to load.
+GC_STATE = """
+import gc, json, sys
+{before}
+late = []
+gc.callbacks.append(lambda phase, info: phase == "start" and late.append("numpy" in sys.modules))
+import modnull.cli
+print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0, any(late),
+                  sorted(m for m in ("concurrent.futures", "logging") if m in sys.modules)]))
+"""
+
+
+def test_cli_import_runs_without_the_cyclic_gc_and_freezes_what_it_loaded():
+    # [GC on after the import, objects frozen, a collection ran once numpy
+    # was loading, thread-pool modules loaded]
+    assert child_json(GC_STATE.format(before="")) == [True, True, False, []]
+    # A caller's disabled GC stays disabled.
+    assert child_json(GC_STATE.format(before="gc.disable()")) == [False, True, False, []]
+    # A process that loaded numpy first keeps its GC and its freeze count.
+    assert child_json(GC_STATE.format(before="import numpy")) == [True, False, True, []]
+
+
+def test_a_threaded_command_imports_no_thread_pool(tmp_path):
+    # 200 replicates of a 2000-vertex graph take three chunks, so two workers.
+    assert child_json(f"""
+import json, sys
+import modnull.cli
+code = modnull.cli.main(["be-study", "--model", "reg:d=6", "--sizes", "2000", "--reps", "200",
+                         "--threads", "2", "--out", {str(tmp_path / "be.csv")!r}])
+print(json.dumps([code, sorted(m for m in ("concurrent.futures", "logging", "string", "traceback")
+                               if m in sys.modules)]))
+""") == [0, []]
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+@pytest.mark.parametrize("sampler, kernel", [("null_q_samples", "_q_lanes"),
+                                             ("martingale_variance_samples", "_v2_rows")])
+def test_a_worker_error_is_raised_after_every_thread_is_joined(monkeypatch, sampler, kernel,
+                                                               threads):
+    # One lane group per chunk, so 64 replicates make 8 chunks.  Every
+    # worker raises in its first chunk, once all of them are inside one,
+    # and all but the first worker started raise 0.2 s later: the error
+    # raised is the first worker's, and no thread outlives the call.
+    monkeypatch.setattr(rng, "BUDGET", 4096)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def failing(*args):
+        barrier.wait()
+        if threading.current_thread() is not started[0]:
+            time.sleep(0.2)
+        raise RuntimeError(threading.current_thread().name)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(simulation, kernel, failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        getattr(simulation, sampler)(gen_regular(300, 4, 1), ColorDistribution.uniform(2), 64, 5,
+                                     threads=threads)
+    assert len(started) == threads and str(raised.value) == started[0].name
+    assert threading.active_count() == before == 1
+    assert not any(thread.is_alive() for thread in started)
 
 
 GENERATE = ["generate", "--model", "hub:p=0.05", "--n", "200", "--seed", "2", "--out", "hub.txt"]
