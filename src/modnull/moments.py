@@ -119,26 +119,28 @@ def _mass_lanes(n: int, K: int) -> int:
     return budget_rows(32 * (n + K + 1))
 
 
+def _chunking(n: int, lanes: int) -> tuple[int, int]:
+    """Replicates per chunk, for ``lanes`` lanes per word, and uint64 words of scratch.
+
+    A lane group needs at most n + n // 127 + 1 words of scratch in any
+    stage (a degree plane of up to n - 1 vertices and its byte sums), and
+    16 for one vertex's stream states and their mixing scratch.  A chunk's
+    lane groups, at least one, fill a quarter of ``rng.BUDGET`` with that
+    many words each, and the scratch is half of it, or one group's worth
+    when that is more.  So the scratch holds every stage of any chunk: a
+    block of states, a block of edges (:func:`_edge_block`), a gathered
+    degree plane and its byte sums, or the slots of one degree-mass
+    bincount (:func:`_mass_lanes`).
+    """
+    group = max(16, n + n // _PLANE_ROWS + 1)
+    return lanes * budget_rows(32 * group), max(budget_rows(16), group)
+
+
 def _edge_block(m: int, groups: int) -> int:
     """Edges per block of :func:`_q_lanes`'s same-color count: the words of
-    ``groups`` lane groups at both ends of a block fit ``rng.BUDGET``."""
-    return min(m, budget_rows(16 * groups))
-
-
-def _q_work_words(g: Graph, rows: int, lanes: int, K: int) -> int:
-    """uint64 words of scratch that :func:`_q_lanes` needs for ``rows`` replicates.
-
-    Both ends of a block of edges, and, for K <= 2, the largest degree
-    plane and its byte sums (a plane that misses a vertex holds at most
-    the vertices of positive degree), or, for K >= 3, the slots of one
-    degree-mass block.
-    """
-    groups = rows // lanes
-    edges = 2 * groups * _edge_block(g.m, groups)
-    if K <= 2:
-        touched = int(np.count_nonzero(g.degrees))
-        return max(edges, groups * (touched + touched // _PLANE_ROWS))
-    return max(edges, g.n * min(rows, _mass_lanes(g.n, K)))
+    ``groups`` lane groups at both ends of a block, and a copy of one end's
+    vertex ids, fit half of ``rng.BUDGET``."""
+    return min(m, budget_rows(16 * (2 * groups + 1)))
 
 
 def _degree_planes(degrees: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
@@ -161,15 +163,12 @@ def _degree_planes(degrees: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
 def _q_tables(g: Graph, K: int) -> tuple:
     """What :func:`_q_lanes` reads besides the colors, for colors up to K.
 
-    Writeable copies of the edge ends (``np.take`` copies read-only index
-    arrays, such as the graph's own, on every call), then for K <= 2 the
-    degree bit planes and for K >= 3 the degrees tiled over the lanes of
-    one bincount.
+    The edge ends, then for K <= 2 the degree bit planes and for K >= 3 the
+    degrees tiled over the lanes of one bincount.
     """
-    lo, hi = g.edge_lo.copy(), g.edge_hi.copy()
     if K <= 2:
-        return lo, hi, _degree_planes(g.degrees), None
-    return lo, hi, None, np.tile(g._deg_float, _mass_lanes(g.n, K))
+        return g.edge_lo, g.edge_hi, _degree_planes(g.degrees), None
+    return g.edge_lo, g.edge_hi, None, np.tile(g._deg_float, _mass_lanes(g.n, K))
 
 
 def _byte_column_sums(a: np.ndarray, rows: int, spare: np.ndarray) -> np.ndarray:
@@ -197,12 +196,14 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     multiple of the lanes per uint64 word, so row v packs vertex v's
     colors into r / lanes words; the columns from ``count`` on only pad
     the last word (with colors of their own or with zeros).  ``tables``
-    is :func:`_q_tables` for a K at least every color, and ``work`` is
-    uint64 scratch of :func:`_q_work_words`; no other array the size of
-    the graph is made.
+    is :func:`_q_tables` for a K at least every color, and ``work`` is the
+    uint64 scratch of :func:`_chunking`, r at most its chunk; no other
+    array the size of the graph is made.
 
-    Same-color edges, in blocks of :func:`_edge_block` edges: the words at
-    both ends of each edge are gathered and XORed, and ``np.equal``
+    Same-color edges, in blocks of :func:`_edge_block` edges: each end's
+    vertex ids are copied into the scratch (``np.take`` copies read-only
+    ids, such as the graph's, itself), the words at both ends of each edge
+    are gathered and XORed, and ``np.equal``
     compares each lane with zero, writing one bool per lane over the
     gathered words of the other end.  The bools are added up as bytes, at
     most 255 edges to a byte, and the blocks' counts as int64.
@@ -231,8 +232,10 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
         b = min(step, m - a)
         x = work[:b * groups].reshape(b, groups)
         y = work[b * groups:2 * b * groups].reshape(b, groups)
-        np.take(packed, lo[a:a + b], axis=0, out=x, mode="clip")
-        np.take(packed, hi[a:a + b], axis=0, out=y, mode="clip")
+        ends = work[2 * b * groups:(2 * groups + 1) * b].view(np.int64)
+        for end, out in ((lo, x), (hi, y)):
+            np.copyto(ends, end[a:a + b])
+            np.take(packed, ends, axis=0, out=out, mode="clip")
         x ^= y
         equal = np.equal(x.view(colors.dtype), 0,
                          out=y.reshape(-1).view(bool)[:b * r].reshape(b, r))
@@ -269,14 +272,23 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
 
 
 def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:
-    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`."""
-    rows = colorings.shape[0]
+    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`
+    in the sampler's chunks."""
+    n, rows = g.n, colorings.shape[0]
     dtype = lane_dtype(K)
     lanes = 8 // dtype.itemsize
-    colors = np.zeros((g.n, -(-rows // lanes) * lanes), dtype)
-    colors[:, :rows] = colorings.T
-    work = np.empty(_q_work_words(g, colors.shape[1], lanes, K), np.uint64)
-    return _q_lanes(colors, rows, _q_tables(g, K), work)
+    step, words = _chunking(n, lanes)
+    buffer = np.empty(n * min(step, -(-rows // lanes) * lanes), dtype)
+    work = np.empty(words, np.uint64)
+    tables = _q_tables(g, K)
+    out = np.empty(rows)
+    for a in range(0, rows, step):
+        count = min(step, rows - a)
+        colors = buffer[:n * -(-count // lanes) * lanes].reshape(n, -1)
+        colors[:, :count] = colorings[a:a + count].T
+        colors[:, count:] = 0
+        out[a:a + count] = _q_lanes(colors, count, tables, work)
+    return out
 
 
 def modularity(g: Graph, colors) -> float:

@@ -20,17 +20,17 @@ and only words that a guide bucket leaves ambiguous are finished.  The Q
 kernel (:func:`moments._q_lanes`) compares the packed words gathered at
 both ends of every edge lane by lane, and for K <= 2 adds the packed
 colors over the degrees' bit planes.  Each worker allocates its buffers
-once and reuses them for every chunk: the chunk's colors, and one
-scratch array that holds a block of states and their mixing scratch,
-then the words gathered at both ends of every edge and their equality
-bools, then the gathered degree planes or the degree-mass slots.  They
-fit the byte budget ``rng.BUDGET`` (2 MiB, see :func:`_chunking`), or
-one lane group's worth when a group is larger, so a chunk's boundaries
-depend on the graph's n and m and on the lane width but never on the
-worker count; a row's value does not depend on them at all.  The output
-is allocated before any state is drawn, and workers take chunks in turn
-and write each into it in place, which makes the output identical for
-any worker count.
+once and reuses them for every chunk: the chunk's colors, a quarter of
+the byte budget ``rng.BUDGET`` (2 MiB, see :func:`moments._chunking`),
+and one scratch array of half of it, which holds
+a block of states and their mixing scratch, then a block of edges' ends
+and the words gathered at both and their equality bools, then a gathered
+degree plane or the degree-mass slots.  Both are one lane group's worth
+when a group is larger, so a chunk's boundaries depend on the graph's n
+and the lane width alone, never on the worker count; a row's value does
+not depend on them at all.  The output is allocated before any state is
+drawn, and workers take chunks in turn and write each into it in place,
+which makes the output identical for any worker count.
 
 Standardization
 ---------------
@@ -53,10 +53,10 @@ from .generators import GeneratorSpec, parse_generator_spec
 from .graph import Graph
 from .moments import (
     NullMoments,
+    _chunking,
     _q_lanes,
     _q_of_rows,
     _q_tables,
-    _q_work_words,
     _v2_rows,
     null_moments,
 )
@@ -190,19 +190,6 @@ def _ks_against(x: np.ndarray, cdf) -> float:
     return worst
 
 
-def _chunking(g: Graph, lanes: int) -> tuple[int, int]:
-    """Replicates per chunk and vertices per block of states, for ``lanes`` lanes per word.
-
-    Half of ``rng.BUDGET`` holds a chunk's colors and the words gathered
-    at both ends of every edge, 8n + 16m bytes per lane group; the other
-    half holds one block of stream states and their mixing scratch, 16
-    bytes per replicate and vertex.  A chunk has at least one lane group
-    and a block at least one vertex.
-    """
-    rows = lanes * budget_rows(2 * (8 * g.n + 16 * g.m))
-    return rows, min(g.n, budget_rows(32 * rows))
-
-
 def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int):
     """``kernel(colors, count, work)`` for replicates 0..reps-1, in chunks of lane groups.
 
@@ -223,14 +210,14 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
     n = g.n
     dtype = lane_dtype(dist.K)
     lanes = 8 // dtype.itemsize
-    rows, block = _chunking(g, lanes)
+    rows, words = _chunking(n, lanes)
+    # A block of states and their mixing scratch, 16 bytes per replicate
+    # and vertex, fills the scratch.
+    block = min(n, words // (2 * rows))
     out = np.empty(reps)
     starts = range(0, reps, rows)
-    buffers = [
-        (np.empty(n * rows, dtype),
-         np.empty(max(2 * block * rows, _q_work_words(g, rows, lanes, dist.K)), np.uint64))
-        for _ in range(min(threads, len(starts)))
-    ]
+    buffers = [(np.empty(n * rows, dtype), np.empty(words, np.uint64))
+               for _ in range(min(threads, len(starts)))]
     steps = stream_steps(n)
     todo = iter(starts)
     lock = threading.Lock()

@@ -4,13 +4,13 @@ Each case runs the CLI in a child interpreter and reads its high-water
 mark and minor page faults from ``os.wait4``.  The sampling kernel packs
 the colorings of a chunk of replicates side by side into unsigned lanes,
 one uint64 word per vertex and lane group.  Each worker allocates its
-buffers once: the chunk's colors, and one scratch array that holds a
-block of stream states and their mixing scratch, then the words gathered
-at both ends of every edge and their equality bools, then the gathered
-degree planes (K <= 2) or the degree-mass slots.  Together they take
-``rng.BUDGET`` (2 MiB), or one lane group's worth when a group is
-larger, and the output arrays are allocated before any word is drawn.
-So what remains is the interpreter, the parsed graph and the color
+buffers once: the chunk's colors, a quarter of ``rng.BUDGET`` (2 MiB),
+and one scratch array of half of it that holds a block of stream states
+and their mixing scratch, then a block of edges' ends and the words
+gathered at both and their equality bools, then a gathered degree plane
+(K <= 2) or the degree-mass slots; each is one lane group's worth when a
+group is larger.  The output arrays are allocated before any word is
+drawn.  So what remains is the interpreter, the parsed graph and the color
 distribution: about 80 MB for the large graph and 120 MB for the large
 K.  The edge-list parse reads the text a block of whole lines at a time,
 so the graph costs little more than its text and its edge arrays.  A
@@ -24,8 +24,9 @@ The ER generator skips over vertex pairs and draws its gaps in blocks
 within the same byte budget, so generating a graph holds little more
 than its edges, and the ``reg`` repair edits its edge keys in place.
 The enumeration oracle holds one weight and one Q value per coloring.
-One case runs in process under ``tracemalloc``: the Q of one observed
-coloring counts its same-color edges in blocks within ``rng.BUDGET``.
+Two cases run in process under ``tracemalloc``: the Q of one observed
+coloring counts its same-color edges in blocks within ``rng.BUDGET``,
+and copies each block's edge ends, not every edge's.
 """
 
 import json
@@ -112,6 +113,27 @@ def test_compute_memory_bounded_by_the_parse_blocks(tmp_path):
                        "--out", str(tmp_path / "c.json")) < 110
 
 
+@pytest.fixture(scope="module")
+def million_vertex_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reg") / "reg.txt"
+    run_cli("generate", "--model", "reg:d=6", "--n", "1000000", "--seed", "1",
+            "--out", str(path))
+    return str(path)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
+@pytest.mark.parametrize("K", ["2", "3"])
+def test_null_sample_memory_bounded_at_a_million_vertices(tmp_path, million_vertex_graph, K):
+    # n=1e6, m=3e6: a chunk is one lane group and the scratch one word per
+    # vertex (8 MB), and the parse and the graph set the peak, near 230 MB.
+    # The edge ends copied whole (48 MB) peaked at 231 and 239 MB; a
+    # gather of both ends of every edge at once would add 48 MB more.
+    out = str(tmp_path / "q.csv")
+    assert peak_rss_mb("null-sample", "--graph", million_vertex_graph, "--K", K,
+                       "--reps", "64", "--seed", "1", "--out", out) < LIMIT_MB
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
 def test_null_sample_memory_bounded_in_the_number_of_colors(tmp_path):
     # K=1e6 uniform colors: a rows x K table of degree masses would add ~1 GB.
@@ -133,13 +155,10 @@ def test_two_color_study_memory_stays_within_the_worker_buffers(tmp_path):
                        "--reps", "2000", "--seed", "1", "--threads", "2", "--out", out) < 38
 
 
-@pytest.mark.parametrize("K", [2, 100])
-def test_one_coloring_q_holds_no_edge_sized_scratch(K):
-    # n=2.4e5, m=6e5, degrees 4 and 6 (one gathered degree plane for K=2).
-    # Beside the edge-end copies (9.2 MB), the coloring, its lanes and the
-    # degree planes or weights take a few vertex-sized arrays and the
-    # same-color count 2 MiB: 17.6 MB for K=2, 14.9 MB for K=100.  Gathering
-    # both ends of every edge at once took 2m words more, 24.7 and 22.0 MB.
+def one_coloring_q_peak(K):
+    """(tracemalloc peak in bytes, n, m) of a second ``significance_test`` with K
+    colors on an n=2.4e5, m=6e5 graph with degrees 4 and 6 (one gathered
+    degree plane for K=2)."""
     n = 240_000
     v = np.arange(n)
     even = v[::2]
@@ -155,7 +174,25 @@ def test_one_coloring_q_holds_no_edge_sized_scratch(K):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * g.m + 32 * n + 2 * rng.BUDGET
+    return peak, n, g.m
+
+
+@pytest.mark.parametrize("K", [2, 100])
+def test_one_coloring_q_holds_no_edge_sized_scratch(K):
+    # The coloring, its lanes and the degree planes or weights take a few
+    # vertex-sized arrays and the same-color count 2 MiB.  Gathering both
+    # ends of every edge at once took 2m words more, 24.7 and 22.0 MB.
+    peak, n, m = one_coloring_q_peak(K)
+    assert peak < 16 * m + 32 * n + 2 * rng.BUDGET
+
+
+@pytest.mark.parametrize("K", [2, 100])
+def test_one_coloring_q_copies_the_edge_ends_a_block_at_a_time(K):
+    # Each block of edges copies its ends' vertex ids into the scratch, so
+    # no 16m-byte copy of the edge ends is made: the peak is 8.3 MB for K=2
+    # and 5.6 MB for K=100, against 17.6 and 14.9 MB with whole copies.
+    peak, n, m = one_coloring_q_peak(K)
+    assert peak < 32 * n + 2 * rng.BUDGET
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")

@@ -9,7 +9,7 @@ import pytest
 from scipy import special
 
 from conftest import (colors_by_guide_table, ks_by_full_grids, q_by_rows, q_lanes_by_warren,
-                      states_of_words, words_by_full_mix)
+                      states_of_words, v2_rows_by_int64_keys, words_by_full_mix)
 
 from modnull import (
     ColorDistribution,
@@ -34,10 +34,10 @@ from modnull import (
     std_normal_cdf,
 )
 from modnull.colors import lane_dtype, validate_coloring
-from modnull.moments import _q_of_rows
+from modnull.moments import _chunking, _edge_block, _q_lanes, _q_of_rows, _q_tables
 from modnull.rng import stream_seed, stream_seed_array, stream_steps
 from modnull.simulation import (
-    _MAXLOG, _chunking, _erfc, _phi_array, _size_seeds, upper_p_value,
+    _MAXLOG, _erfc, _phi_array, _sample_rows, _size_seeds, upper_p_value,
 )
 
 
@@ -237,10 +237,21 @@ def test_martingale_variance_hook_matches_simulation_colorings():
     assert abs(big.mean() - 1.0) <= 4 * se
 
 
+def one_group_budget(n):
+    """The byte budget whose chunks are one lane group: see moments._chunking."""
+    return 32 * (n + n // 127 + 1)
+
+
+def state_blocks(n, lanes):
+    """(replicates per chunk, vertices per block of stream states) of the sampler."""
+    rows, words = _chunking(n, lanes)
+    return rows, min(n, words // (2 * rows))
+
+
 def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypatch):
     # The kernel splits a chunk into blocks of `step` rows.
     g = gen_regular(80, 4, 5)
-    step = rng.budget_rows(16 * g.m)
+    step = rng.budget_rows(64 * g.m)
     assert 0 < step < 1024
     d = ColorDistribution([0.25, 0.3, 0.45])
     v2 = martingale_variance_samples(g, d, 1100, 31)
@@ -248,10 +259,12 @@ def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypat
     for r in (0, step - 1, step, 1023, 1024, 1099):
         colors = d.sample_coloring(g.n, stream_seed(31, r))
         assert martingale_variance(g, colors, d) == v2[r]
-    # Budgets that leave blocks of 1, 2 and 3 rows, in chunks of one lane group.
-    for rows in (1, 2, 3):
-        monkeypatch.setattr(rng, "BUDGET", rows * 16 * g.m)
-        assert rng.budget_rows(16 * g.m) == rows
+    # Budgets that leave blocks of 1, 2 and 3 rows, in chunks of 3, 7 and 11
+    # lane groups, and one that leaves chunks of one lane group.
+    for budget, rows, groups in ((64 * g.m, 1, 3), (128 * g.m, 2, 7), (192 * g.m, 3, 11),
+                                 (one_group_budget(g.n), 1, 1)):
+        monkeypatch.setattr(rng, "BUDGET", budget)
+        assert (rng.budget_rows(64 * g.m), _chunking(g.n, 8)[0]) == (rows, 8 * groups)
         assert np.array_equal(martingale_variance_samples(g, d, 1100, 31, threads=2), v2)
 
 
@@ -259,18 +272,66 @@ def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypat
 def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, groups_per_chunk):
     # 103 replicates in 8-lane groups: chunks of one group, with a last
     # group of 7 lanes, or of 7 groups, with a last chunk of 47 replicates;
-    # words come in blocks of 25 vertices.  The default budget fits them
-    # all in one chunk and one block.
-    g = gen_regular(80, 4, 5)
+    # words come in blocks of 25 of the 190 vertices, whose states and
+    # mixing scratch take 16 bytes each, half the budget.  The default
+    # budget fits them all in one chunk, with words in blocks of 24.
+    g = gen_regular(190, 4, 5)
     d = ColorDistribution([0.25, 0.3, 0.45])
-    assert _chunking(g, 8) >= (103, g.n)
+    assert state_blocks(g.n, 8) == (2728, 24)
     want_q = null_q_samples(g, d, 103, 31)
     want_v2 = martingale_variance_samples(g, d, 103, 31)
-    monkeypatch.setattr(rng, "BUDGET", groups_per_chunk * 2 * (8 * g.n + 16 * g.m) + 5)
-    assert _chunking(g, 8) == (8 * groups_per_chunk, 25)
+    monkeypatch.setattr(rng, "BUDGET", 2 * 16 * 25 * 8 * groups_per_chunk)
+    assert state_blocks(g.n, 8) == (8 * groups_per_chunk, 25)
     for threads in (1, 2, 3):
         assert np.array_equal(null_q_samples(g, d, 103, 31, threads=threads), want_q)
         assert np.array_equal(martingale_variance_samples(g, d, 103, 31, threads=threads), want_v2)
+
+
+# A regular graph whose edges take two blocks at 2 MiB, an ER graph with
+# isolated vertices (degree planes that miss vertices), a hub graph and a
+# matching with one vertex of degree 2.
+CHUNK_GRAPHS = {
+    "reg": lambda: gen_regular(20_000, 3, 1),
+    "er": lambda: gen_er(4000, 0.0005, 2),
+    "hub": lambda: gen_hub(1500, 0.004, 3),
+    "matching": lambda: LANE_GRAPHS["matching"],
+}
+
+
+@pytest.mark.parametrize("budget", [2 << 20, 4096])
+@pytest.mark.parametrize("K", [2, 3, 300])
+@pytest.mark.parametrize("graph_name", sorted(CHUNK_GRAPHS))
+def test_a_narrower_last_chunk_matches_all_rows_at_once(monkeypatch, graph_name, K, budget):
+    # Replicates in chunks with a narrower, ragged last chunk: every Q and
+    # v2 equals the row-major oracles' on all rows at once.  The kernel gets
+    # the scratch at exactly the rule's size, so a stage that needed more
+    # would fail, also when called on each narrower chunk width.
+    g = CHUNK_GRAPHS[graph_name]()
+    d = ColorDistribution.uniform(2) if K == 2 else zipf(K)
+    lanes = {1: 8, 2: 4, 4: 2}[lane_dtype(K).itemsize]
+    monkeypatch.setattr(rng, "BUDGET", budget)
+    rows, words = _chunking(g.n, lanes)
+    reps = rows + rows // 2 + 3
+    assert reps % rows
+    colorings = np.array([d.sample_coloring(g.n, stream_seed(5, r)) for r in range(reps)])
+    want = q_by_rows(colorings, g)
+    tables = _q_tables(g, K)
+    sizes = set()
+
+    def kernel(colors, count, work):
+        sizes.add(work.size)
+        return _q_lanes(colors, count, tables, work)
+
+    for threads in (1, 3):
+        assert np.array_equal(_sample_rows(kernel, g, d, reps, 5, threads), want)
+    assert sizes == {words}
+    assert np.array_equal(martingale_variance_samples(g, d, reps, 5, threads=2),
+                          v2_rows_by_int64_keys(colorings, g, d))
+    assert np.array_equal(_q_of_rows(colorings, g, K), want)
+    work = np.empty(words, np.uint64)
+    for width in range(lanes, rows + 1, lanes):
+        colors = np.ascontiguousarray(colorings[:width].T.astype(lane_dtype(K)))
+        assert np.array_equal(_q_lanes(colors, width, tables, work), want[:width])
 
 
 def test_workers_take_every_chunk_once(monkeypatch):
@@ -279,7 +340,8 @@ def test_workers_take_every_chunk_once(monkeypatch):
     # would leave its slice of the output stale.
     g = gen_regular(80, 4, 5)
     d = ColorDistribution([0.25, 0.3, 0.45])
-    monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
+    monkeypatch.setattr(rng, "BUDGET", one_group_budget(g.n))
+    assert _chunking(g.n, 8)[0] == 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -371,11 +433,12 @@ def test_lane_kernel_matches_the_row_major_oracle(monkeypatch, graph_name, K):
         monkeypatch.setattr(rng, "BUDGET", 4096)
         for threads in (1, 2):
             assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
-        # Same-color edges in blocks of 256 edges.
+        # 105 rows in chunks of one lane group, same-color edges in blocks of 85.
+        assert _chunking(g.n, lanes)[0] == lanes and _edge_block(g.m, 1) == 85
         assert np.array_equal(_q_of_rows(rows, g, K), q_by_rows(rows, g))
         # One lane group per chunk.
-        monkeypatch.setattr(rng, "BUDGET", 2 * (8 * g.n + 16 * g.m))
-        assert _chunking(g, lanes)[0] == lanes
+        monkeypatch.setattr(rng, "BUDGET", one_group_budget(g.n))
+        assert _chunking(g.n, lanes)[0] == lanes
         for threads in (1, 3):
             assert np.array_equal(null_q_samples(g, d, 103, 17, threads=threads), want)
 
