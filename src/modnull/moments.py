@@ -37,14 +37,28 @@ evaluates the same quantity in centered form,
           - D_j^2,   D_j = sum_{i in L_j} (p_(2) - p_{c_i}),
 
 whose terms are of the size of V_j rather than L^2, so the result does not
-lose digits on high-degree vertices.  Per row, the keys j*K + c_i - 1 of
-the edges, i below j, are sorted, so the edges may come in any order; each
-run of equal keys is one (j, c) pair with cnt_c its length.  The keys lie
-below n*K and are uint32 when n*K <= 2**32, int64 otherwise; the key width
-changes no bit of the result.  The cost is
-O(rows * m * log m) time whatever K is, and rows go through in blocks of
-about ``rng.budget_rows(64)`` keys (2**15), so the working memory stays
-O(m + n).  The row value is sum_j V_j / (m r1), whose expectation is 1.
+lose digits on high-degree vertices.  The row value is sum_j V_j / (m r1),
+whose expectation is 1.
+
+For K >= 3, per row, the keys j*K + c_i - 1 of the edges, i below j, are
+sorted, so the edges may come in any order; each run of equal keys is one
+(j, c) pair with cnt_c its length.  The keys lie below n*K and are uint32
+when n*K <= 2**32, int64 otherwise; the key width changes no bit of the
+result.  The cost is O(rows * m * log m) time, and rows go through in
+blocks of about ``rng.budget_rows(64)`` keys (2**15), so the working
+memory stays O(m + n).
+
+For K = 2, the default of every study, the counts are read from the
+sampler's packed uint8 lanes instead (:func:`_v2_lanes`).  The words at
+the lower ends, in the order of their upper ends, become one 0/1 byte per
+lane, (word >> 1) & 0x0101...01 (color 2 is 0b10, color 1 and padding
+are below it), and are added per vertex in segments of at most 255
+edges, so no byte carries.  V_j then depends on L and cnt_2 alone: its
+terms are looked up in tables made once per call by the float operations
+of the sorted-key kernel, and added in its order, so every bit of the
+result is the same.  That costs O(rows * m) byte work plus O(rows * n)
+float work, in blocks of lanes and vertices sized by ``rng.budget_rows``,
+with tables of O(m + n) entries.
 """
 
 from __future__ import annotations
@@ -271,24 +285,32 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     return same[:count] / m - sumd2 / (4.0 * m * m)
 
 
-def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:
-    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`
-    in the sampler's chunks."""
-    n, rows = g.n, colorings.shape[0]
+def _by_lanes(kernel, colorings: np.ndarray, n: int, K: int) -> np.ndarray:
+    """``kernel(colors, count, work)`` of each row of an integer (rows x n)
+    coloring array, packed into lanes in the sampler's chunks, with the
+    chunks' scratch (see :func:`_q_lanes` for the layout); the lanes past a
+    chunk's rows hold 0."""
+    rows = colorings.shape[0]
     dtype = lane_dtype(K)
     lanes = 8 // dtype.itemsize
     step, words = _chunking(n, lanes)
     buffer = np.empty(n * min(step, -(-rows // lanes) * lanes), dtype)
     work = np.empty(words, np.uint64)
-    tables = _q_tables(g, K)
     out = np.empty(rows)
     for a in range(0, rows, step):
         count = min(step, rows - a)
         colors = buffer[:n * -(-count // lanes) * lanes].reshape(n, -1)
         colors[:, :count] = colorings[a:a + count].T
         colors[:, count:] = 0
-        out[a:a + count] = _q_lanes(colors, count, tables, work)
+        out[a:a + count] = kernel(colors, count, work)
     return out
+
+
+def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:
+    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`."""
+    tables = _q_tables(g, K)
+    return _by_lanes(lambda colors, count, work: _q_lanes(colors, count, tables, work),
+                     colorings, g.n, K)
 
 
 def modularity(g: Graph, colors) -> float:
@@ -368,8 +390,9 @@ def center_decompose(g: Graph, colors, dist: ColorDistribution) -> Decomposition
     )
 
 
-def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.ndarray:
-    """Conditional martingale variance per coloring row; see the module docstring.
+def _v2_sorted_keys(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.ndarray:
+    """Conditional martingale variance per coloring row by sorted (j, c) keys,
+    for any K; see the module docstring.
 
     Every row goes through the same operations whatever block it lands
     in, so a row's value is bit-identical for any batch size, chunking or
@@ -424,6 +447,225 @@ def _v2_rows(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.nda
         d = d.reshape(rows, n)
         out.append(seen + (lower_deg * lower_deg * (p3 - s3) - d * d).sum(axis=1))
     return np.concatenate(out) / (m * dist.r1)
+
+
+# The low bit of every byte of a word: (word >> 1) & _LANE_ONES is 1 in the
+# uint8 lanes that hold color 2 and 0 in those that hold color 1 or 0.
+_LANE_ONES = np.uint64(0x0101010101010101)
+
+
+def _v2_tables(g: Graph, dist: ColorDistribution):
+    """What :func:`_v2_lanes` reads besides the colors: for K = 2, the arrays
+    below; None otherwise (K >= 3 sorts keys, and K = 1 is degenerate).
+
+    ``ends`` holds the lower ends of the edges in the order of their upper
+    ends, a run per vertex starting at ``first[j]`` (n + 1 entries); a
+    vertex with no lower neighbour gets a run of one id, 0, whose count its
+    terms ignore.  ``seg_start`` cuts the runs into segments of at most 255
+    ends, and ``seg_first[j]`` is vertex j's first segment.  The terms of
+    the centered form in the module docstring depend on a vertex only
+    through its L and its count c of color-2 lower neighbours, so they are
+    tabled once per distinct L, for c from 0 to max(L, 1): p_c e_c^2 of
+    color 1 and of color 2 (0 for a color not seen) in ``seen``, and
+    L^2 (p_(3) - sum_{c seen} p_c^3) - D_j^2 in ``vertex``, each formed by
+    the float operations of :func:`_v2_sorted_keys`.  Vertex j's color-1
+    and color-2 terms start at ``keys[j]`` in ``seen``, the first also in
+    ``vertex``.
+    """
+    if dist.K != 2:
+        return None
+    n = g.n
+    lower = np.bincount(g.edge_hi, minlength=n)
+    span = np.maximum(lower, 1)
+    first = np.zeros(n + 1, np.int64)
+    np.cumsum(span, out=first[1:])
+    ends = np.zeros(first[-1], np.int64)
+    real = np.ones(ends.size, bool)
+    real[first[:-1][lower == 0]] = False
+    ends[real] = g.edge_lo[np.argsort(g.edge_hi, kind="stable")]
+    pieces = -(-span // _BOOL_ROWS)
+    seg_first = np.zeros(n + 1, np.int64)
+    np.cumsum(pieces, out=seg_first[1:])
+    owner = np.repeat(np.arange(n), pieces)
+    seg_start = first[owner] + _BOOL_ROWS * (np.arange(owner.size) - seg_first[owner])
+
+    sizes, which = np.unique(lower, return_inverse=True)
+    width = np.maximum(sizes, 1) + 1
+    base = np.cumsum(width) - width
+    size = int(width.sum())
+    lower_at = np.repeat(sizes, width)
+    c2 = np.arange(size) - np.repeat(base, width)
+    c1 = lower_at - c2
+    seen1 = c1 > 0
+    seen2 = (c2 > 0) & (c2 <= lower_at)
+    lower_deg = lower_at.astype(np.float64)
+    p = dist.p
+    cube = p * p * p
+    p3 = float(np.cumsum(cube)[-1])
+    gap = dist.p2 - p
+    e1 = c1 - lower_deg * p[0]
+    e2 = c2 - lower_deg * p[1]
+    seen = np.concatenate([np.where(seen1, p[0] * e1 * e1, 0.0),
+                           np.where(seen2, p[1] * e2 * e2, 0.0)])
+    # The sorted kernel's bincounts add (0 + color 1's term) + color 2's;
+    # 0 + x is x, and d enters only squared, so a zero's sign cannot show.
+    s3 = np.where(seen1, cube[0], 0.0) + np.where(seen2, cube[1], 0.0)
+    d = np.where(seen1, c1 * gap[0], 0.0) + np.where(seen2, c2 * gap[1], 0.0)
+    vertex = lower_deg * lower_deg * (p3 - s3) - d * d
+    keys = base[which][:, None] + np.array([0, size])
+    return ends, first, seg_start, seg_first, keys, seen, vertex
+
+
+def _color2_counts(words: np.ndarray, tables, v0: int, v1: int, edges: int,
+                   gathered: np.ndarray) -> np.ndarray:
+    """Color-2 lower neighbours of vertices v0..v1-1 in every lane of ``words``
+    (n x groups uint64), as a (v1 - v0) x lanes integer array.
+
+    The words at the vertices' runs of lower ends are gathered into
+    ``gathered``, at most ``edges`` rows at a time, shifted and masked to
+    one 0/1 byte per lane, and added per segment of at most 255 edges by
+    ``np.add.reduceat``; a vertex of several segments adds them as int64.
+    """
+    ends, first, seg_start, seg_first = tables[:4]
+    groups = words.shape[1]
+
+    def segment_sums(a: int, b: int, starts: np.ndarray) -> np.ndarray:
+        x = gathered[:(b - a) * groups].reshape(b - a, groups)
+        np.take(words, ends[a:b], axis=0, out=x, mode="clip")
+        x >>= np.uint64(1)
+        x &= _LANE_ONES
+        return np.add.reduceat(x, starts, axis=0).view(np.uint8)
+
+    a, b = int(first[v0]), int(first[v1])
+    s0, s1 = int(seg_first[v0]), int(seg_first[v1])
+    if b - a <= edges:
+        sums = segment_sums(a, b, seg_start[s0:s1] - a)
+        if s1 - s0 == v1 - v0:
+            return sums
+        return np.add.reduceat(sums, seg_first[v0:v1] - s0, axis=0, dtype=np.int64)
+    # One vertex whose lower neighbours take more than one gather.
+    step = edges - edges % _BOOL_ROWS
+    total = np.zeros((1, 8 * groups), np.int64)
+    for c in range(a, b, step):
+        d = min(b, c + step)
+        total += segment_sums(c, d, np.arange(0, d - c, _BOOL_ROWS)).sum(axis=0, dtype=np.int64)
+    return total
+
+
+def _v2_blocks(n: int, groups: int, tables) -> tuple[int, int, int, int]:
+    """How :func:`_v2_lanes` cuts a K = 2 chunk of ``groups`` lane groups:
+    (lane groups per block, lower ends per gather, lanes per pass of vertex
+    terms, uint64 words of scratch).
+
+    A block's lanes x n indices into the vertex terms take at most a
+    quarter of the budget, one lane group at least; its gathers, about 33
+    bytes per lane and lower end, half, at least one segment of 255 lower
+    ends (which also bounds the lanes of a block) and at most every end;
+    and the passes over its vertex terms, an index and a float per lane and
+    vertex, half, one lane at least.  The gathers and the passes share the
+    scratch after the indices.
+    """
+    width = np.min_scalar_type(tables[-1].size).itemsize
+    cap = min(budget_rows(32 * n * width), budget_rows(66 * 8 * _BOOL_ROWS))
+    per_block = max(1, min(groups, cap))
+    per_block = -(-groups // -(-groups // per_block))
+    lanes = 8 * per_block
+    edges = min(int(tables[1][-1]), max(_BOOL_ROWS, budget_rows(66 * lanes)))
+    step = min(lanes, budget_rows(32 * n))
+    words = -(-lanes * n * width // 8) + max(edges * (per_block + 4 * lanes) + lanes, 2 * step * n)
+    return per_block, edges, step, words
+
+
+def _v2_lane_block(words: np.ndarray, tables, edges: int, step: int,
+                   work: np.ndarray) -> np.ndarray:
+    """sum_j V_j of every lane of ``words`` (n x groups uint64 of uint8 lanes),
+    with the buffers of :func:`_v2_blocks` carved from ``work``.
+
+    Vertices go in blocks whose lower ends fill at most ``edges`` rows (one
+    vertex at least).  A block's counts index the tables of
+    :func:`_v2_tables`.  Its seen-color terms are gathered in (j, c) order
+    under the running total, as rows of one (2 * vertices + 1) x lanes
+    array, and ``np.add.reduce`` over its rows adds them one row at a time
+    (its inner loop runs along the lanes, of which there are at least 8),
+    which is the sequence of additions of :func:`_v2_sorted_keys`'s
+    bincount.  The indices of the vertex terms are kept lane-major, and
+    ``step`` lanes at a time their terms are gathered and summed along j
+    pairwise as there.
+    """
+    ends, first, seg_start, seg_first, keys, seen_terms, vertex_terms = tables
+    n, groups = words.shape
+    lanes = 8 * groups
+    width = np.min_scalar_type(vertex_terms.size)
+    head = -(-lanes * n * width.itemsize // 8)
+    index_by_lane = work[:head].view(width)[:lanes * n].reshape(lanes, n)
+    gathered = work[head:head + edges * groups]
+    at = head + edges * groups
+    index = work[at:at + 2 * edges * lanes].view(np.int64).reshape(edges, 2, lanes)
+    at += 2 * edges * lanes
+    seen = work[at:at + (2 * edges + 1) * lanes].view(np.float64).reshape(-1, lanes)
+    total = np.zeros(lanes)
+    v0 = 0
+    while v0 < n:
+        v1 = max(v0 + 1, int(np.searchsorted(first, first[v0] + edges, "right")) - 1)
+        counts = _color2_counts(words, tables, v0, v1, edges, gathered)
+        block = index[:v1 - v0]
+        np.add(counts[:, None], keys[v0:v1, :, None], out=block)
+        rows = seen[:2 * (v1 - v0) + 1]
+        rows[0] = total
+        np.take(seen_terms, block.reshape(-1, lanes), out=rows[1:], mode="clip")
+        np.add.reduce(rows, axis=0, out=total)
+        index_by_lane[:, v0:v1] = block[:, 0].T
+        v0 = v1
+    where = work[head:head + step * n].view(np.intp).reshape(step, n)
+    terms = work[head + step * n:head + 2 * step * n].view(np.float64).reshape(step, n)
+    for a in range(0, lanes, step):
+        b = min(lanes, a + step)
+        np.copyto(where[:b - a], index_by_lane[a:b])
+        np.take(vertex_terms, where[:b - a], out=terms[:b - a], mode="clip")
+        total[a:b] += terms[:b - a].sum(axis=1)
+    return total
+
+
+def _v2_lanes(colors: np.ndarray, count: int, g: Graph, dist: ColorDistribution,
+              tables, work: np.ndarray) -> np.ndarray:
+    """Martingale variance of the first ``count`` columns of ``colors``, an
+    n x r lane array as :func:`_q_lanes` takes it; ``tables`` is
+    :func:`_v2_tables`.
+
+    For K = 2 the uint8 lanes go through :func:`_v2_lane_block` in blocks
+    of whole lane groups (:func:`_v2_blocks`), with its buffers in the
+    uint64 scratch ``work``, or in a scratch of their own if ``work`` is
+    smaller than :func:`_v2_blocks` asks.  For K >= 3 the columns go to
+    :func:`_v2_sorted_keys`, and ``work`` is not used.
+    """
+    if tables is None:
+        return _v2_sorted_keys(colors.T[:count], g, dist)
+    n, r = colors.shape
+    packed = colors.view(np.uint64)
+    groups = r // 8
+    per_block, edges, step, words = _v2_blocks(n, groups, tables)
+    if work.size < words:
+        work = np.empty(words, np.uint64)
+    out = np.empty(r)
+    for a in range(0, groups, per_block):
+        b = min(groups, a + per_block)
+        block = packed if b - a == groups else np.ascontiguousarray(packed[:, a:b])
+        out[8 * a:8 * b] = _v2_lane_block(block, tables, edges, step, work)
+    return out[:count] / (g.m * dist.r1)
+
+
+def _v2_words(n: int, tables) -> int:
+    """uint64 words of scratch :func:`_v2_lanes` asks for on the sampler's
+    chunks of n vertices (0 for K >= 3)."""
+    return 0 if tables is None else _v2_blocks(n, _chunking(n, 8)[0] // 8, tables)[3]
+
+
+def _v2_rows(colorings: np.ndarray, g: Graph, dist: ColorDistribution) -> np.ndarray:
+    """Conditional martingale variance of each row of an integer (rows x n)
+    coloring array, by :func:`_v2_lanes` in the sampler's chunks."""
+    tables = _v2_tables(g, dist)
+    return _by_lanes(lambda colors, count, work: _v2_lanes(colors, count, g, dist, tables, work),
+                     colorings, g.n, dist.K)
 
 
 def martingale_variance(g: Graph, colors, dist: ColorDistribution) -> float:

@@ -28,9 +28,13 @@ and the words gathered at both and their equality bools, then a gathered
 degree plane or the degree-mass slots.  Both are one lane group's worth
 when a group is larger, so a chunk's boundaries depend on the graph's n
 and the lane width alone, never on the worker count; a row's value does
-not depend on them at all.  The output is allocated before any state is
-drawn, and workers take chunks in turn and write each into it in place,
-which makes the output identical for any worker count.
+not depend on them at all.  The two-color martingale kernel
+(:func:`moments._v2_lanes`) counts each vertex's color-2 lower neighbours
+on the same packed lanes, and its worker scratch is as large as
+:func:`moments._v2_blocks` asks, if that is more.  The output is
+allocated before any state is drawn, and workers take chunks in turn and
+write each into it in place, which makes the output identical for any
+worker count.
 
 Standardization
 ---------------
@@ -57,7 +61,9 @@ from .moments import (
     _q_lanes,
     _q_of_rows,
     _q_tables,
-    _v2_rows,
+    _v2_lanes,
+    _v2_tables,
+    _v2_words,
     null_moments,
 )
 from .rng import budget_rows, half_mix, stream_seed, stream_seed_array, stream_steps
@@ -190,13 +196,16 @@ def _ks_against(x: np.ndarray, cdf) -> float:
     return worst
 
 
-def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int):
+def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int,
+                 words: int = 0):
     """``kernel(colors, count, work)`` for replicates 0..reps-1, in chunks of lane groups.
 
     A chunk's colorings are an n x r array of unsigned lanes, one column
     per replicate (see the module docstring), of which the first
     ``count`` are wanted and the rest pad the last lane group; ``kernel``
-    returns one value per wanted column and may overwrite ``work``.  The output and every
+    returns one value per wanted column and may overwrite ``work``, the
+    worker's scratch of :func:`moments._chunking`, or of ``words`` uint64
+    words if more.  The output and every
     worker's buffers are allocated before any word is drawn, and each
     worker writes its chunks into the output in place, so the result
     does not depend on ``threads``.
@@ -210,13 +219,10 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
     n = g.n
     dtype = lane_dtype(dist.K)
     lanes = 8 // dtype.itemsize
-    rows, words = _chunking(n, lanes)
-    # A block of states and their mixing scratch, 16 bytes per replicate
-    # and vertex, fills the scratch.
-    block = min(n, words // (2 * rows))
+    rows, chunk_words = _chunking(n, lanes)
     out = np.empty(reps)
     starts = range(0, reps, rows)
-    buffers = [(np.empty(n * rows, dtype), np.empty(words, np.uint64))
+    buffers = [(np.empty(n * rows, dtype), np.empty(max(words, chunk_words), np.uint64))
                for _ in range(min(threads, len(starts)))]
     steps = stream_steps(n)
     todo = iter(starts)
@@ -230,6 +236,9 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
                 return
             count = min(rows, reps - a)
             r = -(-count // lanes) * lanes
+            # A block of states and their mixing scratch, 16 bytes per
+            # replicate of this chunk and vertex, fills the chunks' scratch.
+            block = min(n, chunk_words // (2 * r))
             seeds = stream_seed_array(master_seed, np.arange(a, a + r, dtype=np.uint64))
             colors = color_buffer[:n * r].reshape(n, r)
             for v in range(0, n, block):
@@ -285,9 +294,10 @@ def martingale_variance_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Martingale conditional variance for the same colorings as null_q_samples."""
+    tables = _v2_tables(g, dist)
     return _sample_rows(
-        lambda colors, count, work: _v2_rows(colors.T[:count], g, dist),
-        g, dist, reps, master_seed, threads,
+        lambda colors, count, work: _v2_lanes(colors, count, g, dist, tables, work),
+        g, dist, reps, master_seed, threads, _v2_words(g.n, tables),
     )
 
 

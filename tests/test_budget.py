@@ -4,7 +4,8 @@ when it runs, and no block boundary moves a byte of any artifact.
 The pipeline below runs the README commands in-process twice, at the
 default 2 MiB budget and at 4 KiB, where every input spans many blocks:
 128-byte parse blocks, 32-edge write blocks, 128-wedge 4-cycle blocks,
-one lane group per sampling chunk, one row per martingale block, one to
+one lane group per sampling chunk, one row per sorted-key martingale
+block, 255 lower ends per gather of the two-color martingale, one to
 five lanes per degree-mass block, 256-edge blocks of the degree-product
 sum, 36 colorings per enumeration chunk, 32 values per KS block and 7 to
 21 rows per CSV block.  One ``reg`` graph takes the stub-switch repair.
@@ -12,9 +13,9 @@ Colors come from the states' top bits (``--K 2`` and ``--K 4``) and from
 the guide table, and two-color degree masses from degree planes that
 hold every vertex (``reg``) and from many that miss some (``hub``).
 The martingale kernel has no command of its own, so its samples on the
-hub graph are one more artifact.  Two runs that fail on purpose report
-lines deep in their files, which the parser finds only by counting the
-line breaks of every block before them.
+hub graph, with three colors and with two, are two more artifacts.  Two
+runs that fail on purpose report lines deep in their files, which the
+parser finds only by counting the line breaks of every block before them.
 """
 
 import ast
@@ -83,8 +84,10 @@ def pipeline_digests(workdir: Path, capsys) -> tuple[dict[str, str], list[str]]:
     streams += [run(argv) for argv in COMMANDS]
     hub = parse_edge_list((workdir / "hub.txt").read_bytes())
     v2 = martingale_variance_samples(hub, ColorDistribution([0.2, 0.3, 0.5]), 100, 7, threads=2)
+    v2_two = martingale_variance_samples(hub, ColorDistribution([0.3, 0.7]), 100, 7, threads=2)
     digests = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
-    digests.update(streams="\n".join(streams).encode(), martingale=v2.tobytes())
+    digests.update(streams="\n".join(streams).encode(), martingale=v2.tobytes(),
+                   martingale_two=v2_two.tobytes())
     return {name: hashlib.sha256(data).hexdigest() for name, data in digests.items()}, streams
 
 

@@ -24,9 +24,11 @@ The ER generator skips over vertex pairs and draws its gaps in blocks
 within the same byte budget, so generating a graph holds little more
 than its edges, and the ``reg`` repair edits its edge keys in place.
 The enumeration oracle holds one weight and one Q value per coloring.
-Two cases run in process under ``tracemalloc``: the Q of one observed
+Three cases run in process under ``tracemalloc``: the Q of one observed
 coloring counts its same-color edges in blocks within ``rng.BUDGET``,
-and copies each block's edge ends, not every edge's.
+and copies each block's edge ends, not every edge's; and two-color
+martingale samples count lower neighbours on the packed lanes with
+budget-sized buffers, not sort keys for every edge.
 """
 
 import json
@@ -38,7 +40,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modnull import Graph, rng, significance_test
+from modnull import ColorDistribution, Graph, martingale_variance_samples, rng, significance_test
 
 LIMIT_MB = 250
 
@@ -193,6 +195,28 @@ def test_one_coloring_q_copies_the_edge_ends_a_block_at_a_time(K):
     # and 5.6 MB for K=100, against 17.6 and 14.9 MB with whole copies.
     peak, n, m = one_coloring_q_peak(K)
     assert peak < 32 * n + 2 * rng.BUDGET
+
+
+def test_two_color_martingale_samples_hold_no_per_key_temporaries():
+    # n=1e5, m=3e5, far above the budget_rows(64) keys of one sorted block:
+    # the lane counts hold the lower ends in the order of their upper ends
+    # (8 bytes per edge and per vertex without lower neighbours), a few
+    # vertex-sized starts and table keys, the worker's colors and scratch,
+    # and the sort that orders the ends while it runs; 12.4 MB.  The
+    # sorted-key kernel, 44-80 bytes per key of a block of rows, took 32.3 MB.
+    n = 100_000
+    v = np.arange(n)
+    g = Graph(n, np.concatenate([np.column_stack([v, (v + s) % n]) for s in (1, 2, 3)]))
+    assert g.m > 8 * rng.budget_rows(64)
+    d = ColorDistribution.uniform(2)
+    martingale_variance_samples(g, d, 8, 1)
+    tracemalloc.start()
+    try:
+        martingale_variance_samples(g, d, 16, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * g.m + 64 * n + 2 * rng.BUDGET
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")

@@ -27,6 +27,7 @@ from modnull import (
     gen_er,
     gen_regular,
     martingale_variance,
+    martingale_variance_samples,
     modularity,
     null_moments,
     null_q_samples,
@@ -34,7 +35,8 @@ from modnull import (
 )
 from modnull.colors import lane_dtype
 from modnull.generators import parse_generator_spec
-from modnull.moments import _v2_rows
+from modnull.moments import _v2_blocks, _v2_lanes, _v2_rows, _v2_tables
+from modnull.rng import stream_seed
 
 
 def modularity_bruteforce(g, colors):
@@ -327,11 +329,11 @@ def kernel_distribution(K, kind):
     return ColorDistribution(raw / math.fsum(raw.tolist()))
 
 
-def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch):
+def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps=24):
     """Bit-identical rows, both for colors as the sampler hands them over (a
     transposed view of an n x rows lane array) and as int64 rows."""
     monkeypatch.setattr(rng, "BUDGET", budget)
-    lanes = np.stack([d.sample_coloring(g.n, seed) for seed in range(24)], axis=1)
+    lanes = np.stack([d.sample_coloring(g.n, seed) for seed in range(reps)], axis=1)
     for colors in (lanes.astype(lane_dtype(d.K)).T, np.ascontiguousarray(lanes.T)):
         assert np.array_equal(_v2_rows(colors, g, d), v2_rows_by_int64_keys(colors, g, d))
 
@@ -354,6 +356,52 @@ def test_v2_kernel_is_bit_identical_at_the_key_width_switch(n, kind, budget, mon
     assert_v2_kernel_matches_oracle(WIDE_KEY_GRAPHS[n], d, budget, monkeypatch)
 
 
+def top_vertex_graph(lower):
+    """A path on vertices 0..lower+38 and the top vertex lower+39 joined to
+    the first ``lower`` of them: its lower ends take one segment of 255 (at
+    255) or more, added again as integers, and at 4 KiB more than one
+    gather (above 255)."""
+    n = lower + 40
+    path = np.arange(n - 2)
+    return Graph(n, np.concatenate([np.column_stack([path, path + 1]),
+                                    np.column_stack([np.arange(lower), np.full(lower, n - 1)])]))
+
+
+@pytest.mark.parametrize("budget", [2 << 20, 4096])
+@pytest.mark.parametrize("probs", [(0.5, 0.5), (1e-3, 1 - 1e-3)])
+@pytest.mark.parametrize("reps", [1, 7, 24, 29])
+@pytest.mark.parametrize("graph", [255, 256, 300, "hub:p=0.01"])
+def test_v2_lane_counts_are_bit_identical_to_int64_key_oracle(graph, reps, probs, budget,
+                                                              monkeypatch):
+    # Two colors go through lane counts: replicate counts that leave
+    # padding lanes, a nearly degenerate p, and lower neighbourhoods cut
+    # into segments of 255, both through the rows entry and the sampler.
+    g = top_vertex_graph(graph) if isinstance(graph, int) else kernel_graph(graph, 500)
+    if isinstance(graph, int):
+        assert np.bincount(g.edge_hi).max() == graph
+    d = ColorDistribution(list(probs))
+    assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps)
+    colorings = np.array([d.sample_coloring(g.n, stream_seed(9, r)) for r in range(reps)])
+    want = v2_rows_by_int64_keys(colorings, g, d)
+    assert np.array_equal(martingale_variance_samples(g, d, reps, 9, threads=2), want)
+    # Given no scratch, the kernel makes its own.
+    lanes = np.zeros((g.n, -(-reps // 8) * 8), np.uint8)
+    lanes[:, :reps] = colorings.T
+    empty = np.empty(0, np.uint64)
+    assert np.array_equal(_v2_lanes(lanes, reps, g, d, _v2_tables(g, d), empty), want)
+
+
+def test_v2_lane_scratch_stays_within_the_budget():
+    # Chunks of up to 4096 lane groups on 80 vertices: a block's gathers
+    # hold at most every lower end, and a block at most the lanes whose
+    # 255-end segments fit the budget, so the scratch does not grow with
+    # the chunk.
+    g = gen_regular(80, 4, 5)
+    tables = _v2_tables(g, ColorDistribution.uniform(2))
+    for groups in (1, 21, 375, 4096):
+        assert _v2_blocks(g.n, groups, tables)[3] * 8 <= rng.BUDGET
+
+
 def test_martingale_variance_errors(triangle):
     with pytest.raises(DomainError):
         martingale_variance(triangle, [1, 1, 1], ColorDistribution.uniform(1))
@@ -364,8 +412,6 @@ def test_martingale_variance_errors(triangle):
 def test_martingale_variance_mean_is_one():
     g = gen_regular(120, 4, 7)
     d = ColorDistribution.uniform(3)
-    from modnull import martingale_variance_samples
-
     v2 = martingale_variance_samples(g, d, 4000, 2222)
     se = v2.std(ddof=1) / math.sqrt(v2.size)
     assert abs(v2.mean() - 1.0) <= 4 * se

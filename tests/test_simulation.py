@@ -34,8 +34,10 @@ from modnull import (
     std_normal_cdf,
 )
 from modnull.colors import lane_dtype, validate_coloring
-from modnull.moments import _chunking, _edge_block, _q_lanes, _q_of_rows, _q_tables
-from modnull.rng import stream_seed, stream_seed_array, stream_steps
+from modnull.moments import (_BOOL_ROWS, _PLANE_ROWS, _chunking, _degree_planes, _edge_block,
+                             _q_lanes, _q_of_rows, _q_tables)
+from modnull import simulation
+from modnull.rng import half_mix, stream_seed, stream_seed_array, stream_steps
 from modnull.simulation import (
     _MAXLOG, _erfc, _phi_array, _sample_rows, _size_seeds, upper_p_value,
 )
@@ -242,10 +244,12 @@ def one_group_budget(n):
     return 32 * (n + n // 127 + 1)
 
 
-def state_blocks(n, lanes):
-    """(replicates per chunk, vertices per block of stream states) of the sampler."""
+def state_blocks(n, lanes, reps):
+    """(replicates per chunk, vertices per block of stream states in the first
+    chunk) of the sampler for ``reps`` replicates."""
     rows, words = _chunking(n, lanes)
-    return rows, min(n, words // (2 * rows))
+    r = -(-min(rows, reps) // lanes) * lanes
+    return rows, min(n, words // (2 * r))
 
 
 def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypatch):
@@ -273,15 +277,30 @@ def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, groups_per
     # 103 replicates in 8-lane groups: chunks of one group, with a last
     # group of 7 lanes, or of 7 groups, with a last chunk of 47 replicates;
     # words come in blocks of 25 of the 190 vertices, whose states and
-    # mixing scratch take 16 bytes each, half the budget.  The default
-    # budget fits them all in one chunk, with words in blocks of 24.
+    # mixing scratch take 16 bytes each, half the budget, and the last
+    # chunk of 6 groups in blocks of 29.  The default budget fits them all
+    # in one chunk, whose 104 lanes take one block of all 190 vertices.
     g = gen_regular(190, 4, 5)
     d = ColorDistribution([0.25, 0.3, 0.45])
-    assert state_blocks(g.n, 8) == (2728, 24)
+    assert state_blocks(g.n, 8, 103) == (2728, 190)
+    blocks = []
+
+    def recorded(states, mix):
+        blocks.append(states.shape)
+        return half_mix(states, mix)
+
+    monkeypatch.setattr(simulation, "half_mix", recorded)
     want_q = null_q_samples(g, d, 103, 31)
+    assert blocks == [(190, 104)]
     want_v2 = martingale_variance_samples(g, d, 103, 31)
     monkeypatch.setattr(rng, "BUDGET", 2 * 16 * 25 * 8 * groups_per_chunk)
-    assert state_blocks(g.n, 8) == (8 * groups_per_chunk, 25)
+    assert state_blocks(g.n, 8, 103) == (8 * groups_per_chunk, 25)
+    blocks.clear()
+    null_q_samples(g, d, 103, 31)
+    if groups_per_chunk == 1:
+        assert blocks == ([(25, 8)] * 7 + [(15, 8)]) * 13
+    else:
+        assert blocks == [(25, 56)] * 7 + [(15, 56)] + [(29, 48)] * 6 + [(16, 48)]
     for threads in (1, 2, 3):
         assert np.array_equal(null_q_samples(g, d, 103, 31, threads=threads), want_q)
         assert np.array_equal(martingale_variance_samples(g, d, 103, 31, threads=threads), want_v2)
@@ -444,7 +463,9 @@ def test_lane_kernel_matches_the_row_major_oracle(monkeypatch, graph_name, K):
 
 
 def test_lane_kernel_block_sums_of_16_bit_lanes():
-    # 65536 edges: one full block of 16-bit lane sums and one edge more.
+    # 65536 edges on 16-bit lanes, more than one block of same-color edges
+    # (43690 edges for one lane group), whose constant colorings make every
+    # lane count to the block's length.
     n = 32768
     i = np.arange(n)
     g = Graph(n, np.column_stack([np.r_[i, i], np.r_[(i + 1) % n, (i + 2) % n]]))
@@ -454,6 +475,24 @@ def test_lane_kernel_block_sums_of_16_bit_lanes():
     assert np.array_equal(null_q_samples(g, d, 9, 3, threads=2), q_by_rows(colorings, g))
     rows = np.vstack([np.ones((1, n), np.int64), np.full((1, n), 300)])
     assert np.array_equal(_q_of_rows(rows, g, 300), q_by_rows(rows, g))
+    # The byte boundaries of today's kernel: a ring of 300 and the chords
+    # (v, v + 100), v < 100, put 400 edges in one edge block, so a constant lane
+    # adds more than _BOOL_ROWS bools as bytes, and give degree planes of
+    # 200 gathered rows and of all 300 rows read in place, both more than
+    # _PLANE_ROWS rows of color bytes.
+    ring = np.arange(300)
+    h = Graph(300, np.concatenate([np.column_stack([ring, (ring + 1) % 300]),
+                                   np.column_stack([ring[:100], ring[100:200]])]))
+    assert _edge_block(h.m, 1) == h.m == 400 > _BOOL_ROWS
+    planes = _degree_planes(h.degrees)
+    assert [(weight, None if rows is None else rows.size) for weight, rows in planes] == [
+        (1, 200), (2, None)] and 200 > _PLANE_ROWS
+    for K in (2, 300):
+        d = ColorDistribution.uniform(K)
+        colorings = np.array([d.sample_coloring(h.n, stream_seed(4, r)) for r in range(9)])
+        assert np.array_equal(null_q_samples(h, d, 9, 4), q_by_rows(colorings, h))
+        rows = np.vstack([np.ones((1, h.n), np.int64), np.full((1, h.n), K), colorings])
+        assert np.array_equal(_q_of_rows(rows, h, K), q_by_rows(rows, h))
 
 
 @pytest.mark.parametrize("K", [40000, 70000])

@@ -142,7 +142,7 @@ print(json.dumps([code, sorted(m for m in ("concurrent.futures", "logging", "str
 
 @pytest.mark.parametrize("threads", [2, 3])
 @pytest.mark.parametrize("sampler, kernel", [("null_q_samples", "_q_lanes"),
-                                             ("martingale_variance_samples", "_v2_rows")])
+                                             ("martingale_variance_samples", "_v2_lanes")])
 def test_a_worker_error_is_raised_after_every_thread_is_joined(monkeypatch, sampler, kernel,
                                                                threads):
     # One lane group per chunk, so 64 replicates make 8 chunks.  Every
