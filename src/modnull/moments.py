@@ -482,14 +482,17 @@ def _v2_tables(g: Graph, dist: ColorDistribution):
     ends = np.zeros(first[-1], np.int64)
     real = np.ones(ends.size, bool)
     real[first[:-1][lower == 0]] = False
-    ends[real] = g.edge_lo[np.argsort(g.edge_hi, kind="stable")]
+    # A vertex's count does not depend on the order of its run.
+    ends[real] = g.edge_lo[np.argsort(g.edge_hi)]
     pieces = -(-span // _BOOL_ROWS)
     seg_first = np.zeros(n + 1, np.int64)
     np.cumsum(pieces, out=seg_first[1:])
     owner = np.repeat(np.arange(n), pieces)
     seg_start = first[owner] + _BOOL_ROWS * (np.arange(owner.size) - seg_first[owner])
 
-    sizes, which = np.unique(lower, return_inverse=True)
+    present = np.bincount(lower) > 0
+    sizes = np.flatnonzero(present)
+    which = np.cumsum(present)[lower] - 1
     width = np.maximum(sizes, 1) + 1
     base = np.cumsum(width) - width
     size = int(width.sum())

@@ -202,8 +202,8 @@ def test_two_color_martingale_samples_hold_no_per_key_temporaries():
     # the lane counts hold the lower ends in the order of their upper ends
     # (8 bytes per edge and per vertex without lower neighbours), a few
     # vertex-sized starts and table keys, the worker's colors and scratch,
-    # and the sort that orders the ends while it runs; 12.4 MB.  The
-    # sorted-key kernel, 44-80 bytes per key of a block of rows, took 32.3 MB.
+    # and the sort that orders the ends while it runs; 11.6 MB.  The
+    # sorted-key kernel, 44-80 bytes per key of a block of rows, took 31-32 MB.
     n = 100_000
     v = np.arange(n)
     g = Graph(n, np.concatenate([np.column_stack([v, (v + s) % n]) for s in (1, 2, 3)]))

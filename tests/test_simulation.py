@@ -29,6 +29,7 @@ from modnull import (
     null_q_samples,
     significance_test,
     simulate_null,
+    simulation,
     slln_study,
     rng,
     std_normal_cdf,
@@ -36,7 +37,6 @@ from modnull import (
 from modnull.colors import lane_dtype, validate_coloring
 from modnull.moments import (_BOOL_ROWS, _PLANE_ROWS, _chunking, _degree_planes, _edge_block,
                              _q_lanes, _q_of_rows, _q_tables)
-from modnull import simulation
 from modnull.rng import half_mix, stream_seed, stream_seed_array, stream_steps
 from modnull.simulation import (
     _MAXLOG, _erfc, _phi_array, _sample_rows, _size_seeds, upper_p_value,
