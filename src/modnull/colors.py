@@ -1,9 +1,10 @@
 """Color (community label) distributions under independent random labeling.
 
 The null model assigns each vertex an independent color with fixed
-probabilities p_1..p_K.  Everything downstream is a function of the
-power sums p_(l) = sum_k p_k^l: the centered kernel, its conditional
-moments, and the two variance constants
+probabilities p_1..p_K.  Everything downstream is a function of p and
+its power sums p_(l) = sum_k p_k^l: the centered kernel
+h(a, b) = delta_ab - p_a - p_b + p_(2), its conditional moments, and the
+two variance constants
 
     r1 = p_(2) + p_(2)^2 - 2 p_(3)   (variance of the centered kernel)
     r2 = p_(3) - p_(2)^2             (variance of p_{c} - p_(2))
@@ -78,43 +79,6 @@ class ColorDistribution:
     @property
     def is_degenerate(self) -> bool:
         return self.r1 <= 0.0
-
-    def _check_color(self, a: int) -> int:
-        return int(validate_coloring([a], K=self.K)[0])
-
-    def centered_kernel(self, a: int, b: int) -> float:
-        """Same-color indicator of (a, b), centered to zero conditional mean.
-
-        delta_{a,b} - p_a - p_b + p_(2); always in [-2, 2].
-        """
-        a = self._check_color(a)
-        b = self._check_color(b)
-        delta = 1.0 if a == b else 0.0
-        return delta - self.p[a - 1] - self.p[b - 1] + self.p2
-
-    def cond_second_moment(self, a: int) -> float:
-        """E[centered_kernel(a, c)^2] over a random color c."""
-        a = self._check_color(a)
-        pa = self.p[a - 1]
-        return pa - 3.0 * pa * pa + 2.0 * self.p2 * pa - self.p2 * self.p2 + self.p3
-
-    def cond_cross_moment(self, a: int, b: int) -> float:
-        """E[centered_kernel(a, c) * centered_kernel(b, c)] over a random c."""
-        a = self._check_color(a)
-        b = self._check_color(b)
-        pa = self.p[a - 1]
-        pb = self.p[b - 1]
-        delta = 0.5 * (pa + pb) if a == b else 0.0
-        return (
-            delta
-            - pa * pb
-            - pa * pa
-            + pa * self.p2
-            - pb * pb
-            + pb * self.p2
-            + self.p3
-            - self.p2 * self.p2
-        )
 
     @cached_property
     def _guide(self) -> tuple[np.ndarray, int, np.ndarray | None]:

@@ -48,17 +48,19 @@ result.  The cost is O(rows * m * log m) time, and rows go through in
 blocks of about ``rng.budget_rows(64)`` keys (2**15), so the working
 memory stays O(m + n).
 
-For K = 2, the default of every study, the counts are read from the
-sampler's packed uint8 lanes instead (:func:`_v2_lanes`).  The words at
+For K = 2, the default of every study, the sampler reads the counts from
+its packed uint8 lanes instead (:func:`_v2_lanes`).  The words at
 the lower ends, in the order of their upper ends, become one 0/1 byte per
 lane, (word >> 1) & 0x0101...01 (color 2 is 0b10, color 1 and padding
 are below it), and are added per vertex in segments of at most 255
 edges, so no byte carries.  V_j then depends on L and cnt_2 alone: its
-terms are looked up in tables made once per call by the float operations
-of the sorted-key kernel, and added in its order, so every bit of the
-result is the same.  That costs O(rows * m) byte work plus O(rows * n)
-float work, in blocks of lanes and vertices sized by ``rng.budget_rows``,
-with tables of O(m + n) entries.
+terms are looked up in tables made once per sampling call by the float
+operations of the sorted-key kernel, and added in its order, so every bit
+of the result is the same.  That costs O(rows * m) byte work plus
+O(rows * n) float work, in blocks of lanes and vertices sized by
+``rng.budget_rows``, with tables of O(m + n) entries.  One coloring
+(:func:`martingale_variance`) goes through the sorted keys for every K,
+which costs less than building the tables.
 """
 
 from __future__ import annotations
@@ -285,12 +287,13 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     return same[:count] / m - sumd2 / (4.0 * m * m)
 
 
-def _by_lanes(kernel, colorings: np.ndarray, n: int, K: int) -> np.ndarray:
-    """``kernel(colors, count, work)`` of each row of an integer (rows x n)
-    coloring array, packed into lanes in the sampler's chunks, with the
-    chunks' scratch (see :func:`_q_lanes` for the layout); the lanes past a
-    chunk's rows hold 0."""
-    rows = colorings.shape[0]
+def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:
+    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`:
+    the rows are packed into lanes in the sampler's chunks, with the chunks'
+    scratch (see :func:`_q_lanes` for the layout); the lanes past a chunk's
+    rows hold 0."""
+    tables = _q_tables(g, K)
+    rows, n = colorings.shape
     dtype = lane_dtype(K)
     lanes = 8 // dtype.itemsize
     step, words = _chunking(n, lanes)
@@ -302,15 +305,8 @@ def _by_lanes(kernel, colorings: np.ndarray, n: int, K: int) -> np.ndarray:
         colors = buffer[:n * -(-count // lanes) * lanes].reshape(n, -1)
         colors[:, :count] = colorings[a:a + count].T
         colors[:, count:] = 0
-        out[a:a + count] = kernel(colors, count, work)
+        out[a:a + count] = _q_lanes(colors, count, tables, work)
     return out
-
-
-def _q_of_rows(colorings: np.ndarray, g: Graph, K: int) -> np.ndarray:
-    """Q of each row of an integer (rows x n) coloring array, by :func:`_q_lanes`."""
-    tables = _q_tables(g, K)
-    return _by_lanes(lambda colors, count, work: _q_lanes(colors, count, tables, work),
-                     colorings, g.n, K)
 
 
 def modularity(g: Graph, colors) -> float:
@@ -637,18 +633,16 @@ def _v2_lanes(colors: np.ndarray, count: int, g: Graph, dist: ColorDistribution,
 
     For K = 2 the uint8 lanes go through :func:`_v2_lane_block` in blocks
     of whole lane groups (:func:`_v2_blocks`), with its buffers in the
-    uint64 scratch ``work``, or in a scratch of their own if ``work`` is
-    smaller than :func:`_v2_blocks` asks.  For K >= 3 the columns go to
-    :func:`_v2_sorted_keys`, and ``work`` is not used.
+    uint64 scratch ``work``, which holds at least as many words as
+    :func:`_v2_blocks` asks for r / 8 groups.  For K >= 3 the columns go
+    to :func:`_v2_sorted_keys`, and ``work`` is not used.
     """
     if tables is None:
         return _v2_sorted_keys(colors.T[:count], g, dist)
     n, r = colors.shape
     packed = colors.view(np.uint64)
     groups = r // 8
-    per_block, edges, step, words = _v2_blocks(n, groups, tables)
-    if work.size < words:
-        work = np.empty(words, np.uint64)
+    per_block, edges, step, _ = _v2_blocks(n, groups, tables)
     out = np.empty(r)
     for a in range(0, groups, per_block):
         b = min(groups, a + per_block)
@@ -657,32 +651,19 @@ def _v2_lanes(colors: np.ndarray, count: int, g: Graph, dist: ColorDistribution,
     return out[:count] / (g.m * dist.r1)
 
 
-def _v2_words(n: int, tables) -> int:
-    """uint64 words of scratch :func:`_v2_lanes` asks for on the sampler's
-    chunks of n vertices (0 for K >= 3)."""
-    return 0 if tables is None else _v2_blocks(n, _chunking(n, 8)[0] // 8, tables)[3]
-
-
-def _v2_rows(colorings: np.ndarray, g: Graph, dist: ColorDistribution) -> np.ndarray:
-    """Conditional martingale variance of each row of an integer (rows x n)
-    coloring array, by :func:`_v2_lanes` in the sampler's chunks."""
-    tables = _v2_tables(g, dist)
-    return _by_lanes(lambda colors, count, work: _v2_lanes(colors, count, g, dist, tables, work),
-                     colorings, g.n, dist.K)
-
-
 def martingale_variance(g: Graph, colors, dist: ColorDistribution) -> float:
     """Normalized conditional variance of the edge-kernel martingale.
 
     Vertices are revealed in index order; each new vertex j contributes
-    the conditional variance of sum over earlier neighbors i of
-    centered_kernel(c_i, c_j).  The normalization makes the expectation
-    exactly 1 whenever the distribution is nondegenerate.
+    the conditional variance of sum over earlier neighbors i of the
+    centered kernel h(c_i, c_j).  The normalization makes the expectation
+    exactly 1 whenever the distribution is nondegenerate.  One coloring
+    goes through the sorted keys, for every K, so no lane tables are built.
     """
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: martingale variance undefined")
     c = validate_coloring(colors, n=g.n, K=dist.K)
-    return float(_v2_rows(c[None, :], g, dist)[0])
+    return float(_v2_sorted_keys(c[None, :], g, dist)[0])
 
 
 def exact_moments_by_enumeration(g: Graph, dist: ColorDistribution) -> tuple[float, float]:

@@ -31,7 +31,8 @@ and the lane width alone, never on the worker count; a row's value does
 not depend on them at all.  The two-color martingale kernel
 (:func:`moments._v2_lanes`) counts each vertex's color-2 lower neighbours
 on the same packed lanes, and its worker scratch is as large as
-:func:`moments._v2_blocks` asks, if that is more.  The output is
+:func:`moments._v2_blocks` asks for every chunk width that a worker can
+get (a full chunk's and the last's), if that is more.  The output is
 allocated before any state is drawn, and workers take chunks in turn and
 write each into it in place, which makes the output identical for any
 worker count.
@@ -61,9 +62,9 @@ from .moments import (
     _q_lanes,
     _q_of_rows,
     _q_tables,
+    _v2_blocks,
     _v2_lanes,
     _v2_tables,
-    _v2_words,
     null_moments,
 )
 from .rng import budget_rows, half_mix, stream_seed, stream_seed_array, stream_steps
@@ -165,19 +166,26 @@ def upper_p_value(z: float) -> float:
     return float(_phi_array(-z))
 
 
+def _sorted_sample(samples) -> np.ndarray:
+    """``samples`` sorted as float64, after the one check of both KS distances:
+    a nonempty vector of numbers, none NaN (+-inf are numbers)."""
+    try:
+        x = np.asarray(samples, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        x = np.empty(0)
+    if x.ndim != 1 or x.size == 0 or np.isnan(x).any():
+        raise InputError("samples must be a nonempty vector of numbers, none NaN")
+    return np.sort(x)
+
+
 def ks_distance(samples) -> float:
     """Kolmogorov distance between the empirical CDF and the standard normal."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    if x.size == 0:
-        raise InputError("need at least one sample")
-    return _ks_against(x, _phi_array)
+    return _ks_against(_sorted_sample(samples), _phi_array)
 
 
 def ks_distance_uniform(samples) -> float:
     """Kolmogorov distance to the uniform law on [0, 1] (for p-value calibration)."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    if x.size == 0:
-        raise InputError("need at least one sample")
+    x = _sorted_sample(samples)
     if x[0] < 0.0 or x[-1] > 1.0:
         raise InputError("samples outside [0, 1]")
     return _ks_against(x, np.asarray)
@@ -197,15 +205,15 @@ def _ks_against(x: np.ndarray, cdf) -> float:
 
 
 def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int,
-                 words: int = 0):
+                 words=None):
     """``kernel(colors, count, work)`` for replicates 0..reps-1, in chunks of lane groups.
 
     A chunk's colorings are an n x r array of unsigned lanes, one column
     per replicate (see the module docstring), of which the first
     ``count`` are wanted and the rest pad the last lane group; ``kernel``
     returns one value per wanted column and may overwrite ``work``, the
-    worker's scratch of :func:`moments._chunking`, or of ``words`` uint64
-    words if more.  The output and every
+    worker's scratch of :func:`moments._chunking`, or of ``words(count)``
+    uint64 words if that is more for any chunk's count.  The output and every
     worker's buffers are allocated before any word is drawn, and each
     worker writes its chunks into the output in place, so the result
     does not depend on ``threads``.
@@ -220,9 +228,13 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
     dtype = lane_dtype(dist.K)
     lanes = 8 // dtype.itemsize
     rows, chunk_words = _chunking(n, lanes)
+    scratch_words = chunk_words
+    if words is not None:
+        # Every chunk but the last holds min(rows, reps) replicates.
+        scratch_words = max(chunk_words, words(min(rows, reps)), words((reps - 1) % rows + 1))
     out = np.empty(reps)
     starts = range(0, reps, rows)
-    buffers = [(np.empty(n * rows, dtype), np.empty(max(words, chunk_words), np.uint64))
+    buffers = [(np.empty(n * rows, dtype), np.empty(scratch_words, np.uint64))
                for _ in range(min(threads, len(starts)))]
     steps = stream_steps(n)
     todo = iter(starts)
@@ -297,7 +309,8 @@ def martingale_variance_samples(
     tables = _v2_tables(g, dist)
     return _sample_rows(
         lambda colors, count, work: _v2_lanes(colors, count, g, dist, tables, work),
-        g, dist, reps, master_seed, threads, _v2_words(g.n, tables),
+        g, dist, reps, master_seed, threads,
+        None if tables is None else lambda count: _v2_blocks(g.n, -(-count // 8), tables)[3],
     )
 
 

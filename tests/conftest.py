@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 
 import modnull
-from modnull import ColorDistribution, Graph, InputError, gen_er
+from modnull import ColorDistribution, Graph, InputError, gen_er, validate_coloring
 from modnull.rng import budget_rows
 from modnull.serialize import _atom
 
@@ -93,6 +93,46 @@ def dense_b_matrix(g):
     return a - np.outer(k, k) / (2.0 * g.m)
 
 
+def check_color(dist, a):
+    """One color of ``dist``, through the package's coloring check."""
+    return int(validate_coloring([a], K=dist.K)[0])
+
+
+def centered_kernel(dist, a, b):
+    """Same-color indicator of (a, b), centered to zero conditional mean:
+    delta_{a,b} - p_a - p_b + p_(2), always in [-2, 2]."""
+    a = check_color(dist, a)
+    b = check_color(dist, b)
+    delta = 1.0 if a == b else 0.0
+    return delta - dist.p[a - 1] - dist.p[b - 1] + dist.p2
+
+
+def cond_second_moment(dist, a):
+    """Closed form of E[centered_kernel(a, c)^2] over a random color c."""
+    a = check_color(dist, a)
+    pa = dist.p[a - 1]
+    return pa - 3.0 * pa * pa + 2.0 * dist.p2 * pa - dist.p2 * dist.p2 + dist.p3
+
+
+def cond_cross_moment(dist, a, b):
+    """Closed form of E[centered_kernel(a, c) * centered_kernel(b, c)] over a random c."""
+    a = check_color(dist, a)
+    b = check_color(dist, b)
+    pa = dist.p[a - 1]
+    pb = dist.p[b - 1]
+    delta = 0.5 * (pa + pb) if a == b else 0.0
+    return (
+        delta
+        - pa * pb
+        - pa * pa
+        + pa * dist.p2
+        - pb * pb
+        + pb * dist.p2
+        + dist.p3
+        - dist.p2 * dist.p2
+    )
+
+
 def martingale_variance_by_wedges(g, colors, dist):
     """Reference for the martingale variance, one term per edge and per wedge.
 
@@ -102,8 +142,8 @@ def martingale_variance_by_wedges(g, colors, dist):
     conditional moments of the distribution, then summed exactly.
     """
     colors_range = range(1, dist.K + 1)
-    second = np.array([dist.cond_second_moment(a) for a in colors_range])
-    cross = np.array([[dist.cond_cross_moment(a, b) for b in colors_range] for a in colors_range])
+    second = np.array([cond_second_moment(dist, a) for a in colors_range])
+    cross = np.array([[cond_cross_moment(dist, a, b) for b in colors_range] for a in colors_range])
     c = np.asarray(colors) - 1
     terms = [second[c[g.edge_lo]]]
     for j in range(g.n):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import er_corpus, random_distribution, standard_distributions
+from conftest import (centered_kernel, cond_cross_moment, cond_second_moment, er_corpus,
+                      random_distribution, standard_distributions)
 from modnull import (
     ColorDistribution,
     Graph,
@@ -101,18 +102,18 @@ def test_criterion_03_conditional_moment_identities():
         d = random_distribution(rng, max_k=6)
         for a in range(1, d.K + 1):
             brute = math.fsum(
-                d.p[c - 1] * d.centered_kernel(a, c) ** 2 for c in range(1, d.K + 1)
+                d.p[c - 1] * centered_kernel(d, a, c) ** 2 for c in range(1, d.K + 1)
             )
-            worst_moment = max(worst_moment, abs(d.cond_second_moment(a) - brute))
+            worst_moment = max(worst_moment, abs(cond_second_moment(d, a) - brute))
             for b in range(1, d.K + 1):
                 brute = math.fsum(
-                    d.p[c - 1] * d.centered_kernel(a, c) * d.centered_kernel(b, c)
+                    d.p[c - 1] * centered_kernel(d, a, c) * centered_kernel(d, b, c)
                     for c in range(1, d.K + 1)
                 )
-                worst_moment = max(worst_moment, abs(d.cond_cross_moment(a, b) - brute))
-        mean_csm = math.fsum(d.p[a - 1] * d.cond_second_moment(a) for a in range(1, d.K + 1))
+                worst_moment = max(worst_moment, abs(cond_cross_moment(d, a, b) - brute))
+        mean_csm = math.fsum(d.p[a - 1] * cond_second_moment(d, a) for a in range(1, d.K + 1))
         mean_ccm = math.fsum(
-            d.p[a - 1] * d.p[b - 1] * d.cond_cross_moment(a, b)
+            d.p[a - 1] * d.p[b - 1] * cond_cross_moment(d, a, b)
             for a in range(1, d.K + 1)
             for b in range(1, d.K + 1)
         )

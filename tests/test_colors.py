@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (colors_by_float_lookup, colors_by_guide_table, random_distribution,
+from conftest import (centered_kernel, colors_by_float_lookup, colors_by_guide_table,
+                      cond_cross_moment, cond_second_moment, random_distribution,
                       states_of_words)
 from modnull import (ColorDistribution, DomainError, InputError, modularity,
                      parse_probability_text, validate_coloring)
@@ -89,10 +90,10 @@ def test_integral_float_colors_are_integers(triangle):
 def test_scalar_colors_go_through_the_coloring_check():
     u2 = ColorDistribution.uniform(2)
     with pytest.raises(InputError, match="^colors must be integers$"):
-        u2.centered_kernel(1.5, 1)
+        centered_kernel(u2, 1.5, 1)
     with pytest.raises(InputError, match="^color 3 exceeds K=2$"):
-        u2.cond_cross_moment(1, 3)
-    assert u2.cond_second_moment(2.0) == u2.cond_second_moment(2)
+        cond_cross_moment(u2, 1, 3)
+    assert cond_second_moment(u2, 2.0) == cond_second_moment(u2, 2)
 
 
 def test_constructor_validation():
@@ -137,14 +138,14 @@ def test_power_sums():
 
 
 def test_kernel_examples():
-    assert ColorDistribution.uniform(1).centered_kernel(1, 1) == 0.0
+    assert centered_kernel(ColorDistribution.uniform(1), 1, 1) == 0.0
     u2 = ColorDistribution.uniform(2)
-    assert u2.centered_kernel(1, 1) == pytest.approx(0.5, abs=1e-15)
-    assert u2.centered_kernel(1, 2) == pytest.approx(-0.5, abs=1e-15)
+    assert centered_kernel(u2, 1, 1) == pytest.approx(0.5, abs=1e-15)
+    assert centered_kernel(u2, 1, 2) == pytest.approx(-0.5, abs=1e-15)
     with pytest.raises(InputError):
-        u2.centered_kernel(0, 1)
+        centered_kernel(u2, 0, 1)
     with pytest.raises(InputError):
-        u2.centered_kernel(1, 3)
+        centered_kernel(u2, 1, 3)
 
 
 def test_kernel_bounded_by_two():
@@ -153,7 +154,7 @@ def test_kernel_bounded_by_two():
         d = random_distribution(rng)
         for a in range(1, d.K + 1):
             for b in range(1, d.K + 1):
-                assert abs(d.centered_kernel(a, b)) <= 2.0
+                assert abs(centered_kernel(d, a, b)) <= 2.0
 
 
 def test_kernel_has_zero_mean_by_enumeration():
@@ -162,7 +163,7 @@ def test_kernel_has_zero_mean_by_enumeration():
     for _ in range(200):
         d = random_distribution(rng)
         total = math.fsum(
-            d.p[a - 1] * d.p[c - 1] * d.centered_kernel(a, c)
+            d.p[a - 1] * d.p[c - 1] * centered_kernel(d, a, c)
             for a in range(1, d.K + 1)
             for c in range(1, d.K + 1)
         )
@@ -172,16 +173,16 @@ def test_kernel_has_zero_mean_by_enumeration():
 def test_cond_second_moment_against_bruteforce():
     u2 = ColorDistribution.uniform(2)
     assert csm_oracle(u2, 1) == pytest.approx(0.25, abs=1e-15)
-    assert u2.cond_second_moment(1) == pytest.approx(0.25, abs=1e-15)
-    assert ColorDistribution.uniform(1).cond_second_moment(1) == pytest.approx(0.0, abs=1e-15)
+    assert cond_second_moment(u2, 1) == pytest.approx(0.25, abs=1e-15)
+    assert cond_second_moment(ColorDistribution.uniform(1), 1) == pytest.approx(0.0, abs=1e-15)
     # skewed case where hand arithmetic goes wrong; trust only the oracle
     skew = ColorDistribution([1 / 3, 2 / 3])
-    assert skew.cond_second_moment(1) == pytest.approx(csm_oracle(skew, 1), abs=1e-15)
+    assert cond_second_moment(skew, 1) == pytest.approx(csm_oracle(skew, 1), abs=1e-15)
     rng = np.random.default_rng(23)
     for _ in range(200):
         d = random_distribution(rng)
         for a in range(1, d.K + 1):
-            val = d.cond_second_moment(a)
+            val = cond_second_moment(d, a)
             assert val >= -1e-15
             assert val == pytest.approx(csm_oracle(d, a), abs=1e-14)
 
@@ -189,17 +190,17 @@ def test_cond_second_moment_against_bruteforce():
 def test_cond_cross_moment_against_bruteforce():
     u2 = ColorDistribution.uniform(2)
     assert ccm_oracle(u2, 1, 2) == pytest.approx(-0.25, abs=1e-15)
-    assert u2.cond_cross_moment(1, 2) == pytest.approx(-0.25, abs=1e-15)
-    assert ColorDistribution.uniform(1).cond_cross_moment(1, 1) == pytest.approx(0.0, abs=1e-15)
+    assert cond_cross_moment(u2, 1, 2) == pytest.approx(-0.25, abs=1e-15)
+    assert cond_cross_moment(ColorDistribution.uniform(1), 1, 1) == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(29)
     for _ in range(200):
         d = random_distribution(rng)
         for a in range(1, d.K + 1):
-            assert d.cond_cross_moment(a, a) == pytest.approx(
-                d.cond_second_moment(a), abs=1e-15
+            assert cond_cross_moment(d, a, a) == pytest.approx(
+                cond_second_moment(d, a), abs=1e-15
             )
             for b in range(1, d.K + 1):
-                assert d.cond_cross_moment(a, b) == pytest.approx(
+                assert cond_cross_moment(d, a, b) == pytest.approx(
                     ccm_oracle(d, a, b), abs=1e-14
                 )
 
@@ -209,11 +210,11 @@ def test_moment_expectation_identities():
     for _ in range(200):
         d = random_distribution(rng)
         mean_csm = math.fsum(
-            d.p[a - 1] * d.cond_second_moment(a) for a in range(1, d.K + 1)
+            d.p[a - 1] * cond_second_moment(d, a) for a in range(1, d.K + 1)
         )
         assert mean_csm == pytest.approx(d.r1, abs=1e-12)
         mean_ccm = math.fsum(
-            d.p[a - 1] * d.p[b - 1] * d.cond_cross_moment(a, b)
+            d.p[a - 1] * d.p[b - 1] * cond_cross_moment(d, a, b)
             for a in range(1, d.K + 1)
             for b in range(1, d.K + 1)
         )

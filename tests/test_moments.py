@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (
     complete_bipartite,
     complete_graph,
+    cond_cross_moment,
+    cond_second_moment,
     dense_b_matrix,
     martingale_variance_by_wedges,
     random_distribution,
@@ -29,13 +31,14 @@ from modnull import (
     martingale_variance,
     martingale_variance_samples,
     modularity,
+    moments,
     null_moments,
     null_q_samples,
     rng,
+    simulation,
 )
-from modnull.colors import lane_dtype
 from modnull.generators import parse_generator_spec
-from modnull.moments import _v2_blocks, _v2_lanes, _v2_rows, _v2_tables
+from modnull.moments import _chunking, _v2_blocks, _v2_tables
 from modnull.rng import stream_seed
 
 
@@ -265,10 +268,10 @@ def test_martingale_variance_matches_direct_formula(cycle5):
     for j in range(cycle5.n):
         lower = sorted(int(i) for i, k in zip(cycle5.edge_lo, cycle5.edge_hi) if k == j)
         for i in lower:
-            total += d.cond_second_moment(colors[i])
+            total += cond_second_moment(d, colors[i])
         for x in range(len(lower)):
             for y in range(x + 1, len(lower)):
-                total += 2.0 * d.cond_cross_moment(colors[lower[x]], colors[lower[y]])
+                total += 2.0 * cond_cross_moment(d, colors[lower[x]], colors[lower[y]])
     expected = total / (cycle5.m ** 2 * (d.r1 / cycle5.m))
     assert martingale_variance(cycle5, colors, d) == pytest.approx(expected, abs=1e-13)
 
@@ -302,10 +305,12 @@ def test_martingale_variance_matches_wedge_oracle(graph_name, dist_name):
     d = MARTINGALE_DISTRIBUTIONS[dist_name]()
     if graph_name == "heavy_tailed":
         assert g.summary.kmax >= 40
-    colors = np.stack([d.sample_coloring(g.n, seed) for seed in range(6)])
-    v2 = _v2_rows(colors, g, d)
-    for row, value in zip(colors, v2):
-        assert rel_err(value, martingale_variance_by_wedges(g, row, d)) < 1e-12
+    samples = martingale_variance_samples(g, d, 6, 3)
+    for r, value in enumerate(samples):
+        row = d.sample_coloring(g.n, stream_seed(3, r))
+        want = martingale_variance_by_wedges(g, row, d)
+        assert rel_err(value, want) < 1e-12
+        assert rel_err(martingale_variance(g, row, d), want) < 1e-12
 
 
 KERNEL_GRAPHS = {"er:p=0.05": 300, "hub:p=0.01": 500, "reg:d=6": 400, "er:p=0.5": 120}
@@ -329,13 +334,14 @@ def kernel_distribution(K, kind):
     return ColorDistribution(raw / math.fsum(raw.tolist()))
 
 
-def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps=24):
-    """Bit-identical rows, both for colors as the sampler hands them over (a
-    transposed view of an n x rows lane array) and as int64 rows."""
+def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps=24, threads=1):
+    """Bit-identical rows from the sampler, whose colorings are replicates
+    0..reps-1 of seed 9, and from one of those colorings at a time."""
     monkeypatch.setattr(rng, "BUDGET", budget)
-    lanes = np.stack([d.sample_coloring(g.n, seed) for seed in range(reps)], axis=1)
-    for colors in (lanes.astype(lane_dtype(d.K)).T, np.ascontiguousarray(lanes.T)):
-        assert np.array_equal(_v2_rows(colors, g, d), v2_rows_by_int64_keys(colors, g, d))
+    colorings = np.stack([d.sample_coloring(g.n, stream_seed(9, r)) for r in range(reps)])
+    want = v2_rows_by_int64_keys(colorings, g, d)
+    assert np.array_equal(martingale_variance_samples(g, d, reps, 9, threads), want)
+    assert np.array_equal([martingale_variance(g, row, d) for row in colorings], want)
 
 
 @pytest.mark.parametrize("budget", [2 << 20, 4096])
@@ -375,20 +381,12 @@ def test_v2_lane_counts_are_bit_identical_to_int64_key_oracle(graph, reps, probs
                                                               monkeypatch):
     # Two colors go through lane counts: replicate counts that leave
     # padding lanes, a nearly degenerate p, and lower neighbourhoods cut
-    # into segments of 255, both through the rows entry and the sampler.
+    # into segments of 255, through the sampler on two threads.
     g = top_vertex_graph(graph) if isinstance(graph, int) else kernel_graph(graph, 500)
     if isinstance(graph, int):
         assert np.bincount(g.edge_hi).max() == graph
-    d = ColorDistribution(list(probs))
-    assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps)
-    colorings = np.array([d.sample_coloring(g.n, stream_seed(9, r)) for r in range(reps)])
-    want = v2_rows_by_int64_keys(colorings, g, d)
-    assert np.array_equal(martingale_variance_samples(g, d, reps, 9, threads=2), want)
-    # Given no scratch, the kernel makes its own.
-    lanes = np.zeros((g.n, -(-reps // 8) * 8), np.uint8)
-    lanes[:, :reps] = colorings.T
-    empty = np.empty(0, np.uint64)
-    assert np.array_equal(_v2_lanes(lanes, reps, g, d, _v2_tables(g, d), empty), want)
+    assert_v2_kernel_matches_oracle(g, ColorDistribution(list(probs)), budget, monkeypatch,
+                                    reps, threads=2)
 
 
 def test_v2_lane_scratch_stays_within_the_budget():
@@ -400,6 +398,41 @@ def test_v2_lane_scratch_stays_within_the_budget():
     tables = _v2_tables(g, ColorDistribution.uniform(2))
     for groups in (1, 21, 375, 4096):
         assert _v2_blocks(g.n, groups, tables)[3] * 8 <= rng.BUDGET
+
+
+def test_one_coloring_builds_no_lane_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lane tables built for one coloring")
+
+    monkeypatch.setattr(moments, "_v2_tables", refuse)
+    g = kernel_graph("reg:d=6", 400)
+    d = ColorDistribution.uniform(2)
+    row = d.sample_coloring(g.n, 1)
+    assert martingale_variance(g, row, d) == v2_rows_by_int64_keys(row[None, :], g, d)[0]
+
+
+@pytest.mark.parametrize("budget", [4096, 16384, 65536, 256 << 10, 1 << 20, 2 << 20])
+def test_v2_scratch_covers_every_chunk_width(budget, monkeypatch):
+    # On reg:d=6, n = 2000, the scratch that _v2_blocks asks for is not
+    # monotone in the chunk width: at 2 MiB a last chunk of 12 lane groups
+    # (352 replicates: a full chunk of 256, then 96) asks for more than a
+    # full chunk.  Every last-chunk width, at every budget, gets enough.
+    monkeypatch.setattr(rng, "BUDGET", budget)
+    g = kernel_graph("reg:d=6", 2000)
+    d = ColorDistribution.uniform(2)
+    kernel = simulation._v2_lanes
+    short = []
+
+    def spy(colors, count, g, dist, tables, work):
+        if work.size < _v2_blocks(g.n, colors.shape[1] // 8, tables)[3]:
+            short.append(colors.shape[1])
+        return kernel(colors, count, g, dist, tables, work)
+
+    monkeypatch.setattr(simulation, "_v2_lanes", spy)
+    rows = _chunking(g.n, 8)[0]
+    for groups in range(1, rows // 8 + 1):
+        martingale_variance_samples(g, d, rows + 8 * groups, 3)
+    assert short == []
 
 
 def test_martingale_variance_errors(triangle):

@@ -168,6 +168,22 @@ def test_ks_uniform_variant():
         ks_distance_uniform([])
 
 
+@pytest.mark.parametrize("samples", [[0.1, np.nan], [np.nan], 5.0, [[0.1, 0.2]], [],
+                                     [0.1, [0.2, 0.3]], ["a"]],
+                         ids=["nan", "only-nan", "scalar", "2-d", "empty", "ragged", "text"])
+@pytest.mark.parametrize("ks", [ks_distance, ks_distance_uniform])
+def test_ks_refuses_anything_but_a_vector_of_numbers(ks, samples):
+    with pytest.raises(InputError, match="^samples must be a nonempty vector of numbers, none NaN$"):
+        ks(samples)
+
+
+def test_ks_takes_infinite_samples():
+    x = [-np.inf, -1.0, 0.5, np.inf]
+    assert ks_distance(x) == ks_bruteforce(x)
+    with pytest.raises(InputError, match=r"^samples outside \[0, 1\]$"):
+        ks_distance_uniform([0.5, np.inf])
+
+
 @pytest.mark.parametrize("budget", [1, 128 * 7, 128 * 64])
 def test_ks_does_not_depend_on_the_block_size(monkeypatch, budget):
     # Blocks of 1, 7 and 64 values against the one-pass grids of the whole sample.
