@@ -120,6 +120,24 @@ class Graph:
         return d
 
     @cached_property
+    def _degree_planes(self) -> list[tuple[int, np.ndarray | None]]:
+        """(2**k summed over the planes, vertices) of the degrees' bit planes.
+
+        Plane k holds the vertices whose degree has bit k set.  Planes that
+        hold every vertex share one entry with no index (no gather needed),
+        and empty planes are left out.  The vertex arrays stay writeable:
+        ``np.take`` copies a read-only index array on every call.
+        """
+        planes, full = [], 0
+        for k in range(int(self.degrees.max()).bit_length()):
+            members = np.flatnonzero(self.degrees >> k & 1)
+            if members.size == self.n:
+                full += 1 << k
+            elif members.size:
+                planes.append((1 << k, members))
+        return planes + [(full, None)] if full else planes
+
+    @cached_property
     def _edge_degree_product_sum(self) -> int:
         """Exact sum of k_u * k_v over edges.
 

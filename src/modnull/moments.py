@@ -38,11 +38,14 @@ evaluates the same quantity in centered form,
 
 whose terms are of the size of V_j rather than L^2, so the result does not
 lose digits on high-degree vertices.  The row value is sum_j V_j / (m r1),
-whose expectation is 1.
+whose expectation is 1.  Each V_j is formed whole, as (0 + its seen-color
+terms, in color order) + the rest, and the V_j of a row are added pairwise
+in vertex order by one ``sum`` along the row, the same in both kernels.
 
 For K >= 3, per row, the keys j*K + c_i - 1 of the edges, i below j, are
 sorted, so the edges may come in any order; each run of equal keys is one
-(j, c) pair with cnt_c its length.  The keys lie below n*K and are uint32
+(j, c) pair with cnt_c its length, and bincounts over the cells
+(row, j) add its terms.  The keys lie below n*K and are uint32
 when n*K <= 2**32, int64 otherwise; the key width changes no bit of the
 result.  The cost is O(rows * m * log m) time, and rows go through in
 blocks of about ``rng.budget_rows(64)`` keys (2**15), so the working
@@ -53,12 +56,12 @@ its packed uint8 lanes instead (:func:`_v2_lanes`).  The words at
 the lower ends, in the order of their upper ends, become one 0/1 byte per
 lane, (word >> 1) & 0x0101...01 (color 2 is 0b10, color 1 and padding
 are below it), and are added per vertex in segments of at most 255
-edges, so no byte carries.  V_j then depends on L and cnt_2 alone: its
-terms are looked up in tables made once per sampling call by the float
-operations of the sorted-key kernel, and added in its order, so every bit
-of the result is the same.  That costs O(rows * m) byte work plus
-O(rows * n) float work, in blocks of lanes and vertices sized by
-``rng.budget_rows``, with tables of O(m + n) entries.  One coloring
+edges, so no byte carries.  V_j then depends on L and cnt_2 alone, so it
+is looked up in a table made once per sampling call by the float
+operations of the sorted-key kernel, and the row is the same pairwise sum
+along j, so every bit of the result is the same.  That costs O(rows * m)
+byte work plus O(rows * n) float work, in blocks of lanes and vertices
+sized by ``rng.budget_rows``, with tables of O(m + n) entries.  One coloring
 (:func:`martingale_variance`) goes through the sorted keys for every K,
 which costs less than building the tables.
 """
@@ -159,23 +162,6 @@ def _edge_block(m: int, groups: int) -> int:
     return min(m, budget_rows(16 * (2 * groups + 1)))
 
 
-def _degree_planes(degrees: np.ndarray) -> list[tuple[int, np.ndarray | None]]:
-    """(2**k summed over the planes, vertices) of the degrees' bit planes.
-
-    Plane k holds the vertices whose degree has bit k set.  Planes that
-    hold every vertex share one entry with no index (no gather needed),
-    and empty planes are left out.
-    """
-    planes, full = [], 0
-    for k in range(int(degrees.max()).bit_length()):
-        members = np.flatnonzero(degrees >> k & 1)
-        if members.size == degrees.size:
-            full += 1 << k
-        elif members.size:
-            planes.append((1 << k, members))
-    return planes + [(full, None)] if full else planes
-
-
 def _q_tables(g: Graph, K: int) -> tuple:
     """What :func:`_q_lanes` reads besides the colors, for colors up to K.
 
@@ -183,7 +169,7 @@ def _q_tables(g: Graph, K: int) -> tuple:
     degrees tiled over the lanes of one bincount.
     """
     if K <= 2:
-        return g.edge_lo, g.edge_hi, _degree_planes(g.degrees), None
+        return g.edge_lo, g.edge_hi, g._degree_planes, None
     return g.edge_lo, g.edge_hi, None, np.tile(g._deg_float, _mass_lanes(g.n, K))
 
 
@@ -230,11 +216,11 @@ def _q_lanes(colors: np.ndarray, count: int, tables, work: np.ndarray) -> np.nda
     gives the same Q.  For K <= 2, with colors 1 and 2,
     mass_2 = sum_v k_v c_v - 2m and mass_1 = 2m - mass_2, and sum_v k_v c_v
     is sum_k 2**k times the color sum over degree bit plane k (see
-    :func:`_degree_planes`): the plane's rows of packed colors are added
-    as bytes, at most 127 rows to a byte, and a plane that holds every
-    vertex is read in place, with no gather.  For K >= 3 lanes are
-    reduced in blocks of ``_mass_lanes``, with one weighted bincount per
-    block.  Every count is an exact integer, so a replicate's Q does not
+    :attr:`Graph._degree_planes`, cached on the graph): the plane's rows of
+    packed colors are added as bytes, at most 127 rows to a byte, and a
+    plane that holds every vertex is read in place, with no gather.  For
+    K >= 3 lanes are reduced in blocks of ``_mass_lanes``, with one
+    weighted bincount per block.  Every count is an exact integer, so a replicate's Q does not
     depend on the lanes beside it.
     """
     n, r = colors.shape
@@ -410,10 +396,11 @@ def _v2_sorted_keys(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) ->
     # Summed in color order, the order in which a vertex's runs accumulate,
     # so a vertex that sees every color gets an absent mass of exactly 0.
     p3 = float(np.cumsum(cube)[-1])
-    # A block's temporaries take 44 to 80 bytes per edge key (K = 2 to 300,
-    # by tracemalloc), so 64 bytes of budget per key keep them near the
-    # budget, cache-sized and reused, instead of large fresh arrays that
-    # page-fault on every chunk.
+    # A block's temporaries take 36 to 100 bytes per edge key (K = 2 to 300,
+    # m / n = 15 to 1.5, by tracemalloc; each rows x n array adds 8 n / m),
+    # so 64 bytes of budget per key keep them near the budget, cache-sized
+    # and reused, instead of large fresh arrays that page-fault on every
+    # chunk.
     step = budget_rows(64 * max(m, n))
     run_length = np.empty(min(step, colors_2d.shape[0]) * m, np.int64)
     out = []
@@ -436,12 +423,12 @@ def _v2_sorted_keys(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) ->
         row = starts // m
         pc = np.take(p, c)
         e = cnt - np.take(lower_deg, j) * pc
-        seen = np.bincount(row, weights=pc * e * e, minlength=rows)
         cell = row * n + j
+        seen = np.bincount(cell, weights=pc * e * e, minlength=rows * n).reshape(rows, n)
         s3 = np.bincount(cell, weights=np.take(cube, c), minlength=rows * n).reshape(rows, n)
         d = np.bincount(cell, weights=cnt * (dist.p2 - pc), minlength=rows * n)
         d = d.reshape(rows, n)
-        out.append(seen + (lower_deg * lower_deg * (p3 - s3) - d * d).sum(axis=1))
+        out.append((seen + (lower_deg * lower_deg * (p3 - s3) - d * d)).sum(axis=1))
     return np.concatenate(out) / (m * dist.r1)
 
 
@@ -458,15 +445,12 @@ def _v2_tables(g: Graph, dist: ColorDistribution):
     ends, a run per vertex starting at ``first[j]`` (n + 1 entries); a
     vertex with no lower neighbour gets a run of one id, 0, whose count its
     terms ignore.  ``seg_start`` cuts the runs into segments of at most 255
-    ends, and ``seg_first[j]`` is vertex j's first segment.  The terms of
-    the centered form in the module docstring depend on a vertex only
-    through its L and its count c of color-2 lower neighbours, so they are
-    tabled once per distinct L, for c from 0 to max(L, 1): p_c e_c^2 of
-    color 1 and of color 2 (0 for a color not seen) in ``seen``, and
-    L^2 (p_(3) - sum_{c seen} p_c^3) - D_j^2 in ``vertex``, each formed by
-    the float operations of :func:`_v2_sorted_keys`.  Vertex j's color-1
-    and color-2 terms start at ``keys[j]`` in ``seen``, the first also in
-    ``vertex``.
+    ends, and ``seg_first[j]`` is vertex j's first segment.  V_j in the
+    centered form of the module docstring depends on a vertex only through
+    its L and its count c of color-2 lower neighbours, so ``terms`` tables
+    it once per distinct L, for c from 0 to max(L, 1), by the float
+    operations of :func:`_v2_sorted_keys`; vertex j's entries start at
+    ``keys[j]``.
     """
     if dist.K != 2:
         return None
@@ -491,9 +475,8 @@ def _v2_tables(g: Graph, dist: ColorDistribution):
     which = np.cumsum(present)[lower] - 1
     width = np.maximum(sizes, 1) + 1
     base = np.cumsum(width) - width
-    size = int(width.sum())
     lower_at = np.repeat(sizes, width)
-    c2 = np.arange(size) - np.repeat(base, width)
+    c2 = np.arange(lower_at.size) - np.repeat(base, width)
     c1 = lower_at - c2
     seen1 = c1 > 0
     seen2 = (c2 > 0) & (c2 <= lower_at)
@@ -504,15 +487,13 @@ def _v2_tables(g: Graph, dist: ColorDistribution):
     gap = dist.p2 - p
     e1 = c1 - lower_deg * p[0]
     e2 = c2 - lower_deg * p[1]
-    seen = np.concatenate([np.where(seen1, p[0] * e1 * e1, 0.0),
-                           np.where(seen2, p[1] * e2 * e2, 0.0)])
     # The sorted kernel's bincounts add (0 + color 1's term) + color 2's;
     # 0 + x is x, and d enters only squared, so a zero's sign cannot show.
+    seen = np.where(seen1, p[0] * e1 * e1, 0.0) + np.where(seen2, p[1] * e2 * e2, 0.0)
     s3 = np.where(seen1, cube[0], 0.0) + np.where(seen2, cube[1], 0.0)
     d = np.where(seen1, c1 * gap[0], 0.0) + np.where(seen2, c2 * gap[1], 0.0)
-    vertex = lower_deg * lower_deg * (p3 - s3) - d * d
-    keys = base[which][:, None] + np.array([0, size])
-    return ends, first, seg_start, seg_first, keys, seen, vertex
+    terms = seen + (lower_deg * lower_deg * (p3 - s3) - d * d)
+    return ends, first, seg_start, seg_first, base[which], terms
 
 
 def _color2_counts(words: np.ndarray, tables, v0: int, v1: int, edges: int,
@@ -556,22 +537,29 @@ def _v2_blocks(n: int, groups: int, tables) -> tuple[int, int, int, int]:
     (lane groups per block, lower ends per gather, lanes per pass of vertex
     terms, uint64 words of scratch).
 
-    A block's lanes x n indices into the vertex terms take at most a
-    quarter of the budget, one lane group at least; its gathers, about 33
-    bytes per lane and lower end, half, at least one segment of 255 lower
-    ends (which also bounds the lanes of a block) and at most every end;
-    and the passes over its vertex terms, an index and a float per lane and
-    vertex, half, one lane at least.  The gathers and the passes share the
-    scratch after the indices.
+    A block's lanes x n indices into the term table take at most a quarter
+    of the budget, one lane group at least.  A gather takes a byte per
+    lane and lower end, for budget_rows(66) ends per lane, at least one
+    segment of 255 ends (which also bounds the lanes of a block) and at
+    most every end.  A pass over the vertex terms, an index and a float
+    per lane and vertex, takes half the budget, one lane at least.  The
+    gathers and the passes share the scratch after the indices.
+
+    So a narrower chunk never asks for more words: a block of fewer lane
+    groups takes n index words less per group, and its gathers at most
+    one word more per group of the wider block (ends times groups stays
+    near budget / 66 unless every end fits).  Blocks hold at most
+    budget_rows(66 * 8 * 255) groups, 15 at the 2 MiB budget, and a
+    gather is cut only on graphs of more than 255 lower ends, which have
+    more than 22 vertices.
     """
     width = np.min_scalar_type(tables[-1].size).itemsize
     cap = min(budget_rows(32 * n * width), budget_rows(66 * 8 * _BOOL_ROWS))
     per_block = max(1, min(groups, cap))
-    per_block = -(-groups // -(-groups // per_block))
     lanes = 8 * per_block
     edges = min(int(tables[1][-1]), max(_BOOL_ROWS, budget_rows(66 * lanes)))
     step = min(lanes, budget_rows(32 * n))
-    words = -(-lanes * n * width // 8) + max(edges * (per_block + 4 * lanes) + lanes, 2 * step * n)
+    words = per_block * n * width + max(edges * per_block, 2 * step * n)
     return per_block, edges, step, words
 
 
@@ -581,47 +569,32 @@ def _v2_lane_block(words: np.ndarray, tables, edges: int, step: int,
     with the buffers of :func:`_v2_blocks` carved from ``work``.
 
     Vertices go in blocks whose lower ends fill at most ``edges`` rows (one
-    vertex at least).  A block's counts index the tables of
-    :func:`_v2_tables`.  Its seen-color terms are gathered in (j, c) order
-    under the running total, as rows of one (2 * vertices + 1) x lanes
-    array, and ``np.add.reduce`` over its rows adds them one row at a time
-    (its inner loop runs along the lanes, of which there are at least 8),
-    which is the sequence of additions of :func:`_v2_sorted_keys`'s
-    bincount.  The indices of the vertex terms are kept lane-major, and
-    ``step`` lanes at a time their terms are gathered and summed along j
-    pairwise as there.
+    vertex at least).  A block's counts, added to the vertices' keys, index
+    the term table of :func:`_v2_tables`; the indices are kept lane-major.
+    Then ``step`` lanes at a time the terms are gathered and summed along
+    j, pairwise as :func:`_v2_sorted_keys` sums them.
     """
-    ends, first, seg_start, seg_first, keys, seen_terms, vertex_terms = tables
+    ends, first, seg_start, seg_first, keys, terms = tables
     n, groups = words.shape
     lanes = 8 * groups
-    width = np.min_scalar_type(vertex_terms.size)
-    head = -(-lanes * n * width.itemsize // 8)
-    index_by_lane = work[:head].view(width)[:lanes * n].reshape(lanes, n)
+    width = np.min_scalar_type(terms.size)
+    head = groups * n * width.itemsize
+    index_by_lane = work[:head].view(width).reshape(lanes, n)
     gathered = work[head:head + edges * groups]
-    at = head + edges * groups
-    index = work[at:at + 2 * edges * lanes].view(np.int64).reshape(edges, 2, lanes)
-    at += 2 * edges * lanes
-    seen = work[at:at + (2 * edges + 1) * lanes].view(np.float64).reshape(-1, lanes)
-    total = np.zeros(lanes)
     v0 = 0
     while v0 < n:
         v1 = max(v0 + 1, int(np.searchsorted(first, first[v0] + edges, "right")) - 1)
         counts = _color2_counts(words, tables, v0, v1, edges, gathered)
-        block = index[:v1 - v0]
-        np.add(counts[:, None], keys[v0:v1, :, None], out=block)
-        rows = seen[:2 * (v1 - v0) + 1]
-        rows[0] = total
-        np.take(seen_terms, block.reshape(-1, lanes), out=rows[1:], mode="clip")
-        np.add.reduce(rows, axis=0, out=total)
-        index_by_lane[:, v0:v1] = block[:, 0].T
+        np.add(counts.T, keys[v0:v1], out=index_by_lane[:, v0:v1], casting="unsafe")
         v0 = v1
     where = work[head:head + step * n].view(np.intp).reshape(step, n)
-    terms = work[head + step * n:head + 2 * step * n].view(np.float64).reshape(step, n)
+    gathered_terms = work[head + step * n:head + 2 * step * n].view(np.float64).reshape(step, n)
+    total = np.empty(lanes)
     for a in range(0, lanes, step):
         b = min(lanes, a + step)
         np.copyto(where[:b - a], index_by_lane[a:b])
-        np.take(vertex_terms, where[:b - a], out=terms[:b - a], mode="clip")
-        total[a:b] += terms[:b - a].sum(axis=1)
+        np.take(terms, where[:b - a], out=gathered_terms[:b - a], mode="clip")
+        total[a:b] = gathered_terms[:b - a].sum(axis=1)
     return total
 
 

@@ -31,8 +31,8 @@ and the lane width alone, never on the worker count; a row's value does
 not depend on them at all.  The two-color martingale kernel
 (:func:`moments._v2_lanes`) counts each vertex's color-2 lower neighbours
 on the same packed lanes, and its worker scratch is as large as
-:func:`moments._v2_blocks` asks for every chunk width that a worker can
-get (a full chunk's and the last's), if that is more.  The output is
+:func:`moments._v2_blocks` asks for a full chunk, if that is more; a
+narrower last chunk asks for no more.  The output is
 allocated before any state is drawn, and workers take chunks in turn and
 write each into it in place, which makes the output identical for any
 worker count.
@@ -213,8 +213,9 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
     ``count`` are wanted and the rest pad the last lane group; ``kernel``
     returns one value per wanted column and may overwrite ``work``, the
     worker's scratch of :func:`moments._chunking`, or of ``words(count)``
-    uint64 words if that is more for any chunk's count.  The output and every
-    worker's buffers are allocated before any word is drawn, and each
+    uint64 words at a full chunk's count if that is more (``words`` must
+    not grow as the count falls, so the last chunk fits).  The output and
+    every worker's buffers are allocated before any word is drawn, and each
     worker writes its chunks into the output in place, so the result
     does not depend on ``threads``.
     """
@@ -230,8 +231,9 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
     rows, chunk_words = _chunking(n, lanes)
     scratch_words = chunk_words
     if words is not None:
-        # Every chunk but the last holds min(rows, reps) replicates.
-        scratch_words = max(chunk_words, words(min(rows, reps)), words((reps - 1) % rows + 1))
+        # Every chunk but the last holds min(rows, reps) replicates, and
+        # the last no more.
+        scratch_words = max(chunk_words, words(min(rows, reps)))
     out = np.empty(reps)
     starts = range(0, reps, rows)
     buffers = [(np.empty(n * rows, dtype), np.empty(scratch_words, np.uint64))

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -141,9 +142,13 @@ def martingale_variance_by_wedges(g, colors, dist):
     one cross moment per wedge i-j-l, built from the edge arrays and the
     conditional moments of the distribution, then summed exactly.
     """
-    colors_range = range(1, dist.K + 1)
-    second = np.array([cond_second_moment(dist, a) for a in colors_range])
-    cross = np.array([[cond_cross_moment(dist, a, b) for b in colors_range] for a in colors_range])
+    # cond_second_moment and cond_cross_moment of every color (pair), by
+    # the same elementwise float operations in the same order.
+    p, p2, p3 = dist.p, dist.p2, dist.p3
+    second = p - 3.0 * p * p + 2.0 * p2 * p - p2 * p2 + p3
+    pa, pb = p[:, None], p[None, :]
+    delta = np.where(np.eye(dist.K, dtype=bool), 0.5 * (pa + pb), 0.0)
+    cross = delta - pa * pb - pa * pa + pa * p2 - pb * pb + pb * p2 + p3 - p2 * p2
     c = np.asarray(colors) - 1
     terms = [second[c[g.edge_lo]]]
     for j in range(g.n):
@@ -153,13 +158,39 @@ def martingale_variance_by_wedges(g, colors, dist):
     return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)
 
 
+def martingale_variance_by_fractions(g, colors, dist):
+    """Exact martingale variance of one coloring, in rationals of the float p.
+
+    Vertex j with L lower neighbours, cnt_c of them colored c, adds
+    V_j = T - 2 L R + L^2 p_(3) - (L p_(2) - P)^2 with T = sum_c p_c cnt_c^2,
+    R = sum_c cnt_c p_c^2 and P = sum_c cnt_c p_c; the sum over j is divided
+    by m r1, r1 = p_(2) + p_(2)^2 - 2 p_(3), all as Fractions, and rounded once.
+    """
+    p = [Fraction(x) for x in dist.p.tolist()]
+    p2 = sum(x * x for x in p)
+    p3 = sum(x * x * x for x in p)
+    r1 = p2 + p2 * p2 - 2 * p3
+    c = np.asarray(colors) - 1
+    counts = np.zeros((g.n, dist.K), np.int64)
+    np.add.at(counts, (g.edge_hi, c[g.edge_lo]), 1)
+    total = Fraction(0)
+    for row in counts[np.flatnonzero(counts.any(axis=1))].tolist():
+        seen = [(x, k) for x, k in zip(p, row) if k]
+        lower = sum(row)
+        t = sum(x * k * k for x, k in seen)
+        r = sum(x * x * k for x, k in seen)
+        big_p = sum(x * k for x, k in seen)
+        total += t - 2 * lower * r + lower * lower * p3 - (lower * p2 - big_p) ** 2
+    return float(total / (g.m * r1))
+
+
 def v2_rows_by_int64_keys(colors_2d, g, dist):
-    """Reference martingale variance per coloring row: the library kernel
-    before its sort keys narrowed to uint32.
+    """Reference martingale variance per coloring row, by int64 sort keys.
 
     Keys j*K + c - 1 as int64, split by ``np.divmod``, run lengths by
-    ``np.diff``, lookups by fancy indexing; the arithmetic and its
-    summation order are the ones the kernel must keep bit for bit.
+    ``np.diff``, lookups by fancy indexing.  Each vertex's V_j is formed
+    whole, and a row is their pairwise sum over j; this arithmetic and
+    summation order are the ones both library kernels keep bit for bit.
     """
     n, m, K = g.n, g.m, dist.K
     hi = g.edge_hi
@@ -192,12 +223,12 @@ def v2_rows_by_int64_keys(colors_2d, g, dist):
         row = starts // m
         pc = p[c]
         e = cnt - lower_deg[j] * pc
-        seen = np.bincount(row, weights=pc * e * e, minlength=rows)
         cell = row * n + j
+        seen = np.bincount(cell, weights=pc * e * e, minlength=rows * n).reshape(rows, n)
         s3 = np.bincount(cell, weights=cube[c], minlength=rows * n).reshape(rows, n)
         d = np.bincount(cell, weights=cnt * (dist.p2 - pc), minlength=rows * n)
         d = d.reshape(rows, n)
-        out.append(seen + (lower_deg * lower_deg * (p3 - s3) - d * d).sum(axis=1))
+        out.append((seen + (lower_deg * lower_deg * (p3 - s3) - d * d)).sum(axis=1))
     return np.concatenate(out) / (m * dist.r1)
 
 

@@ -14,6 +14,7 @@ from conftest import (
     cond_cross_moment,
     cond_second_moment,
     dense_b_matrix,
+    martingale_variance_by_fractions,
     martingale_variance_by_wedges,
     random_distribution,
     standard_distributions,
@@ -351,6 +352,22 @@ def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps=24, threads=
 def test_v2_kernel_is_bit_identical_to_int64_key_oracle(spec, K, kind, budget, monkeypatch):
     g = kernel_graph(spec, KERNEL_GRAPHS[spec])
     assert_v2_kernel_matches_oracle(g, kernel_distribution(K, kind), budget, monkeypatch)
+
+
+@pytest.mark.parametrize("spec, n, probs", [
+    pytest.param("er:p=0.05", 300, (0.5, 0.5), id="er-uniform_2"),
+    pytest.param("er:p=0.05", 300, (0.05, 0.15, 0.8), id="er-skewed_3"),
+    pytest.param("hub:p=0.02", 400, (0.1, 0.9), id="hub-skewed_2"),
+])
+def test_martingale_variance_matches_exact_rationals(spec, n, probs):
+    g = kernel_graph(spec, n)
+    d = ColorDistribution(list(probs))
+    samples = martingale_variance_samples(g, d, 6, 5)
+    for r, value in enumerate(samples):
+        row = d.sample_coloring(g.n, stream_seed(5, r))
+        want = martingale_variance_by_fractions(g, row, d)
+        assert rel_err(value, want) < 1e-13
+        assert rel_err(martingale_variance(g, row, d), want) < 1e-13
 
 
 @pytest.mark.parametrize("budget", [2 << 20, 4096])

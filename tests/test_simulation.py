@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import subprocess
@@ -35,7 +36,7 @@ from modnull import (
     std_normal_cdf,
 )
 from modnull.colors import lane_dtype, validate_coloring
-from modnull.moments import (_BOOL_ROWS, _PLANE_ROWS, _chunking, _degree_planes, _edge_block,
+from modnull.moments import (_BOOL_ROWS, _PLANE_ROWS, _chunking, _edge_block,
                              _q_lanes, _q_of_rows, _q_tables)
 from modnull.rng import half_mix, stream_seed, stream_seed_array, stream_steps
 from modnull.simulation import (
@@ -500,7 +501,7 @@ def test_lane_kernel_block_sums_of_16_bit_lanes():
     h = Graph(300, np.concatenate([np.column_stack([ring, (ring + 1) % 300]),
                                    np.column_stack([ring[:100], ring[100:200]])]))
     assert _edge_block(h.m, 1) == h.m == 400 > _BOOL_ROWS
-    planes = _degree_planes(h.degrees)
+    planes = h._degree_planes
     assert [(weight, None if rows is None else rows.size) for weight, rows in planes] == [
         (1, 200), (2, None)] and 200 > _PLANE_ROWS
     for K in (2, 300):
@@ -509,6 +510,28 @@ def test_lane_kernel_block_sums_of_16_bit_lanes():
         assert np.array_equal(null_q_samples(h, d, 9, 4), q_by_rows(colorings, h))
         rows = np.vstack([np.ones((1, h.n), np.int64), np.full((1, h.n), K), colorings])
         assert np.array_equal(_q_of_rows(rows, h, K), q_by_rows(rows, h))
+
+
+def test_degree_planes_are_built_once_per_graph(monkeypatch):
+    built = []
+    planes = Graph._degree_planes
+
+    def spy(g):
+        built.append(g)
+        return planes.func(g)
+
+    cached = functools.cached_property(spy)
+    cached.__set_name__(Graph, "_degree_planes")
+    monkeypatch.setattr(Graph, "_degree_planes", cached)
+    g = gen_hub(400, 0.02, 5)
+    d = ColorDistribution.uniform(2)
+    row = d.sample_coloring(g.n, 1)
+    first = significance_test(g, row, d)
+    assert significance_test(g, row, d) == first
+    assert np.array_equal(null_q_samples(g, d, 9, 4),
+                          [modularity(g, d.sample_coloring(g.n, stream_seed(4, r)))
+                           for r in range(9)])
+    assert built == [g]
 
 
 @pytest.mark.parametrize("K", [40000, 70000])
