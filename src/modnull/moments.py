@@ -538,10 +538,10 @@ def _v2_blocks(n: int, groups: int, tables) -> tuple[int, int, int, int]:
     terms, uint64 words of scratch).
 
     A block's lanes x n indices into the term table take at most a quarter
-    of the budget, one lane group at least.  A gather takes a byte per
-    lane and lower end, for budget_rows(66) ends per lane, at least one
-    segment of 255 ends (which also bounds the lanes of a block) and at
-    most every end.  A pass over the vertex terms, an index and a float
+    of the budget, one lane group at least.  A gather of
+    budget_rows(66 * lanes) lower ends takes a byte per lane and end; it
+    holds at least one segment of 255 ends (which also bounds the lanes of
+    a block) and at most every end.  A pass over the vertex terms, an index and a float
     per lane and vertex, takes half the budget, one lane at least.  The
     gathers and the passes share the scratch after the indices.
 
