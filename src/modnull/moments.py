@@ -30,40 +30,47 @@ T = sum_c p_c cnt_c^2 this is
 
     V_j = T - 2 L R + L^2 p_(3) - (L p_(2) - P)^2,
 
-so no pair of lower neighbours (no wedge) is ever visited.  The kernel
-evaluates the same quantity in centered form,
+so no pair of lower neighbours (no wedge) is ever visited.  The row value
+is sum_j V_j / (m r1), whose expectation is 1.
+
+For K = 2, the default of every study, V_j is a quadratic form in two
+integers, L and the count c of color-2 lower neighbours (cnt_1 = L - c):
+
+    V_j   = alpha L^2 + beta L c + gamma c^2,
+    alpha = p_1 - 2 p_1^2 + p_(3) - (p_(2) - p_1)^2,
+    beta  = 2 (p_(2) - p_1)(p_2 - p_1) - 2 p_1 - 2 (p_2^2 - p_1^2),
+    gamma = p_1 + p_2 - (p_2 - p_1)^2.
+
+So a row is (alpha S_LL + beta S_Lc + gamma S_cc) / (m r1), with the int64
+sums S_LL = sum_j L^2, S_Lc = sum_j L c and S_cc = sum_j c^2, each at most
+m^2.  Every float is a dyadic rational, so alpha, beta, gamma and r1 of
+the float p are exact integers over one power-of-two denominator, and a
+row's numerator and denominator are exact Python ints, which one true
+division rounds correctly (:func:`_v2_rounded`).  A row's value depends on
+its integer sums alone: no block size, lane width, thread count or
+summation order can move a bit of it.  The sampler reads c from its packed
+uint8 lanes (:func:`_v2_lanes`): the words at the lower ends, in the order
+of their upper ends, become one 0/1 byte per lane, (word >> 1) &
+0x0101...01 (color 2 is 0b10, color 1 and padding are below it), and are
+added per vertex in segments of at most 255 edges, so no byte carries.
+That costs O(rows * m) byte work plus O(rows * n) integer work.  One
+coloring (:func:`martingale_variance`) counts c with one bincount.
+
+For K >= 3 (:func:`_v2_sorted_keys`), per row, the keys j*K + c_i - 1 of
+the edges, i below j, are sorted, so the edges may come in any order; each
+run of equal keys is one (j, c) pair with cnt_c its length, and bincounts
+over the cells (row, j) add V_j in centered form,
 
     V_j = sum_{c seen} p_c (cnt_c - L p_c)^2 + L^2 (p_(3) - sum_{c seen} p_c^3)
           - D_j^2,   D_j = sum_{i in L_j} (p_(2) - p_{c_i}),
 
 whose terms are of the size of V_j rather than L^2, so the result does not
-lose digits on high-degree vertices.  The row value is sum_j V_j / (m r1),
-whose expectation is 1.  Each V_j is formed whole, as (0 + its seen-color
-terms, in color order) + the rest, and the V_j of a row are added pairwise
-in vertex order by one ``sum`` along the row, the same in both kernels.
-
-For K >= 3, per row, the keys j*K + c_i - 1 of the edges, i below j, are
-sorted, so the edges may come in any order; each run of equal keys is one
-(j, c) pair with cnt_c its length, and bincounts over the cells
-(row, j) add its terms.  The keys lie below n*K and are uint32
-when n*K <= 2**32, int64 otherwise; the key width changes no bit of the
-result.  The cost is O(rows * m * log m) time, and rows go through in
-blocks of about ``rng.budget_rows(64)`` keys (2**15), so the working
-memory stays O(m + n).
-
-For K = 2, the default of every study, the sampler reads the counts from
-its packed uint8 lanes instead (:func:`_v2_lanes`).  The words at
-the lower ends, in the order of their upper ends, become one 0/1 byte per
-lane, (word >> 1) & 0x0101...01 (color 2 is 0b10, color 1 and padding
-are below it), and are added per vertex in segments of at most 255
-edges, so no byte carries.  V_j then depends on L and cnt_2 alone, so it
-is looked up in a table made once per sampling call by the float
-operations of the sorted-key kernel, and the row is the same pairwise sum
-along j, so every bit of the result is the same.  That costs O(rows * m)
-byte work plus O(rows * n) float work, in blocks of lanes and vertices
-sized by ``rng.budget_rows``, with tables of O(m + n) entries.  One coloring
-(:func:`martingale_variance`) goes through the sorted keys for every K,
-which costs less than building the tables.
+lose digits on high-degree vertices.  Each V_j is formed whole, and the V_j
+of a row are added pairwise in vertex order by one ``sum`` along the row.
+The keys lie below n*K and are uint32 when n*K <= 2**32, int64 otherwise;
+the key width changes no bit of the result.  The cost is
+O(rows * m * log m) time, and rows go through in blocks of about
+``rng.budget_rows(64)`` keys (2**15), so the working memory stays O(m + n).
 """
 
 from __future__ import annotations
@@ -374,7 +381,8 @@ def center_decompose(g: Graph, colors, dist: ColorDistribution) -> Decomposition
 
 def _v2_sorted_keys(colors_2d: np.ndarray, g: Graph, dist: ColorDistribution) -> np.ndarray:
     """Conditional martingale variance per coloring row by sorted (j, c) keys,
-    for any K; see the module docstring.
+    for K >= 3 (two colors go through :func:`_v2_rounded`); see the module
+    docstring.
 
     Every row goes through the same operations whatever block it lands
     in, so a row's value is bit-identical for any batch size, chunking or
@@ -443,14 +451,10 @@ def _v2_tables(g: Graph, dist: ColorDistribution):
 
     ``ends`` holds the lower ends of the edges in the order of their upper
     ends, a run per vertex starting at ``first[j]`` (n + 1 entries); a
-    vertex with no lower neighbour gets a run of one id, 0, whose count its
-    terms ignore.  ``seg_start`` cuts the runs into segments of at most 255
-    ends, and ``seg_first[j]`` is vertex j's first segment.  V_j in the
-    centered form of the module docstring depends on a vertex only through
-    its L and its count c of color-2 lower neighbours, so ``terms`` tables
-    it once per distinct L, for c from 0 to max(L, 1), by the float
-    operations of :func:`_v2_sorted_keys`; vertex j's entries start at
-    ``keys[j]``.
+    vertex with no lower neighbour gets a run of one id, 0, whose count
+    :func:`_v2_lanes` sets to 0.  ``seg_start`` cuts the runs into segments
+    of at most 255 ends, and ``seg_first[j]`` is vertex j's first segment.
+    ``lower`` holds the lower degrees L (int64).
     """
     if dist.K != 2:
         return None
@@ -469,133 +473,55 @@ def _v2_tables(g: Graph, dist: ColorDistribution):
     np.cumsum(pieces, out=seg_first[1:])
     owner = np.repeat(np.arange(n), pieces)
     seg_start = first[owner] + _BOOL_ROWS * (np.arange(owner.size) - seg_first[owner])
-
-    present = np.bincount(lower) > 0
-    sizes = np.flatnonzero(present)
-    which = np.cumsum(present)[lower] - 1
-    width = np.maximum(sizes, 1) + 1
-    base = np.cumsum(width) - width
-    lower_at = np.repeat(sizes, width)
-    c2 = np.arange(lower_at.size) - np.repeat(base, width)
-    c1 = lower_at - c2
-    seen1 = c1 > 0
-    seen2 = (c2 > 0) & (c2 <= lower_at)
-    lower_deg = lower_at.astype(np.float64)
-    p = dist.p
-    cube = p * p * p
-    p3 = float(np.cumsum(cube)[-1])
-    gap = dist.p2 - p
-    e1 = c1 - lower_deg * p[0]
-    e2 = c2 - lower_deg * p[1]
-    # The sorted kernel's bincounts add (0 + color 1's term) + color 2's;
-    # 0 + x is x, and d enters only squared, so a zero's sign cannot show.
-    seen = np.where(seen1, p[0] * e1 * e1, 0.0) + np.where(seen2, p[1] * e2 * e2, 0.0)
-    s3 = np.where(seen1, cube[0], 0.0) + np.where(seen2, cube[1], 0.0)
-    d = np.where(seen1, c1 * gap[0], 0.0) + np.where(seen2, c2 * gap[1], 0.0)
-    terms = seen + (lower_deg * lower_deg * (p3 - s3) - d * d)
-    return ends, first, seg_start, seg_first, base[which], terms
+    return ends, first, seg_start, seg_first, lower
 
 
-def _color2_counts(words: np.ndarray, tables, v0: int, v1: int, edges: int,
+def _color2_counts(words: np.ndarray, tables, v0: int, v1: int,
                    gathered: np.ndarray) -> np.ndarray:
     """Color-2 lower neighbours of vertices v0..v1-1 in every lane of ``words``
-    (n x groups uint64), as a (v1 - v0) x lanes integer array.
+    (n x groups uint64), as a (v1 - v0) x lanes int64 array.
 
     The words at the vertices' runs of lower ends are gathered into
-    ``gathered``, at most ``edges`` rows at a time, shifted and masked to
-    one 0/1 byte per lane, and added per segment of at most 255 edges by
-    ``np.add.reduceat``; a vertex of several segments adds them as int64.
+    ``gathered``, which must hold them all, shifted and masked to one 0/1
+    byte per lane, and added per segment of at most 255 edges by
+    ``np.add.reduceat``; a vertex's segments are then added as int64.
     """
     ends, first, seg_start, seg_first = tables[:4]
     groups = words.shape[1]
-
-    def segment_sums(a: int, b: int, starts: np.ndarray) -> np.ndarray:
-        x = gathered[:(b - a) * groups].reshape(b - a, groups)
-        np.take(words, ends[a:b], axis=0, out=x, mode="clip")
-        x >>= np.uint64(1)
-        x &= _LANE_ONES
-        return np.add.reduceat(x, starts, axis=0).view(np.uint8)
-
     a, b = int(first[v0]), int(first[v1])
     s0, s1 = int(seg_first[v0]), int(seg_first[v1])
-    if b - a <= edges:
-        sums = segment_sums(a, b, seg_start[s0:s1] - a)
-        if s1 - s0 == v1 - v0:
-            return sums
-        return np.add.reduceat(sums, seg_first[v0:v1] - s0, axis=0, dtype=np.int64)
-    # One vertex whose lower neighbours take more than one gather.
-    step = edges - edges % _BOOL_ROWS
-    total = np.zeros((1, 8 * groups), np.int64)
-    for c in range(a, b, step):
-        d = min(b, c + step)
-        total += segment_sums(c, d, np.arange(0, d - c, _BOOL_ROWS)).sum(axis=0, dtype=np.int64)
-    return total
+    x = gathered[:(b - a) * groups].reshape(b - a, groups)
+    np.take(words, ends[a:b], axis=0, out=x, mode="clip")
+    x >>= np.uint64(1)
+    x &= _LANE_ONES
+    sums = np.add.reduceat(x, seg_start[s0:s1] - a, axis=0).view(np.uint8)
+    # A reduceat into int64 takes ~40 times a cast, so only a block with a
+    # vertex of several segments pays for one.
+    if s1 - s0 == v1 - v0:
+        return sums.astype(np.int64)
+    return np.add.reduceat(sums, seg_first[v0:v1] - s0, axis=0, dtype=np.int64)
 
 
-def _v2_blocks(n: int, groups: int, tables) -> tuple[int, int, int, int]:
-    """How :func:`_v2_lanes` cuts a K = 2 chunk of ``groups`` lane groups:
-    (lane groups per block, lower ends per gather, lanes per pass of vertex
-    terms, uint64 words of scratch).
+def _v2_rounded(lower: np.ndarray, s_lc, s_cc, m: int, dist: ColorDistribution) -> np.ndarray:
+    """Two-color martingale variances, exactly rounded, of the rows whose
+    integer sums S_Lc and S_cc are ``s_lc`` and ``s_cc``; ``lower`` holds the
+    lower degrees.  See the module docstring.
 
-    A block's lanes x n indices into the term table take at most a quarter
-    of the budget, one lane group at least.  A gather of
-    budget_rows(66 * lanes) lower ends takes a byte per lane and end; it
-    holds at least one segment of 255 ends (which also bounds the lanes of
-    a block) and at most every end.  A pass over the vertex terms, an index and a float
-    per lane and vertex, takes half the budget, one lane at least.  The
-    gathers and the passes share the scratch after the indices.
-
-    So a narrower chunk never asks for more words: a block of fewer lane
-    groups takes n index words less per group, and its gathers at most
-    one word more per group of the wider block (ends times groups stays
-    near budget / 66 unless every end fits).  Blocks hold at most
-    budget_rows(66 * 8 * 255) groups, 15 at the 2 MiB budget, and a
-    gather is cut only on graphs of more than 255 lower ends, which have
-    more than 22 vertices.
+    p_c = a_c / s over the larger of the denominators of p_1 and p_2, both
+    powers of two, so alpha, beta, gamma and r1 times s^4 are integers.
     """
-    width = np.min_scalar_type(tables[-1].size).itemsize
-    cap = min(budget_rows(32 * n * width), budget_rows(66 * 8 * _BOOL_ROWS))
-    per_block = max(1, min(groups, cap))
-    lanes = 8 * per_block
-    edges = min(int(tables[1][-1]), max(_BOOL_ROWS, budget_rows(66 * lanes)))
-    step = min(lanes, budget_rows(32 * n))
-    words = per_block * n * width + max(edges * per_block, 2 * step * n)
-    return per_block, edges, step, words
-
-
-def _v2_lane_block(words: np.ndarray, tables, edges: int, step: int,
-                   work: np.ndarray) -> np.ndarray:
-    """sum_j V_j of every lane of ``words`` (n x groups uint64 of uint8 lanes),
-    with the buffers of :func:`_v2_blocks` carved from ``work``.
-
-    Vertices go in blocks whose lower ends fill at most ``edges`` rows (one
-    vertex at least).  A block's counts, added to the vertices' keys, index
-    the term table of :func:`_v2_tables`; the indices are kept lane-major.
-    Then ``step`` lanes at a time the terms are gathered and summed along
-    j, pairwise as :func:`_v2_sorted_keys` sums them.
-    """
-    ends, first, seg_start, seg_first, keys, terms = tables
-    n, groups = words.shape
-    lanes = 8 * groups
-    width = np.min_scalar_type(terms.size)
-    head = groups * n * width.itemsize
-    index_by_lane = work[:head].view(width).reshape(lanes, n)
-    gathered = work[head:head + edges * groups]
-    v0 = 0
-    while v0 < n:
-        v1 = max(v0 + 1, int(np.searchsorted(first, first[v0] + edges, "right")) - 1)
-        counts = _color2_counts(words, tables, v0, v1, edges, gathered)
-        np.add(counts.T, keys[v0:v1], out=index_by_lane[:, v0:v1], casting="unsafe")
-        v0 = v1
-    where = work[head:head + step * n].view(np.intp).reshape(step, n)
-    gathered_terms = work[head + step * n:head + 2 * step * n].view(np.float64).reshape(step, n)
-    total = np.empty(lanes)
-    for a in range(0, lanes, step):
-        b = min(lanes, a + step)
-        np.copyto(where[:b - a], index_by_lane[a:b])
-        np.take(terms, where[:b - a], out=gathered_terms[:b - a], mode="clip")
-        total[a:b] = gathered_terms[:b - a].sum(axis=1)
-    return total
+    (n1, d1), (n2, d2) = (x.as_integer_ratio() for x in dist.p.tolist())
+    s = max(d1, d2)
+    a1, a2 = n1 * (s // d1), n2 * (s // d2)
+    # p_(2) s^2, p_(3) s^3 and (p_(2) - p_1) s^2.
+    q2, q3 = a1 * a1 + a2 * a2, a1 ** 3 + a2 ** 3
+    gap = q2 - a1 * s
+    alpha = a1 * s ** 3 - 2 * a1 * a1 * s * s + q3 * s - gap * gap
+    beta = 2 * gap * (a2 - a1) * s - 2 * a1 * s ** 3 - 2 * (a2 * a2 - a1 * a1) * s * s
+    gamma = (a1 + a2) * s ** 3 - (a2 - a1) ** 2 * s * s
+    scale = m * (q2 * s * s + q2 * q2 - 2 * q3 * s)
+    base = alpha * int(lower @ lower)
+    return np.array([(base + beta * x + gamma * y) / scale for x, y in zip(s_lc, s_cc)])
 
 
 def _v2_lanes(colors: np.ndarray, count: int, g: Graph, dist: ColorDistribution,
@@ -604,24 +530,33 @@ def _v2_lanes(colors: np.ndarray, count: int, g: Graph, dist: ColorDistribution,
     n x r lane array as :func:`_q_lanes` takes it; ``tables`` is
     :func:`_v2_tables`.
 
-    For K = 2 the uint8 lanes go through :func:`_v2_lane_block` in blocks
-    of whole lane groups (:func:`_v2_blocks`), with its buffers in the
-    uint64 scratch ``work``, which holds at least as many words as
-    :func:`_v2_blocks` asks for r / 8 groups.  For K >= 3 the columns go
-    to :func:`_v2_sorted_keys`, and ``work`` is not used.
+    For K = 2, vertices go in blocks whose lower ends, gathered for every
+    lane at once, fit the uint64 scratch ``work`` of :func:`_chunking`, and
+    whose int64 counts take at most ``budget_rows(32 * r)`` vertices.  A
+    vertex's run of fewer than n ends always fits: the scratch holds n + 1
+    words at one lane group and twice that per group at more.  Each block's
+    counts c add c * c and L * c into the lanes' S_cc and S_Lc, and
+    :func:`_v2_rounded` rounds the rows.  For K >= 3 the columns go to
+    :func:`_v2_sorted_keys`, and ``work`` is not used.
     """
     if tables is None:
         return _v2_sorted_keys(colors.T[:count], g, dist)
     n, r = colors.shape
-    packed = colors.view(np.uint64)
-    groups = r // 8
-    per_block, edges, step, _ = _v2_blocks(n, groups, tables)
-    out = np.empty(r)
-    for a in range(0, groups, per_block):
-        b = min(groups, a + per_block)
-        block = packed if b - a == groups else np.ascontiguousarray(packed[:, a:b])
-        out[8 * a:8 * b] = _v2_lane_block(block, tables, edges, step, work)
-    return out[:count] / (g.m * dist.r1)
+    words = colors.view(np.uint64)
+    first, lower = tables[1], tables[4]
+    edges = work.size // words.shape[1]
+    most = budget_rows(32 * r)
+    s_lc = np.zeros(r, np.int64)
+    s_cc = np.zeros(r, np.int64)
+    v0 = 0
+    while v0 < n:
+        v1 = min(v0 + most, int(np.searchsorted(first, first[v0] + edges, "right")) - 1)
+        c = _color2_counts(words, tables, v0, v1, work)
+        c[lower[v0:v1] == 0] = 0
+        s_lc += lower[v0:v1] @ c
+        s_cc += np.einsum("ij,ij->j", c, c)
+        v0 = v1
+    return _v2_rounded(lower, s_lc[:count].tolist(), s_cc[:count].tolist(), g.m, dist)
 
 
 def martingale_variance(g: Graph, colors, dist: ColorDistribution) -> float:
@@ -630,13 +565,19 @@ def martingale_variance(g: Graph, colors, dist: ColorDistribution) -> float:
     Vertices are revealed in index order; each new vertex j contributes
     the conditional variance of sum over earlier neighbors i of the
     centered kernel h(c_i, c_j).  The normalization makes the expectation
-    exactly 1 whenever the distribution is nondegenerate.  One coloring
-    goes through the sorted keys, for every K, so no lane tables are built.
+    exactly 1 whenever the distribution is nondegenerate.  For K = 2 the
+    color-2 counts are one bincount and the value is exactly rounded, bit
+    for bit the sampler's; K >= 3 goes through the sorted keys.  No lane
+    tables are built.
     """
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: martingale variance undefined")
     c = validate_coloring(colors, n=g.n, K=dist.K)
-    return float(_v2_sorted_keys(c[None, :], g, dist)[0])
+    if dist.K != 2:
+        return float(_v2_sorted_keys(c[None, :], g, dist)[0])
+    lower = np.bincount(g.edge_hi, minlength=g.n)
+    two = np.bincount(g.edge_hi[c[g.edge_lo] == 2], minlength=g.n)
+    return float(_v2_rounded(lower, [int(lower @ two)], [int(two @ two)], g.m, dist)[0])
 
 
 def exact_moments_by_enumeration(g: Graph, dist: ColorDistribution) -> tuple[float, float]:

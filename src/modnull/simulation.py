@@ -30,9 +30,8 @@ when a group is larger, so a chunk's boundaries depend on the graph's n
 and the lane width alone, never on the worker count; a row's value does
 not depend on them at all.  The two-color martingale kernel
 (:func:`moments._v2_lanes`) counts each vertex's color-2 lower neighbours
-on the same packed lanes, and its worker scratch is as large as
-:func:`moments._v2_blocks` asks for a full chunk, if that is more; a
-narrower last chunk asks for no more.  The output is
+on the same packed lanes, gathered into the same scratch, so every kernel
+runs with one scratch size.  The output is
 allocated before any state is drawn, and workers take chunks in turn and
 write each into it in place, which makes the output identical for any
 worker count.
@@ -62,7 +61,6 @@ from .moments import (
     _q_lanes,
     _q_of_rows,
     _q_tables,
-    _v2_blocks,
     _v2_lanes,
     _v2_tables,
     null_moments,
@@ -204,39 +202,36 @@ def _ks_against(x: np.ndarray, cdf) -> float:
     return worst
 
 
-def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int,
-                 words=None):
-    """``kernel(colors, count, work)`` for replicates 0..reps-1, in chunks of lane groups.
-
-    A chunk's colorings are an n x r array of unsigned lanes, one column
-    per replicate (see the module docstring), of which the first
-    ``count`` are wanted and the rest pad the last lane group; ``kernel``
-    returns one value per wanted column and may overwrite ``work``, the
-    worker's scratch of :func:`moments._chunking`, or of ``words(count)``
-    uint64 words at a full chunk's count if that is more (``words`` must
-    not grow as the count falls, so the last chunk fits).  The output and
-    every worker's buffers are allocated before any word is drawn, and each
-    worker writes its chunks into the output in place, so the result
-    does not depend on ``threads``.
-    """
+def _check_sampling(dist, reps: int, threads: int) -> None:
+    """Refuse a sampling run before anything is built for it."""
     if reps < 1:
         raise InputError("reps must be >= 1")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     if dist.is_degenerate:
         raise DomainError("degenerate color distribution: null sampling is pointless")
+
+
+def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: int):
+    """``kernel(colors, count, work)`` for replicates 0..reps-1, in chunks of lane groups.
+
+    The caller has passed the run through :func:`_check_sampling`.  A
+    chunk's colorings are an n x r array of unsigned lanes, one column
+    per replicate (see the module docstring), of which the first
+    ``count`` are wanted and the rest pad the last lane group; ``kernel``
+    returns one value per wanted column and may overwrite ``work``, the
+    worker's scratch of :func:`moments._chunking`.  The output and
+    every worker's buffers are allocated before any word is drawn, and each
+    worker writes its chunks into the output in place, so the result
+    does not depend on ``threads``.
+    """
     n = g.n
     dtype = lane_dtype(dist.K)
     lanes = 8 // dtype.itemsize
     rows, chunk_words = _chunking(n, lanes)
-    scratch_words = chunk_words
-    if words is not None:
-        # Every chunk but the last holds min(rows, reps) replicates, and
-        # the last no more.
-        scratch_words = max(chunk_words, words(min(rows, reps)))
     out = np.empty(reps)
     starts = range(0, reps, rows)
-    buffers = [(np.empty(n * rows, dtype), np.empty(scratch_words, np.uint64))
+    buffers = [(np.empty(n * rows, dtype), np.empty(chunk_words, np.uint64))
                for _ in range(min(threads, len(starts)))]
     steps = stream_steps(n)
     todo = iter(starts)
@@ -297,6 +292,7 @@ def null_q_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Raw modularity values for ``reps`` independent null colorings."""
+    _check_sampling(dist, reps, threads)
     tables = _q_tables(g, dist.K)
     return _sample_rows(
         lambda colors, count, work: _q_lanes(colors, count, tables, work),
@@ -308,11 +304,11 @@ def martingale_variance_samples(
     g: Graph, dist: ColorDistribution, reps: int, master_seed: int, threads: int = 1
 ) -> np.ndarray:
     """Martingale conditional variance for the same colorings as null_q_samples."""
+    _check_sampling(dist, reps, threads)
     tables = _v2_tables(g, dist)
     return _sample_rows(
         lambda colors, count, work: _v2_lanes(colors, count, g, dist, tables, work),
         g, dist, reps, master_seed, threads,
-        None if tables is None else lambda count: _v2_blocks(g.n, -(-count // 8), tables)[3],
     )
 
 

@@ -158,30 +158,44 @@ def martingale_variance_by_wedges(g, colors, dist):
     return math.fsum(np.concatenate(terms).tolist()) / (g.m * dist.r1)
 
 
-def martingale_variance_by_fractions(g, colors, dist):
-    """Exact martingale variance of one coloring, in rationals of the float p.
+def v2_rows_by_fractions(colorings_2d, g, dist):
+    """Exact martingale variance per coloring row, in rationals of the float p,
+    each rounded once.
 
     Vertex j with L lower neighbours, cnt_c of them colored c, adds
     V_j = T - 2 L R + L^2 p_(3) - (L p_(2) - P)^2 with T = sum_c p_c cnt_c^2,
-    R = sum_c cnt_c p_c^2 and P = sum_c cnt_c p_c; the sum over j is divided
-    by m r1, r1 = p_(2) + p_(2)^2 - 2 p_(3), all as Fractions, and rounded once.
+    R = sum_c cnt_c p_c^2 and P = sum_c cnt_c p_c; a row's sum over j is
+    divided by m r1, r1 = p_(2) + p_(2)^2 - 2 p_(3).  With p_c = a_c / s over
+    the largest denominator s of p (a power of two), V_j s^4 and r1 s^4 are
+    integers: V_j is formed once per distinct count vector, each row adds
+    its vertices' values as Python ints, and one true division rounds it.
     """
+    n, K, rows = g.n, dist.K, len(colorings_2d)
     p = [Fraction(x) for x in dist.p.tolist()]
-    p2 = sum(x * x for x in p)
-    p3 = sum(x * x * x for x in p)
-    r1 = p2 + p2 * p2 - 2 * p3
-    c = np.asarray(colors) - 1
-    counts = np.zeros((g.n, dist.K), np.int64)
-    np.add.at(counts, (g.edge_hi, c[g.edge_lo]), 1)
-    total = Fraction(0)
-    for row in counts[np.flatnonzero(counts.any(axis=1))].tolist():
-        seen = [(x, k) for x, k in zip(p, row) if k]
-        lower = sum(row)
-        t = sum(x * k * k for x, k in seen)
-        r = sum(x * x * k for x, k in seen)
-        big_p = sum(x * k for x, k in seen)
-        total += t - 2 * lower * r + lower * lower * p3 - (lower * p2 - big_p) ** 2
-    return float(total / (g.m * r1))
+    s = max(x.denominator for x in p)
+    a = [int(x * s) for x in p]
+    q2, q3 = sum(x * x for x in a), sum(x ** 3 for x in a)
+    c = np.asarray(colorings_2d, np.int64) - 1
+    cells = np.arange(rows)[:, None] * (n * K) + g.edge_hi * K + c[:, g.edge_lo]
+    counts = np.bincount(cells.ravel(), minlength=rows * n * K).reshape(rows * n, K)
+    # Each count vector as one int64 key, digits base (largest count + 1).
+    base = int(counts.max()) + 1
+    assert base ** K < 2 ** 63
+    _, first, which = np.unique(counts @ base ** np.arange(K), return_index=True,
+                                return_inverse=True)
+    values = []
+    for cnt in counts[first].tolist():
+        lower = sum(cnt)
+        t = sum(x * k * k for x, k in zip(a, cnt))
+        r = sum(x * x * k for x, k in zip(a, cnt))
+        big_p = sum(x * k for x, k in zip(a, cnt))
+        values.append(t * s ** 3 - 2 * lower * r * s * s + lower * lower * q3 * s
+                      - (lower * q2 - big_p * s) ** 2)
+    cells = np.repeat(np.arange(rows), n) * len(values) + which
+    uses = np.bincount(cells, minlength=rows * len(values)).reshape(rows, -1)
+    totals = uses.astype(object) @ np.array(values, dtype=object)
+    scale = g.m * (q2 * s * s + q2 * q2 - 2 * q3 * s)
+    return np.array([int(total) / scale for total in totals])
 
 
 def v2_rows_by_int64_keys(colors_2d, g, dist):
@@ -190,7 +204,8 @@ def v2_rows_by_int64_keys(colors_2d, g, dist):
     Keys j*K + c - 1 as int64, split by ``np.divmod``, run lengths by
     ``np.diff``, lookups by fancy indexing.  Each vertex's V_j is formed
     whole, and a row is their pairwise sum over j; this arithmetic and
-    summation order are the ones both library kernels keep bit for bit.
+    summation order are the ones the library's K >= 3 kernel keeps bit for
+    bit.
     """
     n, m, K = g.n, g.m, dist.K
     hi = g.edge_hi
@@ -230,6 +245,12 @@ def v2_rows_by_int64_keys(colors_2d, g, dist):
         d = d.reshape(rows, n)
         out.append((seen + (lower_deg * lower_deg * (p3 - s3) - d * d)).sum(axis=1))
     return np.concatenate(out) / (m * dist.r1)
+
+
+def v2_oracle(colorings_2d, g, dist):
+    """The rows the library's martingale variance must equal bit for bit:
+    exactly rounded for two colors, the int64-key kernel's for more."""
+    return (v2_rows_by_fractions if dist.K == 2 else v2_rows_by_int64_keys)(colorings_2d, g, dist)
 
 
 def q_by_rows(colors_2d, g, mass_block=1 << 16):

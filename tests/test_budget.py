@@ -5,8 +5,8 @@ The pipeline below runs the README commands in-process twice, at the
 default 2 MiB budget and at 4 KiB, where every input spans many blocks:
 128-byte parse blocks, 32-edge write blocks, 128-wedge 4-cycle blocks,
 one lane group per sampling chunk, one row per sorted-key martingale
-block, 255 lower ends per gather of the two-color martingale, one to
-five lanes per degree-mass block, 256-edge blocks of the degree-product
+block, 256 lower ends per gather and 16 vertices per count block of the
+two-color martingale, one to five lanes per degree-mass block, 256-edge blocks of the degree-product
 sum, 36 colorings per enumeration chunk, 32 values per KS block and 7 to
 21 rows per CSV block.  One ``reg`` graph takes the stub-switch repair.
 Colors come from the states' top bits (``--K 2`` and ``--K 4``) and from

@@ -27,8 +27,9 @@ The enumeration oracle holds one weight and one Q value per coloring.
 Three cases run in process under ``tracemalloc``: the Q of one observed
 coloring counts its same-color edges in blocks within ``rng.BUDGET``,
 and copies each block's edge ends, not every edge's; and two-color
-martingale samples count lower neighbours on the packed lanes with
-budget-sized buffers, not sort keys for every edge.
+martingale samples count lower neighbours on the packed lanes, gathered
+into the sampler's scratch and added in budget-sized blocks of integer
+count sums, not sort keys for every edge.
 """
 
 import json
@@ -201,8 +202,8 @@ def test_two_color_martingale_samples_hold_no_per_key_temporaries():
     # n=1e5, m=3e5, far above the budget_rows(64) keys of one sorted block:
     # the lane counts hold the lower ends in the order of their upper ends
     # (8 bytes per edge and per vertex without lower neighbours), a few
-    # vertex-sized starts and table keys, the worker's colors and scratch,
-    # and the sort that orders the ends while it runs; 11.6 MB.  The
+    # vertex-sized starts and the lower degrees, the worker's colors and
+    # scratch, and the sort that orders the ends while it runs; 9.9 MB.  The
     # sorted-key kernel, 44-80 bytes per key of a block of rows, took 31-32 MB.
     n = 100_000
     v = np.arange(n)

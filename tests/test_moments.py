@@ -14,11 +14,11 @@ from conftest import (
     cond_cross_moment,
     cond_second_moment,
     dense_b_matrix,
-    martingale_variance_by_fractions,
     martingale_variance_by_wedges,
     random_distribution,
     standard_distributions,
-    v2_rows_by_int64_keys,
+    v2_oracle,
+    v2_rows_by_fractions,
 )
 from modnull import (
     ColorDistribution,
@@ -39,7 +39,7 @@ from modnull import (
     simulation,
 )
 from modnull.generators import parse_generator_spec
-from modnull.moments import _chunking, _v2_blocks, _v2_tables
+from modnull.moments import _chunking
 from modnull.rng import stream_seed
 
 
@@ -337,10 +337,11 @@ def kernel_distribution(K, kind):
 
 def assert_v2_kernel_matches_oracle(g, d, budget, monkeypatch, reps=24, threads=1):
     """Bit-identical rows from the sampler, whose colorings are replicates
-    0..reps-1 of seed 9, and from one of those colorings at a time."""
+    0..reps-1 of seed 9, and from one of those colorings at a time: exactly
+    rounded for two colors, the int64-key oracle's for more."""
     monkeypatch.setattr(rng, "BUDGET", budget)
     colorings = np.stack([d.sample_coloring(g.n, stream_seed(9, r)) for r in range(reps)])
-    want = v2_rows_by_int64_keys(colorings, g, d)
+    want = v2_oracle(colorings, g, d)
     assert np.array_equal(martingale_variance_samples(g, d, reps, 9, threads), want)
     assert np.array_equal([martingale_variance(g, row, d) for row in colorings], want)
 
@@ -358,16 +359,22 @@ def test_v2_kernel_is_bit_identical_to_int64_key_oracle(spec, K, kind, budget, m
     pytest.param("er:p=0.05", 300, (0.5, 0.5), id="er-uniform_2"),
     pytest.param("er:p=0.05", 300, (0.05, 0.15, 0.8), id="er-skewed_3"),
     pytest.param("hub:p=0.02", 400, (0.1, 0.9), id="hub-skewed_2"),
+    # r1 ~ 4e-6: float constants cancel and put the rows 7.1e-9 off.
+    pytest.param("er:p=0.05", 300, (1e-3, 1 - 1e-3), id="er-lopsided_2"),
+    pytest.param("hub:p=0.02", 400, (1e-3, 1 - 1e-3), id="hub-lopsided_2"),
 ])
 def test_martingale_variance_matches_exact_rationals(spec, n, probs):
+    # Two colors are exactly rounded; more colors agree to 1e-13.
     g = kernel_graph(spec, n)
     d = ColorDistribution(list(probs))
-    samples = martingale_variance_samples(g, d, 6, 5)
-    for r, value in enumerate(samples):
-        row = d.sample_coloring(g.n, stream_seed(5, r))
-        want = martingale_variance_by_fractions(g, row, d)
-        assert rel_err(value, want) < 1e-13
-        assert rel_err(martingale_variance(g, row, d), want) < 1e-13
+    rows = np.stack([d.sample_coloring(g.n, stream_seed(5, r)) for r in range(6)])
+    want = v2_rows_by_fractions(rows, g, d)
+    for got in (martingale_variance_samples(g, d, 6, 5),
+                np.array([martingale_variance(g, row, d) for row in rows])):
+        if d.K == 2:
+            assert np.array_equal(got, want)
+        else:
+            assert max(rel_err(x, y) for x, y in zip(got, want)) < 1e-13
 
 
 @pytest.mark.parametrize("budget", [2 << 20, 4096])
@@ -406,17 +413,6 @@ def test_v2_lane_counts_are_bit_identical_to_int64_key_oracle(graph, reps, probs
                                     reps, threads=2)
 
 
-def test_v2_lane_scratch_stays_within_the_budget():
-    # Chunks of up to 4096 lane groups on 80 vertices: a block's gathers
-    # hold at most every lower end, and a block at most the lanes whose
-    # 255-end segments fit the budget, so the scratch does not grow with
-    # the chunk.
-    g = gen_regular(80, 4, 5)
-    tables = _v2_tables(g, ColorDistribution.uniform(2))
-    for groups in (1, 21, 375, 4096):
-        assert _v2_blocks(g.n, groups, tables)[3] * 8 <= rng.BUDGET
-
-
 def test_one_coloring_builds_no_lane_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError("lane tables built for one coloring")
@@ -425,31 +421,58 @@ def test_one_coloring_builds_no_lane_tables(monkeypatch):
     g = kernel_graph("reg:d=6", 400)
     d = ColorDistribution.uniform(2)
     row = d.sample_coloring(g.n, 1)
-    assert martingale_variance(g, row, d) == v2_rows_by_int64_keys(row[None, :], g, d)[0]
+    assert martingale_variance(g, row, d) == v2_rows_by_fractions(row[None, :], g, d)[0]
+
+
+def test_refused_martingale_runs_build_no_lane_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lane tables built for a refused run")
+
+    monkeypatch.setattr(moments, "_v2_tables", refuse)
+    monkeypatch.setattr(simulation, "_v2_tables", refuse)
+    g = kernel_graph("reg:d=6", 400)
+    one_color = ColorDistribution([1.0, 0.0])
+    with pytest.raises(DomainError):
+        martingale_variance_samples(g, one_color, 8, 1)
+    with pytest.raises(DomainError):
+        martingale_variance(g, np.ones(g.n, np.int64), one_color)
+    for reps, threads in ((0, 1), (8, 0)):
+        with pytest.raises(InputError):
+            martingale_variance_samples(g, ColorDistribution.uniform(2), reps, 1, threads)
+
+
+@functools.cache
+def exact_reg_rows(reps):
+    """Exact rows of replicates 0..reps-1 of seed 3, two uniform colors, on
+    reg:d=6 with n = 2000; no budget moves them."""
+    g = kernel_graph("reg:d=6", 2000)
+    d = ColorDistribution.uniform(2)
+    return v2_rows_by_fractions(
+        np.stack([d.sample_coloring(g.n, stream_seed(3, r)) for r in range(reps)]), g, d)
 
 
 @pytest.mark.parametrize("budget", [4096, 16384, 65536, 256 << 10, 1 << 20, 2 << 20])
 def test_v2_scratch_covers_every_chunk_width(budget, monkeypatch):
-    # On reg:d=6, n = 2000, the scratch that _v2_blocks asks for is not
-    # monotone in the chunk width: at 2 MiB a last chunk of 12 lane groups
-    # (352 replicates: a full chunk of 256, then 96) asks for more than a
-    # full chunk.  Every last-chunk width, at every budget, gets enough.
+    # Every last-chunk width, at every budget: each two-color chunk gets
+    # exactly the scratch of _chunking, which holds every vertex's run of
+    # lower ends, and the rows are exactly rounded.
     monkeypatch.setattr(rng, "BUDGET", budget)
     g = kernel_graph("reg:d=6", 2000)
     d = ColorDistribution.uniform(2)
     kernel = simulation._v2_lanes
-    short = []
+    sizes = set()
 
     def spy(colors, count, g, dist, tables, work):
-        if work.size < _v2_blocks(g.n, colors.shape[1] // 8, tables)[3]:
-            short.append(colors.shape[1])
+        sizes.add(work.size)
         return kernel(colors, count, g, dist, tables, work)
 
     monkeypatch.setattr(simulation, "_v2_lanes", spy)
-    rows = _chunking(g.n, 8)[0]
+    rows, words = _chunking(g.n, 8)
+    want = exact_reg_rows(2 * rows)
     for groups in range(1, rows // 8 + 1):
-        martingale_variance_samples(g, d, rows + 8 * groups, 3)
-    assert short == []
+        reps = rows + 8 * groups
+        assert np.array_equal(martingale_variance_samples(g, d, reps, 3), want[:reps])
+    assert sizes == {words}
 
 
 def test_martingale_variance_errors(triangle):

@@ -10,7 +10,7 @@ import pytest
 from scipy import special
 
 from conftest import (colors_by_guide_table, ks_by_full_grids, q_by_rows, q_lanes_by_warren,
-                      states_of_words, v2_rows_by_int64_keys, words_by_full_mix)
+                      states_of_words, v2_oracle, words_by_full_mix)
 
 from modnull import (
     ColorDistribution,
@@ -339,9 +339,10 @@ CHUNK_GRAPHS = {
 @pytest.mark.parametrize("graph_name", sorted(CHUNK_GRAPHS))
 def test_a_narrower_last_chunk_matches_all_rows_at_once(monkeypatch, graph_name, K, budget):
     # Replicates in chunks with a narrower, ragged last chunk: every Q and
-    # v2 equals the row-major oracles' on all rows at once.  The kernel gets
-    # the scratch at exactly the rule's size, so a stage that needed more
-    # would fail, also when called on each narrower chunk width.
+    # v2 equals the oracles' on all rows at once (v2 exactly rounded for two
+    # colors).  The kernel gets the scratch at exactly the rule's size, so a
+    # stage that needed more would fail, also when called on each narrower
+    # chunk width.
     g = CHUNK_GRAPHS[graph_name]()
     d = ColorDistribution.uniform(2) if K == 2 else zipf(K)
     lanes = {1: 8, 2: 4, 4: 2}[lane_dtype(K).itemsize]
@@ -362,7 +363,7 @@ def test_a_narrower_last_chunk_matches_all_rows_at_once(monkeypatch, graph_name,
         assert np.array_equal(_sample_rows(kernel, g, d, reps, 5, threads), want)
     assert sizes == {words}
     assert np.array_equal(martingale_variance_samples(g, d, reps, 5, threads=2),
-                          v2_rows_by_int64_keys(colorings, g, d))
+                          v2_oracle(colorings, g, d))
     assert np.array_equal(_q_of_rows(colorings, g, K), want)
     work = np.empty(words, np.uint64)
     for width in range(lanes, rows + 1, lanes):
