@@ -145,14 +145,14 @@ def _distribution(args, g=None) -> tuple[ColorDistribution, np.ndarray | None]:
 def _emit(args, payload: dict) -> None:
     text = dumps(payload) + "\n"
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(text.encode())
     else:
         sys.stdout.write(text)
 
 
 def _write_csv_with_summary(out: str, header, columns, summary: dict) -> None:
     write_csv(out, header, columns)
-    Path(out.removesuffix(".csv") + ".summary.json").write_text(dumps(summary) + "\n")
+    Path(out.removesuffix(".csv") + ".summary.json").write_bytes((dumps(summary) + "\n").encode())
 
 
 def cmd_compute(args) -> int:
@@ -320,7 +320,7 @@ def cmd_generate(args) -> int:
         }
     ) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(text.encode())
         sys.stdout.write(echo)
     else:
         sys.stdout.write(text)

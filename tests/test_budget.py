@@ -7,8 +7,8 @@ default 2 MiB budget and at 4 KiB, where every input spans many blocks:
 one lane group per sampling chunk, one row per sorted-key martingale
 block, 256 lower ends per gather and 16 vertices per count block of the
 two-color martingale, one to five lanes per degree-mass block, 256-edge blocks of the degree-product
-sum, 36 colorings per enumeration chunk, 32 values per KS block and 7 to
-21 rows per CSV block.  One ``reg`` graph takes the stub-switch repair.
+sum, 36 colorings per enumeration chunk, 32 values per KS block and 5 to
+17 rows per CSV block.  One ``reg`` graph takes the stub-switch repair.
 Colors come from the states' top bits (``--K 2`` and ``--K 4``) and from
 the guide table, and two-color degree masses from degree planes that
 hold every vertex (``reg``) and from many that miss some (``hub``).

@@ -29,7 +29,10 @@ coloring counts its same-color edges in blocks within ``rng.BUDGET``,
 and copies each block's edge ends, not every edge's; and two-color
 martingale samples count lower neighbours on the packed lanes, gathered
 into the sampler's scratch and added in budget-sized blocks of integer
-count sums, not sort keys for every edge.
+count sums, not sort keys for every edge.  Two more bound the text
+writers, which format a block of rows at a time: an edge list holds its
+blocks' text, then that text joined, then decoded, so at most two
+copies at once; a CSV holds one block, however many rows it has.
 """
 
 import json
@@ -41,7 +44,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modnull import ColorDistribution, Graph, martingale_variance_samples, rng, significance_test
+from modnull import (ColorDistribution, Graph, martingale_variance_samples, rng,
+                     significance_test, write_edge_list)
+from modnull.serialize import write_csv
 
 LIMIT_MB = 250
 
@@ -218,6 +223,44 @@ def test_two_color_martingale_samples_hold_no_per_key_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < 24 * g.m + 64 * n + 2 * rng.BUDGET
+
+
+def traced(call):
+    """``call()`` and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc traces every Python number the writers make, ~28 times
+# slower than a plain run, so these cases shrink the budget to 64 KiB and
+# their inputs with it: both still span tens to hundreds of blocks.
+def test_edge_list_writer_holds_at_most_two_copies_of_its_text(monkeypatch):
+    # m = 1e5 (1.2 MB of text) in 512-edge blocks: the peak is two copies
+    # and 0.37 budgets.  Prepending the directive to the joined bytes
+    # before decoding them would hold three.
+    monkeypatch.setattr(rng, "BUDGET", 64 << 10)
+    n = 50_000
+    v = np.arange(n)
+    g = Graph(n, np.concatenate([np.column_stack([v, (v + s) % n]) for s in (1, 2)]))
+    text, peak = traced(lambda: write_edge_list(g))
+    assert peak < 2 * len(text) + rng.BUDGET
+
+
+def test_csv_writer_holds_one_block_whatever_the_rows(tmp_path, monkeypatch):
+    # 273-row blocks of 2e3 and 2e4 rows both peak at 0.97 budgets.  With
+    # a non-finite mask of every row kept for the whole write, they peaked
+    # at 1.3 and 1.9 budgets.
+    monkeypatch.setattr(rng, "BUDGET", 64 << 10)
+    gen = np.random.default_rng(1)
+    peaks = []
+    for rows in (2_000, 20_000):
+        columns = [np.arange(rows), gen.normal(size=rows), gen.normal(size=rows)]
+        path = tmp_path / f"q{rows}.csv"
+        peaks.append(traced(lambda: write_csv(path, ["replicate", "q", "z"], columns))[1])
+    assert max(peaks) < 2 * rng.BUDGET and peaks[1] < 1.1 * peaks[0], peaks
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")
