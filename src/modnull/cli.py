@@ -19,7 +19,6 @@ import argparse
 import gc
 import os
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 # modnull calls no BLAS routine, yet OpenBLAS starts one idle worker per
@@ -144,7 +143,7 @@ def _distribution(args, g=None) -> tuple[ColorDistribution, np.ndarray | None]:
 
 def _emit(args, payload: dict) -> None:
     text = dumps(payload) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_bytes(text.encode())
     else:
         sys.stdout.write(text)
@@ -202,10 +201,10 @@ def cmd_test(args) -> int:
                 "standardize": args.standardize,
                 "sided": args.sided,
             },
-            **asdict(report),
+            **report._asdict(),
             # The normal approximation is never gated; the degree-sequence
             # diagnostics ride along so the reader can judge it.
-            "conditions": asdict(condition_statistics(g)),
+            "conditions": condition_statistics(g)._asdict(),
         },
     )
     return 0
@@ -214,7 +213,7 @@ def cmd_test(args) -> int:
 def cmd_conditions(args) -> int:
     g = _load_graph(args)
     report = condition_statistics(g)
-    _emit(args, {"config": {"command": "conditions", "graph": args.graph}, **asdict(report)})
+    _emit(args, {"config": {"command": "conditions", "graph": args.graph}, **report._asdict()})
     return 0
 
 
@@ -272,9 +271,8 @@ def cmd_be_study(args) -> int:
         ],
     }
     # Integer fields are exact as uint64: seed_used spans the whole 64-bit range.
-    columns = [np.array([getattr(r, f.name) for r in rows],
-                        np.uint64 if f.type == "int" else np.float64) for f in fields(RateRow)]
-    _write_csv_with_summary(args.out, [f.name for f in fields(RateRow)], columns, summary)
+    columns = [np.array(c, np.uint64 if isinstance(c[0], int) else np.float64) for c in zip(*rows)]
+    _write_csv_with_summary(args.out, list(RateRow._fields), columns, summary)
     return 0
 
 
@@ -294,7 +292,7 @@ def cmd_slln_study(args) -> int:
         },
         "paths": result.paths,
         "decayed_paths": result.decayed_paths,
-        "per_path": [asdict(s) for s in result.path_summaries],
+        "per_path": [s._asdict() for s in result.path_summaries],
     }
     columns = [np.repeat(np.arange(result.paths), len(result.sizes)),
                np.tile(result.sizes, result.paths), result.values.reshape(-1)]
@@ -364,9 +362,7 @@ def _rel_err(a: float, b: float) -> float:
     return 0.0 if scale == 0.0 else abs(a - b) / scale
 
 
-def _add_common_dist_flags(sp, with_partition: bool) -> None:
-    if with_partition:
-        sp.add_argument("--partition", help="partition file, one color (>=1) per vertex line")
+def _add_common_dist_flags(sp) -> None:
     dist_flags = sp.add_mutually_exclusive_group()
     dist_flags.add_argument("--probs", help="probability file, one value per line")
     dist_flags.add_argument("--K", type=int, help="number of colors")
@@ -383,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compute", help="modularity and exact null moments")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--partition", required=True)
-    _add_common_dist_flags(sp, with_partition=False)
+    _add_common_dist_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("test", help="z-test of a partition against the null")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--partition", required=True)
-    _add_common_dist_flags(sp, with_partition=False)
+    _add_common_dist_flags(sp)
     sp.add_argument("--standardize", choices=["sigma", "delta"], default="sigma")
     sp.add_argument("--sided", choices=["upper", "two"], default="upper")
     sp.add_argument("--out")
@@ -403,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("null-sample", help="Monte Carlo sample of standardized Q")
     sp.add_argument("--graph", required=True)
-    _add_common_dist_flags(sp, with_partition=True)
+    sp.add_argument("--partition", help="partition file, one color (>=1) per vertex line")
+    _add_common_dist_flags(sp)
     sp.add_argument("--reps", type=int, required=True)
     sp.add_argument("--seed", type=_u64)
     sp.add_argument("--standardize", choices=["sigma", "delta"], default="sigma")
@@ -415,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True, help="er:p=<f> | reg:d=<i> | hub:p=<f>")
     sp.add_argument("--sizes", type=_sizes, required=True)
     sp.add_argument("--reps", type=int, required=True)
-    _add_common_dist_flags(sp, with_partition=False)
+    _add_common_dist_flags(sp)
     sp.add_argument("--seed", type=_u64)
     sp.add_argument("--standardize", choices=["sigma", "delta"], default="delta")
     sp.add_argument("--threads", type=int, default=1)
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--sizes", type=_sizes, required=True)
     sp.add_argument("--reps", type=int, required=True, help="number of independent paths")
-    _add_common_dist_flags(sp, with_partition=False)
+    _add_common_dist_flags(sp)
     sp.add_argument("--seed", type=_u64)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_slln_study)
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumerate-check", help="closed-form moments vs exhaustive enumeration"
     )
     sp.add_argument("--graph", required=True)
-    _add_common_dist_flags(sp, with_partition=False)
+    _add_common_dist_flags(sp)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_enumerate_check)
 

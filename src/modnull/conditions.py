@@ -24,14 +24,13 @@ sum is O(m * arboricity) time and bounded memory, from a count of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .graph import Graph, common_neighbor_frobenius
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     stat_31: float
     stat_311: float
     stat_c1: float

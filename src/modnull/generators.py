@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -269,8 +269,7 @@ def gen_hub(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.concatenate(edges))
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Parsed model spec; ``build`` instantiates it at a size and seed."""
 
     model: str

@@ -29,8 +29,8 @@ ranked wedges in blocks of the same budget.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,8 +187,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
+class DegreeSummary(NamedTuple):
     """Exact integer degree statistics: S2 = sum k^2, S4 = sum k^4."""
 
     n: int
@@ -285,8 +284,7 @@ def int64_entries(values) -> tuple[np.ndarray, np.ndarray]:
     return c, np.ones(a.shape, bool) if a.dtype.kind in "biSU" else c == a
 
 
-@dataclass(frozen=True)
-class IntRows:
+class IntRows(NamedTuple):
     """Integer rows of a whitespace-separated text table; see :func:`int_rows`."""
 
     values: np.ndarray  # (rows, width) int64; a token that is not an integer reads 0

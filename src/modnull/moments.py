@@ -76,8 +76,8 @@ O(rows * m * log m) time, and rows go through in blocks of about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +89,7 @@ from .rng import budget_rows
 ENUMERATION_GUARD = 10 ** 7
 
 
-@dataclass(frozen=True)
-class NullMoments:
+class NullMoments(NamedTuple):
     """Exact null mean/variance of modularity plus the pieces they are built from."""
 
     mu: float
@@ -110,8 +109,7 @@ class NullMoments:
         return math.sqrt(self.delta2)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Split of Q into a constant, a centered-kernel term and a degree term.
 
     constant_term + kernel_term + degree_term reconstructs Q exactly (up

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -312,8 +312,7 @@ def martingale_variance_samples(
     )
 
 
-@dataclass(frozen=True)
-class NullSample:
+class NullSample(NamedTuple):
     """Monte Carlo draw of standardized modularity under the null."""
 
     q: np.ndarray
@@ -356,8 +355,7 @@ def simulate_null(
     )
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(NamedTuple):
     """z-test of an observed partition against the random-labeling null."""
 
     Q: float
@@ -416,8 +414,7 @@ def significance_test(
     )
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     """Per-size outcome of a rate study.
 
     ``ks`` is the Kolmogorov distance for the configured standardization;
@@ -519,16 +516,14 @@ def be_rate_study(
     return rows
 
 
-@dataclass(frozen=True)
-class SllnPathSummary:
+class SllnPathSummary(NamedTuple):
     path: int
     first_half_max: float
     second_half_max: float
     decayed: bool
 
 
-@dataclass(frozen=True)
-class SllnResult:
+class SllnResult(NamedTuple):
     """``values[p, j]`` is path ``p``'s value b_n (Q - mu) at ``sizes[j]``."""
 
     values: np.ndarray

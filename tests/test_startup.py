@@ -135,8 +135,8 @@ import json, sys
 import modnull.cli
 code = modnull.cli.main(["be-study", "--model", "reg:d=6", "--sizes", "2000", "--reps", "200",
                          "--threads", "2", "--out", {str(tmp_path / "be.csv")!r}])
-print(json.dumps([code, sorted(m for m in ("concurrent.futures", "logging", "string", "traceback")
-                               if m in sys.modules)]))
+print(json.dumps([code, sorted(m for m in ("concurrent.futures", "dataclasses", "logging", "string",
+                                          "traceback") if m in sys.modules)]))
 """) == [0, []]
 
 
