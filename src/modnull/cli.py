@@ -39,7 +39,7 @@ from .colors import ColorDistribution, ColoringError, parse_probability_text, va
 from .conditions import condition_statistics
 from .errors import DomainError, InputError
 from .generators import parse_generator_spec
-from .graph import int_rows, parse_edge_list, write_edge_list
+from .graph import edge_list_blocks, int_rows, parse_edge_list, write_edge_list
 from .moments import exact_moments_by_enumeration, modularity, null_moments
 from .serialize import dumps, write_csv
 from .simulation import RateRow, be_rate_study, significance_test, simulate_null, slln_study
@@ -204,7 +204,7 @@ def cmd_test(args) -> int:
             **report._asdict(),
             # The normal approximation is never gated; the degree-sequence
             # diagnostics ride along so the reader can judge it.
-            "conditions": condition_statistics(g)._asdict(),
+            "conditions": condition_statistics(g),
         },
     )
     return 0
@@ -292,7 +292,7 @@ def cmd_slln_study(args) -> int:
         },
         "paths": result.paths,
         "decayed_paths": result.decayed_paths,
-        "per_path": [s._asdict() for s in result.path_summaries],
+        "per_path": result.path_summaries,
     }
     columns = [np.repeat(np.arange(result.paths), len(result.sizes)),
                np.tile(result.sizes, result.paths), result.values.reshape(-1)]
@@ -304,7 +304,6 @@ def cmd_generate(args) -> int:
     seed = _resolve_seed(args)
     spec = parse_generator_spec(args.model)
     g = spec.build(args.n, seed)
-    text = write_edge_list(g)
     echo = dumps(
         {
             "config": {
@@ -318,10 +317,11 @@ def cmd_generate(args) -> int:
         }
     ) + "\n"
     if args.out:
-        Path(args.out).write_bytes(text.encode())
+        with open(args.out, "wb") as fh:
+            fh.writelines(edge_list_blocks(g))
         sys.stdout.write(echo)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(write_edge_list(g))
         sys.stderr.write(echo)
     return 0
 

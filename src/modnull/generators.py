@@ -14,9 +14,11 @@ produces a byte-identical canonical edge list on any platform.  Draws
 are :mod:`modnull.rng` words.  ``reg`` and the hub spokes sort words or
 reduce them to integers; ``er`` and the ``hub`` base turn each word into
 a geometric gap between consecutive edges of the lexicographic pair
-order (seed-contract v2), the one float step being libm's ``log`` of the
-word's uniform, so generation costs O(n + m), not O(n^2).  The CLI spec
-grammar is "er:p=<float>", "reg:d=<int>", "hub:p=<float>".
+order (seed-contract v2), so generation costs O(n + m), not O(n^2).  The
+one float step is libm's ``log`` of the word's uniform: numpy's log
+forms every gap, and libm's recomputes the few whose floor a last-bit
+difference could move.  The CLI spec grammar is "er:p=<float>",
+"reg:d=<int>", "hub:p=<float>".
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from .rng import MASK64, SplitMix64, budget_rows, stream_seed
 _ER_RETRIES = 64
 _PAIRING_ROUNDS = 60
 _SWITCH_ATTEMPTS = 500
-# Bytes per word of a block of ER gaps: the word and its mixing scratch,
-# the uniform, libm's boxed logarithm, the gap and the running pair index.
-_GAP_BYTES = 64
-# libm log, elementwise: numpy's SIMD log may round differently between CPUs.
-_libm_log = np.frompyfunc(math.log, 1, 1)
+# Bytes per word of a block of ER gaps: the word, its gap and the gap's
+# distance to an integer, 8 bytes each, and the screen's bools
+# (tracemalloc reads 27).
+_GAP_BYTES = 32
 
 
 def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
@@ -50,7 +51,11 @@ def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
     clamped at N, and the k-th edge is pair t_k = t_{k-1} + g_k + 1 from
     t_0 = -1, for as long as t_k < N (Batagelj and Brandes, Phys. Rev. E
     71, 036113, 2005).  Words are drawn in blocks within the byte budget.
-    Returns the edges as an int64 (m, 2) array.
+    The logarithm is libm's: a block's quotients are numpy's log over
+    ln(1 - p), and only a quotient that is not finite or lies within
+    1e-9 * max(1, |q|) of an integer, where the last bits of the two logs
+    could floor differently, is recomputed by ``math.log``.  Returns the
+    edges as an int64 (m, 2) array.
     """
     row_starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))])
     npairs = int(row_starts[-1])
@@ -62,12 +67,28 @@ def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
     found = []
     last = -1
     while last < npairs - 1:
-        u = stream.words(block).astype(np.float64)
-        u += 1.0
-        u *= 2.0 ** -53
-        with np.errstate(over="ignore"):  # a gap beyond any double is clamped below
-            gaps = _libm_log(u).astype(np.float64) / log_q
-        del u
+        words = stream.words(block)
+        gaps = words.astype(np.float64)
+        gaps += 1.0
+        gaps *= 2.0 ** -53
+        # A gap beyond any double is clamped below, and its distance to an
+        # integer is NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.log(gaps, out=gaps)
+            gaps /= log_q
+            # numpy's log may differ from libm's in the last bits, which moves
+            # the floor only of a gap g >= 0 that is not finite or lies within
+            # 1e-9 * max(1, g) of an integer (a NaN distance fails both
+            # comparisons): those take libm's log.
+            off = np.rint(gaps)
+            off -= gaps
+            np.abs(off, out=off)
+            off *= 1e9
+            redo = np.flatnonzero(~((off > 1.0) & (off > gaps)))
+            del off
+            u = (words[redo].astype(np.float64) + 1.0) * 2.0 ** -53
+            gaps[redo] = np.array([math.log(x) for x in u.tolist()]) / log_q
+        del words
         # Gaps of at least N end the graph; the clamp keeps them integers and
         # the sum below monotone up to its first index at or beyond N.
         t = np.minimum(np.floor(gaps, out=gaps), npairs).astype(np.int64)

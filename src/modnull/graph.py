@@ -536,15 +536,19 @@ def parse_edge_list(text: str | bytes) -> Graph:
     return g
 
 
-def write_edge_list(g: Graph) -> str:
-    """Canonical text form: ``# n=`` directive then sorted ``u v`` lines.
+def edge_list_blocks(g: Graph):
+    """The ASCII bytes of :func:`write_edge_list`, block by block: the
+    directive, then the lines formatted by :func:`serialize.format_rows` in
+    blocks of ``rng.budget_rows(128)`` edges (16384; tracemalloc reads ~120
+    bytes per edge).  A file takes them as they come."""
+    yield b"# n=%d\n" % g.n
+    yield from format_rows(b"%d %d\n", [g.edge_lo, g.edge_hi], 128)
 
-    The lines are formatted by :func:`serialize.format_rows` in blocks of
-    ``rng.budget_rows(128)`` edges (16384; tracemalloc reads ~120 bytes per
-    edge), then joined with the directive in one pass and decoded once.
-    """
-    lines = format_rows(b"%d %d\n", [g.edge_lo, g.edge_hi], 128)
-    return b"".join([b"# n=%d\n" % g.n, *lines]).decode("ascii")
+
+def write_edge_list(g: Graph) -> str:
+    """Canonical text form: ``# n=`` directive then sorted ``u v`` lines,
+    the blocks of :func:`edge_list_blocks` joined and decoded once."""
+    return b"".join(edge_list_blocks(g)).decode("ascii")
 
 
 def common_neighbor_frobenius(g: Graph) -> int:

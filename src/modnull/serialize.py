@@ -35,7 +35,12 @@ def _atom(value) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize dicts/lists/scalars; floats at 17 significant digits."""
+    """Serialize dicts/lists/scalars; floats at 17 significant digits.
+
+    A NamedTuple is written as an object of its fields, in field order.
+    """
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"

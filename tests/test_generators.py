@@ -19,6 +19,7 @@ from modnull import (
 )
 from modnull import generators, rng
 from modnull.generators import GeneratorSpec, ceil_sqrt
+from modnull.rng import stream_seed
 
 
 def er_by_gap_rule(n, p, seed):
@@ -146,6 +147,51 @@ def test_er_scan_independent_of_block_size(monkeypatch, block):
     for n, p, seed in cases:
         assert gen_er(n, p, seed).edges() == er_by_gap_rule(n, p, seed)
     assert write_edge_list(gen_hub(41, 0.1, 3)) == hub
+
+
+def two_ulp(x, direction):
+    """``x`` moved by two units in the last place towards ``direction``."""
+    return np.nextafter(np.nextafter(x, direction), direction)
+
+
+def p_at_a_floor(seed, direction):
+    """A p at which the first gap of stream ``seed``, ln(u) / ln(1 - p),
+    lies so near an integer that a logarithm two ulp off towards
+    ``direction`` moves its floor."""
+    log_u = math.log(((SplitMix64(seed).next_u64() >> 11) + 1) * 2.0 ** -53)
+    for k in range(2, 40):
+        near_k = -math.expm1(log_u / k)
+        for j in range(-8, 9):
+            p = near_k + j * math.ulp(near_k)
+            log_q = math.log1p(-p)
+            if math.floor(two_ulp(log_u, direction) / log_q) != math.floor(log_u / log_q):
+                return p
+    raise AssertionError("no p moves the floor")
+
+
+@pytest.mark.parametrize("direction", [math.inf, -math.inf])
+def test_er_gaps_near_an_integer_take_libm_log(monkeypatch, direction):
+    # numpy's log is replaced by one two ulp off.  At the chosen p the first
+    # gap of the ER stream, and of the hub's base stream, lies so near an
+    # integer that this log floors it differently from libm's, so only the
+    # libm recheck of such gaps keeps both graphs on the gap rule.
+    seed = 7
+    p_er = p_at_a_floor(seed, direction)
+    p_hub = p_at_a_floor(stream_seed(seed, 0), direction)
+    spokes = SplitMix64(stream_seed(seed, 1)).sample_indices(ceil_sqrt(30), 30)
+    hub = Graph(31, er_by_gap_rule(30, p_hub, stream_seed(seed, 0)) + [(v, 30) for v in spokes])
+    real_log = np.log
+
+    def off_log(x, out=None):
+        y = two_ulp(real_log(x), direction)
+        if out is None:
+            return y
+        out[...] = y
+        return out
+
+    monkeypatch.setattr(np, "log", off_log)
+    assert gen_er(30, p_er, seed).edges() == er_by_gap_rule(30, p_er, seed)
+    assert gen_hub(31, p_hub, seed).edges() == hub.edges()
 
 
 def test_regular_matching():

@@ -15,7 +15,9 @@ from conftest import csv_text
 
 import modnull
 from modnull import rng
-from modnull.serialize import write_csv
+from modnull.conditions import condition_statistics
+from modnull.generators import gen_regular
+from modnull.serialize import dumps, write_csv
 
 HEADER = ["replicate", "q", "z"]
 
@@ -110,3 +112,10 @@ def test_no_module_writes_a_file_in_text_mode():
         "open(p, m)\nopen(p)\nopen(p, 'rb')\nopen(p, 'wb')\nPath(p).open()\n") == [
         "line 1: write_text", "line 2: open mode 'w'", "line 3: open mode 'a'",
         "line 4: open mode 'r+'", "line 5: open mode None"]
+
+
+def test_dumps_writes_a_named_tuple_as_an_object_of_its_fields():
+    # A record goes into the JSON reports as it is, also inside a list.
+    report = condition_statistics(gen_regular(100, 4, 1))
+    assert dumps(report) == dumps(report._asdict())
+    assert dumps({"rows": [report]}) == dumps({"rows": [report._asdict()]})
