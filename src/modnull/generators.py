@@ -38,8 +38,8 @@ _ER_RETRIES = 64
 _PAIRING_ROUNDS = 60
 _SWITCH_ATTEMPTS = 500
 # Bytes per word of a block of ER gaps: the word, its gap and the gap's
-# distance to an integer, 8 bytes each, and the screen's bools
-# (tracemalloc reads 27).
+# distance to an integer or the index of a word that libm's log recomputes,
+# 8 bytes each, and the screen's bools (tracemalloc reads 26).
 _GAP_BYTES = 32
 
 
@@ -53,8 +53,8 @@ def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
     71, 036113, 2005).  Words are drawn in blocks within the byte budget.
     The logarithm is libm's: a block's quotients are numpy's log over
     ln(1 - p), and only a quotient that is not finite or lies within
-    1e-9 * max(1, |q|) of an integer, where the last bits of the two logs
-    could floor differently, is recomputed by ``math.log``.  Returns the
+    1e-9 * max(1, q) of a positive integer, where the last bits of the two
+    logs could floor differently, is recomputed by ``math.log``.  Returns the
     edges as an int64 (m, 2) array.
     """
     row_starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64))])
@@ -77,18 +77,30 @@ def _er_edge_array(n: int, p: float, seed: int) -> np.ndarray:
             np.log(gaps, out=gaps)
             gaps /= log_q
             # numpy's log may differ from libm's in the last bits, which moves
-            # the floor only of a gap g >= 0 that is not finite or lies within
-            # 1e-9 * max(1, g) of an integer (a NaN distance fails both
-            # comparisons): those take libm's log.
+            # the floor only of a gap g that is not finite or lies within
+            # 1e-9 * max(1, g) of an integer k >= 1 (a NaN distance fails
+            # both comparisons): both logs are 0 at u = 1 and negative below,
+            # so no gap crosses 0.  Those take libm's log, a slice of at most
+            # a 32nd of the block at a time.
             off = np.rint(gaps)
+            np.maximum(off, 1.0, out=off)
             off -= gaps
             np.abs(off, out=off)
             off *= 1e9
-            redo = np.flatnonzero(~((off > 1.0) & (off > gaps)))
+            keep = off > 1.0
+            keep &= off > gaps
             del off
-            u = (words[redo].astype(np.float64) + 1.0) * 2.0 ** -53
-            gaps[redo] = np.array([math.log(x) for x in u.tolist()]) / log_q
-        del words
+            redo = np.flatnonzero(~keep)
+            del keep
+            step = -(-block // 32)
+            for s in range(0, len(redo), step):
+                at = redo[s:s + step]
+                u = words[at].astype(np.float64)
+                u += 1.0
+                u *= 2.0 ** -53
+                gaps[at] = np.fromiter(map(math.log, u.tolist()), np.float64, len(at)) / log_q
+                del at, u  # a slice of redo would keep all of it alive
+        del words, redo
         # Gaps of at least N end the graph; the clamp keeps them integers and
         # the sum below monotone up to its first index at or beyond N.
         t = np.minimum(np.floor(gaps, out=gaps), npairs).astype(np.int64)

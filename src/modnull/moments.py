@@ -148,8 +148,7 @@ def _chunking(n: int, lanes: int) -> tuple[int, int]:
 
     A lane group needs at most n + n // 127 + 1 words of scratch in any
     stage (a degree plane of up to n - 1 vertices and its byte sums), and
-    24 for one vertex's stream states, their mixing scratch and the base
-    states that later blocks of the chunk add to.  A chunk's
+    16 for one vertex's stream states and their mixing scratch.  A chunk's
     lane groups, at least one, fill a quarter of ``rng.BUDGET`` with that
     many words each, and the scratch is half of it, or one group's worth
     when that is more.  So the scratch holds every stage of any chunk: a
@@ -157,7 +156,7 @@ def _chunking(n: int, lanes: int) -> tuple[int, int]:
     degree plane and its byte sums, or the slots of one degree-mass
     bincount (:func:`_mass_lanes`).
     """
-    group = max(24, n + n // _PLANE_ROWS + 1)
+    group = max(16, n + n // _PLANE_ROWS + 1)
     return lanes * budget_rows(32 * group), max(budget_rows(16), group)
 
 

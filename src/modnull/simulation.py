@@ -23,9 +23,7 @@ colors over the degrees' bit planes.  Each worker allocates its buffers
 once and reuses them for every chunk: the chunk's colors, a quarter of
 the byte budget ``rng.BUDGET`` (2 MiB, see :func:`moments._chunking`),
 and one scratch array of half of it, which holds
-a block of states and their mixing scratch (and, for a chunk of more
-than one block, the base states that each block adds one scalar to),
-then a block of edges' ends
+a block of states and their mixing scratch, then a block of edges' ends
 and the words gathered at both and their equality bools, then a gathered
 degree plane or the degree-mass slots.  Both are one lane group's worth
 when a group is larger, so a chunk's boundaries depend on the graph's n
@@ -67,8 +65,7 @@ from .moments import (
     _v2_tables,
     null_moments,
 )
-from .rng import (GOLDEN, MASK64, budget_rows, half_mix, stream_seed, stream_seed_array,
-                  stream_steps)
+from .rng import budget_rows, half_mix, stream_seed, stream_seed_array, stream_steps
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -249,25 +246,15 @@ def _sample_rows(kernel, g: Graph, dist, reps: int, master_seed: int, threads: i
             count = min(rows, reps - a)
             r = -(-count // lanes) * lanes
             # A block of states and their mixing scratch, 16 bytes per
-            # replicate of this chunk and vertex, fills the chunk's scratch.
+            # replicate of this chunk and vertex, fills the chunks' scratch.
             block = min(n, chunk_words // (2 * r))
             seeds = stream_seed_array(master_seed, np.arange(a, a + r, dtype=np.uint64))
             colors = color_buffer[:n * r].reshape(n, r)
-            if block < n:
-                # Blocks of a third of the scratch: the last third holds
-                # base[i] = seeds + steps[i], and block v's states are base
-                # plus v * GOLDEN, one scalar add instead of a broadcast.
-                block = chunk_words // (3 * r)
-                base = scratch[2 * block * r:3 * block * r].reshape(block, r)
-                np.add(steps[:block, None], seeds, out=base)
             for v in range(0, n, block):
                 size = min(block, n - v) * r
                 states = scratch[:size].reshape(-1, r)
                 mix = scratch[size:2 * size].reshape(-1, r)
-                if block == n:
-                    np.add(steps[:, None], seeds, out=states)
-                else:
-                    np.add(base[:size // r], v * GOLDEN & MASK64, out=states)
+                np.add(steps[v:v + block, None], seeds, out=states)
                 dist._colors_of_states(half_mix(states, mix), out=colors[v:v + block],
                                        scratch=mix)
             out[a:a + count] = kernel(colors, count, scratch)

@@ -194,6 +194,16 @@ def test_er_gaps_near_an_integer_take_libm_log(monkeypatch, direction):
     assert gen_hub(31, p_hub, seed).edges() == hub.edges()
 
 
+def test_er_gaps_at_p_one_take_no_libm_log(monkeypatch):
+    # ln(1 - p) is -inf, so every gap is 0: no gap lies near a positive
+    # integer, and none crosses 0.
+    def no_log(x):
+        raise AssertionError("libm log called")
+
+    monkeypatch.setattr(math, "log", no_log)
+    assert gen_er(40, 1.0, 3).edges() == [(i, j) for i in range(40) for j in range(i + 1, 40)]
+
+
 def test_regular_matching():
     g = gen_regular(4, 1, 7)
     assert g.m == 2

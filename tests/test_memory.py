@@ -29,7 +29,9 @@ coloring counts its same-color edges in blocks within ``rng.BUDGET``,
 and copies each block's edge ends, not every edge's; and two-color
 martingale samples count lower neighbours on the packed lanes, gathered
 into the sampler's scratch and added in budget-sized blocks of integer
-count sums, not sort keys for every edge.  Two more bound the text
+count sums, not sort keys for every edge.  The ER generator's blocks of
+gaps hold at most ``_GAP_BYTES`` a word, also when libm's log recomputes
+every word.  Two more bound the text
 writers, which format a block of rows at a time: an edge list holds its
 blocks' text, then that text joined, then decoded, so at most two
 copies at once; a CSV holds one block, however many rows it has.
@@ -44,8 +46,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from modnull import (ColorDistribution, Graph, martingale_variance_samples, rng,
+from modnull import (ColorDistribution, Graph, generators, martingale_variance_samples, rng,
                      significance_test, write_edge_list)
+from modnull.rng import SplitMix64
 from modnull.serialize import write_csv
 
 LIMIT_MB = 250
@@ -261,6 +264,42 @@ def test_csv_writer_holds_one_block_whatever_the_rows(tmp_path, monkeypatch):
         path = tmp_path / f"q{rows}.csv"
         peaks.append(traced(lambda: write_csv(path, ["replicate", "q", "z"], columns))[1])
     assert max(peaks) < 2 * rng.BUDGET and peaks[1] < 1.1 * peaks[0], peaks
+
+
+def er_block_peaks(monkeypatch, n, p):
+    """The edges of ``_er_edge_array(n, p, 5)`` and the tracemalloc peak of
+    each of its blocks of gaps but the last, from one draw of a block of
+    words to the next, in bytes per word of a block above what was held
+    at the first draw."""
+    draws = []
+    words = SplitMix64.words
+
+    def traced_words(stream, count):
+        draws.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return words(stream, count)
+
+    monkeypatch.setattr(SplitMix64, "words", traced_words)
+    edges, _ = traced(lambda: generators._er_edge_array(n, p, 5))
+    block = rng.budget_rows(generators._GAP_BYTES)
+    return edges, [(peak - held) / block for (held, _), (_, peak) in zip(draws, draws[1:])]
+
+
+@pytest.mark.parametrize("n, p, numpy_log", [(900, 0.5, "numpy"), (800, 0.5, "nan"),
+                                            (800, 1.0, "numpy")])
+def test_er_gap_blocks_hold_their_byte_budget(monkeypatch, n, p, numpy_log):
+    # Blocks of 65536 words at 2 MiB: the word, its gap and its distance to
+    # an integer, or the indices of the words that libm's log recomputes,
+    # peak at 26 bytes a word.  A numpy log that returns NaN sends every
+    # word to libm's log, a 32nd of the block at a time; one list of boxed
+    # logarithms for a whole block took 100 bytes a word.  At p = 1 every
+    # gap is 0, and no word goes to libm.
+    want = generators._er_edge_array(n, p, 5)
+    if numpy_log == "nan":
+        monkeypatch.setattr(np, "log", lambda x, out: np.copyto(out, np.nan) or out)
+    edges, peaks = er_block_peaks(monkeypatch, n, p)
+    assert np.array_equal(edges, want)
+    assert len(peaks) >= 2 and max(peaks) <= generators._GAP_BYTES, peaks
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units")

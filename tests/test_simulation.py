@@ -263,12 +263,10 @@ def one_group_budget(n):
 
 def state_blocks(n, lanes, reps):
     """(replicates per chunk, vertices per block of stream states in the first
-    chunk) of the sampler for ``reps`` replicates.  States and their mixing
-    scratch take 16 bytes per vertex and replicate; a chunk that takes more
-    than one block also holds its 8 bytes of base states."""
+    chunk) of the sampler for ``reps`` replicates."""
     rows, words = _chunking(n, lanes)
     r = -(-min(rows, reps) // lanes) * lanes
-    return rows, n if words // (2 * r) >= n else words // (3 * r)
+    return rows, min(n, words // (2 * r))
 
 
 def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypatch):
@@ -294,12 +292,11 @@ def test_martingale_variance_samples_independent_of_chunks_and_threads(monkeypat
 @pytest.mark.parametrize("groups_per_chunk", [1, 7])
 def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, groups_per_chunk):
     # 103 replicates in 8-lane groups: chunks of one group, with a last
-    # group of 7 lanes, or of 7 groups, with a last chunk of 47 replicates.
-    # The scratch is half the budget; a block's states, their mixing scratch
-    # and the chunk's base states take a third of it each, so words come in
-    # blocks of 16 of the 190 vertices, and the last chunk of 6 groups in
-    # blocks of 19.  The default budget fits them all in one chunk, whose
-    # 104 lanes take one block of all 190 vertices and no base states.
+    # group of 7 lanes, or of 7 groups, with a last chunk of 47 replicates;
+    # words come in blocks of 25 of the 190 vertices, whose states and
+    # mixing scratch take 16 bytes each, half the budget, and the last
+    # chunk of 6 groups in blocks of 29.  The default budget fits them all
+    # in one chunk, whose 104 lanes take one block of all 190 vertices.
     g = gen_regular(190, 4, 5)
     d = ColorDistribution([0.25, 0.3, 0.45])
     assert state_blocks(g.n, 8, 103) == (2728, 190)
@@ -314,30 +311,16 @@ def test_samples_independent_of_chunk_budget_and_threads(monkeypatch, groups_per
     assert blocks == [(190, 104)]
     want_v2 = martingale_variance_samples(g, d, 103, 31)
     monkeypatch.setattr(rng, "BUDGET", 2 * 16 * 25 * 8 * groups_per_chunk)
-    assert state_blocks(g.n, 8, 103) == (8 * groups_per_chunk, 16)
+    assert state_blocks(g.n, 8, 103) == (8 * groups_per_chunk, 25)
     blocks.clear()
     null_q_samples(g, d, 103, 31)
     if groups_per_chunk == 1:
-        assert blocks == ([(16, 8)] * 11 + [(14, 8)]) * 13
+        assert blocks == ([(25, 8)] * 7 + [(15, 8)]) * 13
     else:
-        assert blocks == [(16, 56)] * 11 + [(14, 56)] + [(19, 48)] * 10
+        assert blocks == [(25, 56)] * 7 + [(15, 56)] + [(29, 48)] * 6 + [(16, 48)]
     for threads in (1, 2, 3):
         assert np.array_equal(null_q_samples(g, d, 103, 31, threads=threads), want_q)
         assert np.array_equal(martingale_variance_samples(g, d, 103, 31, threads=threads), want_v2)
-
-
-def test_samples_at_a_budget_of_one_vertex_per_block(monkeypatch):
-    # At 256 bytes the scratch is one lane group's minimum of 24 words: one
-    # vertex's 8 states, their mixing scratch and the chunk's base states.
-    g = Graph(10, [(i, (i + 1) % 10) for i in range(10)] + [(0, 5)])
-    for d in (ColorDistribution([0.25, 0.3, 0.45]), ColorDistribution.uniform(2)):
-        want = null_q_samples(g, d, 21, 5), martingale_variance_samples(g, d, 21, 5)
-        with monkeypatch.context() as mp:
-            mp.setattr(rng, "BUDGET", 256)
-            assert _chunking(g.n, 8) == (8, 24) and state_blocks(g.n, 8, 21) == (8, 1)
-            got = (null_q_samples(g, d, 21, 5, threads=2),
-                   martingale_variance_samples(g, d, 21, 5, threads=2))
-        assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
 # A regular graph whose edges take two blocks at 2 MiB, an ER graph with
